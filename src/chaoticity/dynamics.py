@@ -24,6 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    BadSiteIndex,
     BoundViolation,
     DensityDriftExceeded,
     DimensionMismatch,
@@ -38,8 +39,7 @@ from .tensor import (
     DEFAULT_MAX_TOTAL_DIM,
     Permutation,
     TensorShape,
-    embed_one_body,
-    embed_two_body,
+    _add_on_sites,
     partial_trace,
     permutation_unitary,
     tensor_power,
@@ -81,22 +81,48 @@ def step_cap(sys: MeanFieldSystem) -> float:
     return min(DEFAULT_STEP_CAP, 1.0 / (40.0 * max(sys.interaction_norm(), 1.0)))
 
 
+def _mean_field_generator(
+    sys: MeanFieldSystem, n: int, coupling_n: int, max_total_dim: int
+) -> np.ndarray:
+    """sum_{j <= n} A_j + (1/coupling_n) sum over ordered pairs i != j <= n of V_ij.
+
+    Every term is scattered into one D x D buffer; no per-term matrix is formed.
+    """
+    shape = TensorShape(sys.d, n, max_total_dim)
+    h = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+    for j in range(1, n + 1):
+        _add_on_sites(h, sys.a, (j,), shape)
+    _add_pairs(h, sys.v, shape, 1.0 / coupling_n)
+    return h
+
+
+def _add_pairs(out: np.ndarray, v: np.ndarray, shape: TensorShape, scale: float) -> None:
+    """out += scale * sum over ordered pairs i != j of V_ij, in place."""
+    for i in range(1, shape.sites + 1):
+        for j in range(1, shape.sites + 1):
+            if i != j:
+                _add_on_sites(out, v, (i, j), shape, scale)
+
+
+def _pair_trace(v: np.ndarray, x: np.ndarray, shape: TensorShape) -> np.ndarray:
+    """sum_{j <= n} tr_{n+1}[V_{j,n+1} + V_{n+1,j}, X] for X on the n+1 sites of shape.
+
+    The commutator is linear in its first argument, so the 2n pair operators
+    are scattered into one buffer and a single commutator is traced.
+    """
+    last = shape.sites
+    w = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+    for j in range(1, last):
+        _add_on_sites(w, v, (j, last), shape)
+        _add_on_sites(w, v, (last, j), shape)
+    return partial_trace(w @ x - x @ w, shape, (last,))
+
+
 def build_hamiltonian(
     sys: MeanFieldSystem, n_sites: int, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
 ) -> np.ndarray:
     """H_N = sum_j A_j + (1/N) sum over ordered pairs i != j of V_ij."""
-    shape = TensorShape(sys.d, n_sites, max_total_dim)
-    h = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-    for j in range(1, n_sites + 1):
-        h += embed_one_body(sys.a, j, shape)
-    if n_sites >= 2:
-        coupling = np.zeros_like(h)
-        for i in range(1, n_sites + 1):
-            for j in range(1, n_sites + 1):
-                if i != j:
-                    coupling += embed_two_body(sys.v, i, j, shape)
-        h += coupling / n_sites
-    return h
+    return _mean_field_generator(sys, n_sites, n_sites, max_total_dim)
 
 
 def build_reduced_hamiltonian(
@@ -108,18 +134,7 @@ def build_reduced_hamiltonian(
     """
     if not 1 <= n <= n_sites:
         raise ValueError(f"marginal order {n} outside 1..{n_sites}")
-    shape = TensorShape(sys.d, n, max_total_dim)
-    h = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-    for j in range(1, n + 1):
-        h += embed_one_body(sys.a, j, shape)
-    if n >= 2:
-        coupling = np.zeros_like(h)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    coupling += embed_two_body(sys.v, i, j, shape)
-        h += coupling / n_sites
-    return h
+    return _mean_field_generator(sys, n, n_sites, max_total_dim)
 
 
 class ExactPropagator:
@@ -154,19 +169,36 @@ class ExactPropagator:
             raise DimensionMismatch(f"state shape {rho.shape} does not match {self.shape}")
         return validate(self.evolve_matrix(rho.matrix, t), rho.shape)
 
-    def evolve_grid(self, rho: DensityOperator, times) -> list[np.ndarray]:
-        """Raw evolved matrices at many times, two matmuls per time.
+    def evolve_grid(self, rho: DensityOperator, times, order: int) -> list[DensityOperator]:
+        """Validated first-`order`-sites marginals of rho(t) at many times.
 
-        Works in the eigenbasis: rho(t) = U (rho~ o P_t) U† with
-        rho~ = U† rho U and P_t[a,b] = e^{-it(l_a - l_b)}. States are not
-        re-validated here; marginal() validates whatever is consumed.
+        Works in the eigenbasis: rho(t) = U (rho~ o p p†) U† with
+        rho~ = U† rho U and p = e^{-it lambda}. With M = U (rho~ o p p†),
+        tracing out sites order+1..N of M U† is the contraction
+        M.reshape(d^k, -1) @ U.reshape(d^k, -1)†, so each time costs one D^3
+        product plus a d^k D^2 contraction and the full evolved state is
+        never formed: memory stays O(D^2) whatever the grid length.
         """
+        if rho.shape.total_dim != self.shape.total_dim or rho.d != self.shape.d:
+            raise DimensionMismatch(f"state shape {rho.shape} does not match {self.shape}")
+        if not 1 <= order <= self.shape.sites:
+            raise BadSiteIndex(f"marginal order {order} outside 1..{self.shape.sites}")
+        dk = self.shape.d**order
         u = self.eigenvectors
-        rho_eig = u.conj().T @ rho.matrix @ u
+        u_conj = u.conj()
+        rho_eig = u_conj.T @ rho.matrix @ u
+        u_rows = u_conj.reshape(dk, -1).T
+        marginal_shape = self.shape.reduced(order)
+        # two D x D work buffers reused across times keep the footprint flat
+        phased = np.empty_like(rho_eig)
+        m = np.empty_like(rho_eig)
         out = []
         for t in times:
-            pt = np.exp(-1j * t * self.eigenvalues)
-            out.append((u * pt) @ (rho_eig * pt.conj()[None, :]) @ u.conj().T)
+            p = np.exp(-1j * t * self.eigenvalues)
+            np.multiply(rho_eig, p[:, None], out=phased)
+            phased *= p.conj()
+            np.matmul(u, phased, out=m)
+            out.append(validate(m.reshape(dk, -1) @ u_rows, marginal_shape))
         return out
 
 
@@ -308,20 +340,10 @@ def epsilon_term(rho_N: DensityOperator, sys: MeanFieldSystem, n: int) -> Epsilo
     shape_n = rho_N.shape.reduced(n)
     shape_np1 = rho_N.shape.reduced(n + 1)
 
-    eps = np.zeros_like(m_n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                vij = embed_two_body(sys.v, i, j, shape_n)
-                eps += vij @ m_n - m_n @ vij
-    eps /= n_sites
-
-    for j in range(1, n + 1):
-        w = embed_two_body(sys.v, j, n + 1, shape_np1) + embed_two_body(
-            sys.v, n + 1, j, shape_np1
-        )
-        comm = w @ m_np1 - m_np1 @ w
-        eps -= (n / n_sites) * partial_trace(comm, shape_np1, (n + 1,))
+    pairs = np.zeros_like(m_n)
+    _add_pairs(pairs, sys.v, shape_n, 1.0)
+    eps = (pairs @ m_n - m_n @ pairs) / n_sites
+    eps -= (n / n_sites) * _pair_trace(sys.v, m_np1, shape_np1)
 
     norm = linalg.trace_norm(eps)
     bound = 5.0 * n * n * sys.interaction_norm() / n_sites
@@ -349,14 +371,7 @@ def _marginal_flow_rhs(
     h_n = build_reduced_hamiltonian(sys, n, n_sites, max_total_dim)
     rhs = h_n @ m_n - m_n @ h_n
     shape_np1 = TensorShape(sys.d, n + 1, max_total_dim)
-    acc = np.zeros_like(m_n)
-    for j in range(1, n + 1):
-        w = embed_two_body(sys.v, j, n + 1, shape_np1) + embed_two_body(
-            sys.v, n + 1, j, shape_np1
-        )
-        comm = w @ m_np1 - m_np1 @ w
-        acc += partial_trace(comm, shape_np1, (n + 1,))
-    rhs += ((n_sites - n) / n_sites) * acc
+    rhs += ((n_sites - n) / n_sites) * _pair_trace(sys.v, m_np1, shape_np1)
     return rhs
 
 
@@ -414,26 +429,20 @@ def tensor_hierarchy_residual(
     r_minus = trajectory.state_at(t - h)
     r_mid = trajectory.state_at(t)
     r_plus = trajectory.state_at(t + h)
-    d = r_mid.d
-    budget = max(d ** (n + 1) * d ** (n + 1), DEFAULT_MAX_TOTAL_DIM)
-    shape_n = TensorShape(d, n, budget) if n > 1 else TensorShape(d, 1, budget)
-    shape_np1 = TensorShape(d, n + 1, budget)
+    # the states' own budget bounds the order-(n+1) products formed below
+    budget = r_mid.shape.max_total_dim
+    shape_n = r_mid.shape.reduced(n)
+    shape_np1 = r_mid.shape.reduced(n + 1)
 
     pow_mid_n = tensor_power(r_mid.matrix, n, budget)
     lhs = (tensor_power(r_plus.matrix, n, budget) - tensor_power(r_minus.matrix, n, budget)) / (
         2.0 * h
     )
-    rhs = np.zeros_like(pow_mid_n)
+    a_sum = np.zeros_like(pow_mid_n)
     for j in range(1, n + 1):
-        aj = embed_one_body(sys.a, j, shape_n)
-        rhs += aj @ pow_mid_n - pow_mid_n @ aj
-    pow_mid_np1 = tensor_power(r_mid.matrix, n + 1, budget)
-    for j in range(1, n + 1):
-        w = embed_two_body(sys.v, j, n + 1, shape_np1) + embed_two_body(
-            sys.v, n + 1, j, shape_np1
-        )
-        comm = w @ pow_mid_np1 - pow_mid_np1 @ w
-        rhs += partial_trace(comm, shape_np1, (n + 1,))
+        _add_on_sites(a_sum, sys.a, (j,), shape_n)
+    rhs = a_sum @ pow_mid_n - pow_mid_n @ a_sum
+    rhs += _pair_trace(sys.v, tensor_power(r_mid.matrix, n + 1, budget), shape_np1)
     return linalg.trace_norm(lhs + 1j * rhs)
 
 

@@ -36,6 +36,7 @@ from .metrics import (
     corollary_bound,
     empirical_variance,
     factorization_error,
+    marginal,
 )
 from .states import (
     DensityOperator,
@@ -46,7 +47,7 @@ from .states import (
     random_hermitian,
     validate,
 )
-from .tensor import TensorShape, partial_trace, tensor_power
+from .tensor import TensorShape, tensor_power
 from .version import __version__
 
 # seed-splitter namespaces; frozen constants, part of the reproducibility contract
@@ -166,12 +167,6 @@ def _grid_index(grid: np.ndarray, t: float) -> int:
     return i
 
 
-def _marginal_matrix(m: np.ndarray, shape: TensorShape, n: int) -> np.ndarray:
-    if n == shape.sites:
-        return m
-    return partial_trace(m, shape, tuple(range(n + 1, shape.sites + 1)))
-
-
 def _run_propagation(config: ExperimentConfig, parallel: int):
     sys = _draw_system(config)
     rho0 = _draw_initial(config)
@@ -186,22 +181,22 @@ def _run_propagation(config: ExperimentConfig, parallel: int):
     def worker(n_sites: int):
         prop = ExactPropagator(sys, n_sites, config.max_total_dim)
         rho_n0 = product_state(rho0, n_sites, config.max_total_dim)
-        shape = rho_n0.shape
         evolved = {t: prop.evolve(rho_n0, t) for t in config.times}
 
         e_grid: dict[int, np.ndarray] = {}
         envelopes: dict[int, np.ndarray] = {}
         grid = trajectory.times
         if config.gronwall:
-            raw = prop.evolve_grid(rho_n0, grid)
             need = sorted(set(orders) | {n + 1 for n in orders if n + 1 <= n_sites})
+            # one grid pass at the highest order; lower orders are traced from it
+            top = prop.evolve_grid(rho_n0, grid, need[-1])
             for n in need:
                 e_grid[n] = np.array([
                     linalg.trace_norm(
-                        _marginal_matrix(m, shape, n)
+                        marginal(m, n).matrix
                         - tensor_power(state.matrix, n, config.max_total_dim)
                     )
-                    for m, state in zip(raw, trajectory.states)
+                    for m, state in zip(top, trajectory.states)
                 ])
             for n in orders:
                 if n + 1 <= n_sites:

@@ -9,7 +9,6 @@ shards stay reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,7 +258,3 @@ def random_hermitian(d: int, seed, norm_cap: float = 1.0) -> np.ndarray:
     if nrm > norm_cap:
         h = h * (norm_cap / nrm) if nrm > 0 else np.zeros_like(h)
     return h
-
-
-def permutation_count(n: int) -> int:
-    return math.factorial(n)

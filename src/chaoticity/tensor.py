@@ -5,6 +5,12 @@ Site indices are 1-based in the public API; internal digit arrays are
 0-based. A TensorShape fixes (d, N) and enforces the total-dimension budget
 d**N <= max_total_dim, the guard that keeps everything dense and desk-sized.
 
+Site operators (embed_on_sites and friends, and the Hamiltonian assembly in
+dynamics) are placed by flat-index scatter: an operator b on m ordered sites
+is added at the d^m * d^m * d^(N-m) entries it touches, whose flat index is
+the offset of the target-site digits plus the offset of the remaining
+digits. No kron with identities and no permutation copy is formed.
+
 Permutation convention: the unitary U_p maps x_1 ox ... ox x_N to the product
 whose j-th factor is x_{p^{-1}(j)}, i.e. the content of site s moves to site
 p(s). Consequently U_p U_q = U_{p o q} with (p o q)(s) = p(q(s)).
@@ -196,25 +202,36 @@ def partial_trace(m: np.ndarray, shape: TensorShape, traced_sites) -> np.ndarray
     return t.reshape(dim, dim)
 
 
-def _gather_permutation(sites: tuple[int, ...], n: int) -> Permutation:
-    """Permutation sending sites[k] to slot k+1, the rest in ascending order."""
-    image = [0] * n
-    for k, s in enumerate(sites):
-        image[s - 1] = k + 1
-    nxt = len(sites) + 1
-    for i in range(n):
-        if image[i] == 0:
-            image[i] = nxt
-            nxt += 1
-    return Permutation(tuple(image))
+def _site_offsets(sites, d: int, n: int) -> np.ndarray:
+    """Flat-index offsets of every digit pattern on sites, first site most significant."""
+    offsets = np.zeros(1, dtype=np.intp)
+    for s in sites:
+        offsets = (offsets[:, None] + np.arange(d) * d ** (n - s)).ravel()
+    return offsets
+
+
+def _add_on_sites(out: np.ndarray, b: np.ndarray, sites, shape: TensorShape,
+                  scale: complex = 1.0) -> None:
+    """out += scale * (b on the ordered sites, identity elsewhere), in place.
+
+    The embedded operator has b[x_S, y_S] at flat indices (x, y) whose digits
+    agree off the target sites S and is zero elsewhere, so only the
+    d^m * d^m * d^(N-m) entries with row = offset(x_S) + offset(r) and
+    column = offset(y_S) + offset(r) are touched. Sites are trusted here;
+    the public embeddings check them.
+    """
+    rest = [s for s in range(1, shape.sites + 1) if s not in sites]
+    rows = _site_offsets(sites, shape.d, shape.sites)[:, None] + _site_offsets(
+        rest, shape.d, shape.sites
+    )[None, :]
+    out[rows[:, None, :], rows[None, :, :]] += scale * b[:, :, None]
 
 
 def embed_on_sites(b: np.ndarray, sites: tuple[int, ...], shape: TensorShape) -> np.ndarray:
     """Operator acting as b on the given ordered sites, identity elsewhere.
 
-    Built as U_{p^{-1}} (b ox 1 ox ... ox 1) U_p with p gathering the target
-    sites into the leading slots, so the result is independent of which such
-    p is chosen.
+    The first tensor factor of b acts on sites[0], the second on sites[1],
+    and so on; the entries are placed by flat-index scatter.
     """
     b = np.asarray(b, dtype=np.complex128)
     m = len(sites)
@@ -226,12 +243,9 @@ def embed_on_sites(b: np.ndarray, sites: tuple[int, ...], shape: TensorShape) ->
         raise DimensionMismatch(
             f"operator of shape {b.shape} cannot act on {m} site(s) of local dim {shape.d}"
         )
-    rest = shape.sites - m
-    base = b if rest == 0 else kron(b, np.eye(shape.d**rest), shape.max_total_dim)
-    p = _gather_permutation(sites, shape.sites)
-    if p.image == tuple(range(1, shape.sites + 1)):
-        return base
-    return conjugate_by_permutation(base, p, shape)
+    out = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+    _add_on_sites(out, b, sites, shape)
+    return out
 
 
 def embed_one_body(a: np.ndarray, site: int, shape: TensorShape) -> np.ndarray:
@@ -240,9 +254,9 @@ def embed_one_body(a: np.ndarray, site: int, shape: TensorShape) -> np.ndarray:
     _check_site(site, shape.sites)
     if a.shape != (shape.d, shape.d):
         raise DimensionMismatch(f"one-body operator shape {a.shape}, expected d = {shape.d}")
-    left = np.eye(shape.d ** (site - 1))
-    right = np.eye(shape.d ** (shape.sites - site))
-    return kron(kron(left, a, shape.max_total_dim), right, shape.max_total_dim)
+    out = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+    _add_on_sites(out, a, (site,), shape)
+    return out
 
 
 def embed_two_body(v: np.ndarray, i: int, j: int, shape: TensorShape) -> np.ndarray:
@@ -264,6 +278,6 @@ def empirical_observable(a: np.ndarray, shape: TensorShape) -> np.ndarray:
         raise DimensionMismatch(f"one-body operator shape {a.shape}, expected d = {shape.d}")
     out = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
     for j in range(1, shape.sites + 1):
-        out += embed_one_body(a, j, shape)
+        _add_on_sites(out, a, (j,), shape)
     out /= shape.sites
     return out

@@ -129,6 +129,27 @@ def embed_full(a: np.ndarray, site: int, d: int, n: int) -> np.ndarray:
     return naive_kron_chain(mats)
 
 
+def embed_sites_full(b: np.ndarray, sites, d: int, n: int) -> np.ndarray:
+    """b on the ordered sites, identity elsewhere, by a loop over basis pairs.
+
+    Entry (x, y) is b[x_S, y_S] when the digits of x and y agree off the
+    target sites S, and zero otherwise; x_S reads the digits of x on
+    sites[0], sites[1], ... as a base-d number, first site most significant.
+    """
+    dim = d**n
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    rest = [s for s in range(1, n + 1) if s not in sites]
+    for x in range(dim):
+        x_dig = _digits(x, d, n)
+        for y in range(dim):
+            y_dig = _digits(y, d, n)
+            if all(x_dig[s - 1] == y_dig[s - 1] for s in rest):
+                row = _undigits([x_dig[s - 1] for s in sites], d)
+                col = _undigits([y_dig[s - 1] for s in sites], d)
+                out[x, y] = b[row, col]
+    return out
+
+
 def full_space_joint(rho_n_matrix: np.ndarray, observables, d: int, n: int) -> complex:
     """tr((A_1 ox ... ox A_k ox 1^(n-k)) rho_N) on the full space."""
     k = len(observables)

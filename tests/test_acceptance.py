@@ -283,11 +283,10 @@ def test_criterion_09_gronwall_audit():
     rho_n0 = product_state(rho0, n_sites)
     traj = integrate_hartree(rho0, sys, 0.0, 0.5, 1e-3, save_every=10)
     prop = ExactPropagator(sys, n_sites)
-    evolved = prop.evolve_grid(rho_n0, traj.times)
-    shape = rho_n0.shape
+    evolved = prop.evolve_grid(rho_n0, traj.times, 2)
 
     def err(m, state, order):
-        marg = tensor.partial_trace(m, shape, range(order + 1, n_sites + 1))
+        marg = tensor.partial_trace(m.matrix, m.shape, range(order + 1, m.sites + 1))
         return linalg.trace_norm(marg - tensor.tensor_power(state.matrix, order))
 
     e1 = np.array([err(m, s, 1) for m, s in zip(evolved, traj.states)])

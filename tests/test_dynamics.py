@@ -24,6 +24,7 @@ from chaoticity.dynamics import (
     tensor_hierarchy_residual,
 )
 from chaoticity.errors import (
+    BadSiteIndex,
     BoundViolation,
     DensityDriftExceeded,
     DimensionMismatch,
@@ -40,6 +41,8 @@ from chaoticity.states import (
     validate,
 )
 from chaoticity.tensor import Permutation, TensorShape
+
+import oracles
 
 
 def make_system(d=2, seed_a=0, seed_v=1, a_cap=1.0, v_cap=1.0):
@@ -121,6 +124,17 @@ def test_hamiltonian_is_symmetric_and_hermitian():
     for p in Permutation.all(3):
         moved = tensor.conjugate_by_permutation(h, p, shape)
         assert np.max(np.abs(moved - h)) <= 1e-9
+
+
+def test_hamiltonian_matches_digit_loop_sum():
+    for d, n in ((2, 6), (3, 3)):
+        sys = make_system(d=d, seed_a=13, seed_v=14)
+        want = sum(oracles.embed_sites_full(sys.a, (j,), d, n) for j in range(1, n + 1))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    want = want + oracles.embed_sites_full(sys.v, (i, j), d, n) / n
+        assert np.max(np.abs(build_hamiltonian(sys, n) - want)) <= 1e-12
 
 
 def test_hamiltonian_budget():
@@ -208,13 +222,27 @@ def test_evolve_preserves_symmetry():
 
 def test_propagator_grid_matches_single_shots():
     sys = make_system(seed_a=27, seed_v=28)
-    prop = ExactPropagator(sys, 3)
-    rho = product_state(random_density(2, 29), 3)
     times = [0.0, 0.1, 0.45, 1.0]
-    grid = prop.evolve_grid(rho, times)
-    for t, m in zip(times, grid):
-        want = prop.evolve(rho, t)
-        assert np.max(np.abs(m - want.matrix)) <= 1e-12
+    for n_sites in (3, 8):
+        prop = ExactPropagator(sys, n_sites)
+        rho = product_state(random_density(2, 29), n_sites)
+        for k in (1, 2, 3):
+            grid = prop.evolve_grid(rho, times, k)
+            assert len(grid) == len(times)
+            for t, m in zip(times, grid):
+                want = marginal(prop.evolve(rho, t), k)
+                assert m.shape == want.shape
+                assert np.max(np.abs(m.matrix - want.matrix)) <= 1e-12
+
+
+def test_propagator_grid_argument_checks():
+    prop = ExactPropagator(make_system(), 3)
+    rho = product_state(random_density(2, 32), 3)
+    for order in (0, 4):
+        with pytest.raises(BadSiteIndex):
+            prop.evolve_grid(rho, [0.1], order)
+    with pytest.raises(DimensionMismatch):
+        prop.evolve_grid(product_state(random_density(2, 32), 2), [0.1], 1)
 
 
 def test_propagator_unitary():
@@ -511,6 +539,18 @@ def test_tensor_hierarchy_on_integrated_flow():
     assert res2 <= 1e-5
 
 
+def test_tensor_hierarchy_respects_state_budget():
+    # order n = 3 needs d^(n+1) = 16 > 8, the budget the states carry
+    sys = make_system()
+    shape = TensorShape(2, 1, max_total_dim=8)
+    rho0 = random_density(2, 94)
+    states = tuple(validate(rho0.matrix, shape) for _ in range(3))
+    traj = HartreeTrajectory(np.array([0.0, 1e-3, 2e-3]), states, 1e-3)
+    assert tensor_hierarchy_residual(traj, sys, 2, 1e-3, 1e-3) >= 0.0
+    with pytest.raises(MemoryBudgetExceeded):
+        tensor_hierarchy_residual(traj, sys, 3, 1e-3, 1e-3)
+
+
 def test_tensor_hierarchy_argument_checks():
     sys = make_system()
     rho0 = random_density(2, 93)
@@ -549,11 +589,10 @@ def test_gronwall_envelope_dominates_marginal_error():
     prop = ExactPropagator(sys, n_sites)
     traj = integrate_hartree(rho0, sys, 0.0, 0.5, 1e-3, save_every=20)
     times = traj.times
-    evolved = prop.evolve_grid(rho_n0, times)
-    shape = rho_n0.shape
+    evolved = prop.evolve_grid(rho_n0, times, 2)
 
     def error_norm(m, hartree_state, order):
-        marg = tensor.partial_trace(m, shape, range(order + 1, n_sites + 1))
+        marg = tensor.partial_trace(m.matrix, m.shape, range(order + 1, m.sites + 1))
         return linalg.trace_norm(marg - tensor.tensor_power(hartree_state.matrix, order))
 
     e1 = np.array(

@@ -278,6 +278,34 @@ def test_embed_one_body_matches_naive():
         assert np.allclose(got, oracles.embed_full(a, j, 2, 3), atol=1e-13)
 
 
+def test_embed_one_body_matches_digit_loop():
+    for d, n in ((2, 6), (3, 3)):
+        a = rand_complex(d, 63 + d)
+        for j in range(1, n + 1):
+            got = tensor.embed_one_body(a, j, TensorShape(d, n))
+            assert np.max(np.abs(got - oracles.embed_sites_full(a, (j,), d, n))) <= 1e-12
+
+
+def test_embed_on_sites_every_ordered_pair_matches_digit_loop():
+    for d, n in ((2, 4), (3, 3)):
+        b = rand_complex(d * d, 75 + d)
+        shape = TensorShape(d, n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    got = tensor.embed_on_sites(b, (i, j), shape)
+                    want = oracles.embed_sites_full(b, (i, j), d, n)
+                    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_embed_on_sites_three_sites_out_of_order_matches_digit_loop():
+    b = rand_complex(8, 76)
+    for sites in ((4, 1, 3), (3, 2, 1), (5, 2, 4)):
+        got = tensor.embed_on_sites(b, sites, TensorShape(2, 5))
+        want = oracles.embed_sites_full(b, sites, 2, 5)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_embed_one_body_bad_site():
     a = rand_complex(2, 62)
     with pytest.raises(BadSiteIndex):
@@ -357,6 +385,14 @@ def test_empirical_observable_bit_count():
         want[idx] = bits.count(0) / 3
     assert np.allclose(np.diag(got).real, want, atol=1e-14)
     assert np.allclose(got, np.diag(np.diag(got)), atol=1e-14)
+
+
+def test_empirical_observable_matches_digit_loop():
+    for d, n in ((2, 6), (3, 3)):
+        a = rand_complex(d, 91 + d)
+        got = tensor.empirical_observable(a, TensorShape(d, n))
+        want = sum(oracles.embed_sites_full(a, (j,), d, n) for j in range(1, n + 1)) / n
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_empirical_observable_norm_bound():
