@@ -14,10 +14,10 @@ override table. Unknown top-level keys, duplicates, and type mismatches are
 line-diagnosed ParseErrors; cross-field consistency problems (descending
 N_list, oversized step, k beyond the smallest N) are ConfigInvalid.
 
-Tolerance names are open-ended; the experiment kinds consume the ones they
-understand (``drift`` for trajectory validation, ``residual`` for the
-finite-difference pass threshold, ``symmetry`` for symmetry checks) and
-ignore the rest.
+Tolerance names are open-ended. Two are read: ``drift`` (trajectory
+validation, by propagation and hartree_convergence) and ``residual`` (the
+finite-difference pass threshold, by bbgky_verify). Every other name is
+accepted and ignored.
 """
 
 from __future__ import annotations

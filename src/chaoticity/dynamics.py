@@ -1,23 +1,25 @@
 """Mean-field dynamics on N sites and its one-site nonlinear limit.
 
-The N-body generator is H_N = sum_j A_j + (1/N) sum_{i != j} V_ij (ordered
-pairs), evolved exactly by conjugation with e^{-itH_N} from one cached
-eigendecomposition. The limiting one-site equation
+Every kernel uses the symmetrised pair operator W = V + S V S (S the
+two-site swap, so W_12 = V_12 + V_21), built once by MeanFieldSystem. The
+N-body generator is H_N = sum_j A_j + (1/N) sum_{i < j} W_ij, evolved
+exactly by conjugation with e^{-itH_N} from one cached eigendecomposition.
+The limiting one-site equation
 
-    d rho / dt = -i ( [A, rho] + tr_2 [V_12 + V_21, rho ox rho] )
+    d rho / dt = -i [A + tr_2(W (1 ox rho)), rho]
 
-is integrated with classical fixed-step RK4 under a step cap an order of
-magnitude below the 1/(4 ||V||) stability scale of the flow's Lipschitz
-constant. The residual checkers quantify how well the evolved marginals
-satisfy the coupled hierarchy of equations relating consecutive marginal
-orders, and epsilon_term measures the defect between the N-body hierarchy
-and its limit, which carries the 5 n^2 ||V|| / N ceiling that drives the
-propagation estimates.
+(equal to -i([A, rho] + tr_2[W, rho ox rho])) is integrated with classical
+fixed-step RK4 under a step cap an order of magnitude below the 1/(4 ||V||)
+stability scale of the flow's Lipschitz constant. The residual checkers
+quantify how well the evolved marginals satisfy the coupled hierarchy of
+equations relating consecutive marginal orders, and epsilon_term measures
+the defect between the N-body hierarchy and its limit, which carries the
+5 n^2 ||V|| / N ceiling that drives the propagation estimates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -37,11 +39,9 @@ from .metrics import marginal
 from .states import DensityOperator, validate
 from .tensor import (
     DEFAULT_MAX_TOTAL_DIM,
-    Permutation,
     TensorShape,
     _add_on_sites,
     partial_trace,
-    permutation_unitary,
     tensor_power,
 )
 
@@ -54,11 +54,15 @@ EPSILON_SLACK = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class MeanFieldSystem:
-    """One-body term a (d x d) and pair interaction v (d^2 x d^2), both Hermitian."""
+    """One-body term a (d x d) and pair interaction v (d^2 x d^2), both Hermitian.
+
+    w = v + S v S is derived here, not passed: the pair term every kernel uses.
+    """
 
     d: int
     a: np.ndarray
     v: np.ndarray
+    w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = linalg.require_hermitian(self.a, what="one-body term")
@@ -71,6 +75,9 @@ class MeanFieldSystem:
             )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "v", v)
+        d = self.d
+        swapped = v.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+        object.__setattr__(self, "w", v + swapped)
 
     def interaction_norm(self) -> float:
         return linalg.operator_norm(self.v)
@@ -84,7 +91,7 @@ def step_cap(sys: MeanFieldSystem) -> float:
 def _mean_field_generator(
     sys: MeanFieldSystem, n: int, coupling_n: int, max_total_dim: int
 ) -> np.ndarray:
-    """sum_{j <= n} A_j + (1/coupling_n) sum over ordered pairs i != j <= n of V_ij.
+    """sum_{j <= n} A_j + (1/coupling_n) sum over pairs i < j <= n of W_ij.
 
     Every term is scattered into one D x D buffer; no per-term matrix is formed.
     """
@@ -92,30 +99,31 @@ def _mean_field_generator(
     h = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
     for j in range(1, n + 1):
         _add_on_sites(h, sys.a, (j,), shape)
-    _add_pairs(h, sys.v, shape, 1.0 / coupling_n)
+    _add_pairs(h, sys.w, shape, 1.0 / coupling_n)
     return h
 
 
-def _add_pairs(out: np.ndarray, v: np.ndarray, shape: TensorShape, scale: float) -> None:
-    """out += scale * sum over ordered pairs i != j of V_ij, in place."""
+def _add_pairs(out: np.ndarray, w: np.ndarray, shape: TensorShape, scale: float) -> None:
+    """out += scale * sum over pairs i < j of W_ij, in place.
+
+    W_ij = V_ij + V_ji, so this is the sum of V over ordered pairs i != j.
+    """
     for i in range(1, shape.sites + 1):
-        for j in range(1, shape.sites + 1):
-            if i != j:
-                _add_on_sites(out, v, (i, j), shape, scale)
+        for j in range(i + 1, shape.sites + 1):
+            _add_on_sites(out, w, (i, j), shape, scale)
 
 
-def _pair_trace(v: np.ndarray, x: np.ndarray, shape: TensorShape) -> np.ndarray:
-    """sum_{j <= n} tr_{n+1}[V_{j,n+1} + V_{n+1,j}, X] for X on the n+1 sites of shape.
+def _pair_trace(w: np.ndarray, x: np.ndarray, shape: TensorShape) -> np.ndarray:
+    """sum_{j <= n} tr_{n+1}[W_{j,n+1}, X] for X on the n+1 sites of shape.
 
-    The commutator is linear in its first argument, so the 2n pair operators
+    The commutator is linear in its first argument, so the n pair operators
     are scattered into one buffer and a single commutator is traced.
     """
     last = shape.sites
-    w = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+    pairs = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
     for j in range(1, last):
-        _add_on_sites(w, v, (j, last), shape)
-        _add_on_sites(w, v, (last, j), shape)
-    return partial_trace(w @ x - x @ w, shape, (last,))
+        _add_on_sites(pairs, w, (j, last), shape)
+    return partial_trace(pairs @ x - x @ pairs, shape, (last,))
 
 
 def build_hamiltonian(
@@ -207,12 +215,6 @@ def evolve_exact(rho: DensityOperator, sys: MeanFieldSystem, t: float) -> Densit
     return ExactPropagator(sys, rho.sites, rho.shape.max_total_dim).evolve(rho, t)
 
 
-def _swap_conjugated(v: np.ndarray, d: int) -> np.ndarray:
-    """V with its two factors exchanged: S V S with S the two-site swap."""
-    s = permutation_unitary(Permutation((2, 1)), TensorShape(d, 2, max(d * d, 4)))
-    return s @ v @ s
-
-
 @dataclass(frozen=True, eq=False)
 class HartreeTrajectory:
     """Stored states of one integration run, on the save grid."""
@@ -231,26 +233,25 @@ class HartreeTrajectory:
         return self.states[i]
 
 
-def _hartree_rhs_matrix(m: np.ndarray, sys: MeanFieldSystem, w_pair: np.ndarray) -> np.ndarray:
+def _hartree_rhs_matrix(m: np.ndarray, sys: MeanFieldSystem) -> np.ndarray:
     d = sys.d
-    comm_a = sys.a @ m - m @ sys.a
-    pair = np.kron(m, m)
-    comm_v = w_pair @ pair - pair @ w_pair
-    reduced = partial_trace(comm_v, TensorShape(d, 2, max(d * d, 4)), (2,))
-    return -1j * (comm_a + reduced)
+    # tr_2(W (1 ox m))[a, c] = sum_{b, f} W[ab, cf] m[f, b]
+    h = sys.a + np.einsum("abcf,fb->ac", sys.w.reshape(d, d, d, d), m)
+    return -1j * (h @ m - m @ h)
 
 
 def hartree_rhs(rho: DensityOperator, sys: MeanFieldSystem) -> np.ndarray:
-    """d rho / dt = -i([A, rho] + tr_2[V_12 + V_21, rho ox rho]).
+    """d rho / dt = -i[A + tr_2(W (1 ox rho)), rho], W = V + S V S.
 
-    Hermitian and traceless by the commutator structure.
+    This equals -i([A, rho] + tr_2[W, rho ox rho]): tr_2[W, rho ox rho] =
+    [tr_2(W (1 ox rho)), rho]. Hermitian and traceless by the commutator
+    structure.
     """
     if rho.sites != 1:
         raise DimensionMismatch("the nonlinear flow lives on one site")
     if rho.d != sys.d:
         raise DimensionMismatch(f"state d = {rho.d}, system d = {sys.d}")
-    w = sys.v + _swap_conjugated(sys.v, sys.d)
-    return _hartree_rhs_matrix(rho.matrix, sys, w)
+    return _hartree_rhs_matrix(rho.matrix, sys)
 
 
 def integrate_hartree(
@@ -280,19 +281,16 @@ def integrate_hartree(
     if step > cap * (1.0 + 1e-12):
         raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} = min(1/40, 1/(40 max(||V||, 1)))")
 
-    w = sys.v + _swap_conjugated(sys.v, sys.d)
-
     def rk4(m: np.ndarray, dt: float) -> np.ndarray:
-        k1 = _hartree_rhs_matrix(m, sys, w)
-        k2 = _hartree_rhs_matrix(m + 0.5 * dt * k1, sys, w)
-        k3 = _hartree_rhs_matrix(m + 0.5 * dt * k2, sys, w)
-        k4 = _hartree_rhs_matrix(m + dt * k3, sys, w)
+        k1 = _hartree_rhs_matrix(m, sys)
+        k2 = _hartree_rhs_matrix(m + 0.5 * dt * k1, sys)
+        k3 = _hartree_rhs_matrix(m + 0.5 * dt * k2, sys)
+        k4 = _hartree_rhs_matrix(m + dt * k3, sys)
         return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def checked(m: np.ndarray, t: float) -> DensityOperator:
         try:
-            return validate(m, rho0.shape, herm_tol=drift_tol, psd_tol=drift_tol,
-                            trace_tol=drift_tol)
+            return validate(m, rho0.shape, tol=drift_tol)
         except (NotHermitian, NotPSD, TraceNotOne) as exc:
             raise DensityDriftExceeded(f"state at t = {t:.6g} drifted: {exc}") from exc
 
@@ -323,8 +321,8 @@ class EpsilonTerm(NamedTuple):
 def epsilon_term(rho_N: DensityOperator, sys: MeanFieldSystem, n: int) -> EpsilonTerm:
     """Defect between the N-body marginal flow and its limiting form at order n.
 
-    eps_n = (1/N) sum_{i != j <= n} [V_ij, rho_N^(n)]
-            - (n/N) sum_{j <= n} tr_{n+1} [V_{j,n+1} + V_{n+1,j}, rho_N^(n+1)]
+    eps_n = (1/N) sum_{i < j <= n} [W_ij, rho_N^(n)]
+            - (n/N) sum_{j <= n} tr_{n+1} [W_{j,n+1}, rho_N^(n+1)]
 
     Its trace norm must stay below 5 n^2 ||V|| / N; a violation signals an
     implementation bug, not bad input.
@@ -341,9 +339,9 @@ def epsilon_term(rho_N: DensityOperator, sys: MeanFieldSystem, n: int) -> Epsilo
     shape_np1 = rho_N.shape.reduced(n + 1)
 
     pairs = np.zeros_like(m_n)
-    _add_pairs(pairs, sys.v, shape_n, 1.0)
+    _add_pairs(pairs, sys.w, shape_n, 1.0)
     eps = (pairs @ m_n - m_n @ pairs) / n_sites
-    eps -= (n / n_sites) * _pair_trace(sys.v, m_np1, shape_np1)
+    eps -= (n / n_sites) * _pair_trace(sys.w, m_np1, shape_np1)
 
     norm = linalg.trace_norm(eps)
     bound = 5.0 * n * n * sys.interaction_norm() / n_sites
@@ -367,11 +365,11 @@ def _marginal_flow_rhs(
     sys: MeanFieldSystem, m_n: np.ndarray, m_np1: np.ndarray, n: int, n_sites: int,
     max_total_dim: int,
 ) -> np.ndarray:
-    """[H_{n,N}, rho^(n)] + ((N-n)/N) sum_j tr_{n+1}[V_{j,n+1}+V_{n+1,j}, rho^(n+1)]."""
+    """[H_{n,N}, rho^(n)] + ((N-n)/N) sum_j tr_{n+1}[W_{j,n+1}, rho^(n+1)]."""
     h_n = build_reduced_hamiltonian(sys, n, n_sites, max_total_dim)
     rhs = h_n @ m_n - m_n @ h_n
     shape_np1 = TensorShape(sys.d, n + 1, max_total_dim)
-    rhs += ((n_sites - n) / n_sites) * _pair_trace(sys.v, m_np1, shape_np1)
+    rhs += ((n_sites - n) / n_sites) * _pair_trace(sys.w, m_np1, shape_np1)
     return rhs
 
 
@@ -419,7 +417,7 @@ def tensor_hierarchy_residual(
     """Central-difference check that rho(t)^(ox n) obeys the limiting hierarchy.
 
     residual = || (rho(t+h)^n - rho(t-h)^n) / 2h
-                 + i (sum_j [A_j, rho^n] + sum_j tr_{n+1}[V_{j,n+1}+V_{n+1,j}, rho^(n+1)]) ||_1
+                 + i (sum_j [A_j, rho^n] + sum_j tr_{n+1}[W_{j,n+1}, rho^(n+1)]) ||_1
 
     expected O(h^2) + O(step^4). Trajectory states are looked up on the
     stored grid; t-h, t, t+h must all be grid points.
@@ -442,7 +440,7 @@ def tensor_hierarchy_residual(
     for j in range(1, n + 1):
         _add_on_sites(a_sum, sys.a, (j,), shape_n)
     rhs = a_sum @ pow_mid_n - pow_mid_n @ a_sum
-    rhs += _pair_trace(sys.v, tensor_power(r_mid.matrix, n + 1, budget), shape_np1)
+    rhs += _pair_trace(sys.w, tensor_power(r_mid.matrix, n + 1, budget), shape_np1)
     return linalg.trace_norm(lhs + 1j * rhs)
 
 

@@ -13,7 +13,9 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
-# Relative hermiticity tolerance used by every Hermitian precondition.
+# Hermiticity tolerance of every Hermitian precondition, relative to
+# max(1, max |M|); states.validate checks densities at the absolute
+# states.DENSITY_TOL instead.
 HERMITICITY_TOL = 1e-10
 
 

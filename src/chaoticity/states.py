@@ -2,7 +2,7 @@
 symmetry, exact symmetrization, product mixtures, and seeded generators.
 
 validate() is the single gate deciding what counts as a density operator
-(Hermitian, PSD, unit trace, each at an explicit tolerance); it never
+(Hermitian, PSD, unit trace, all at one absolute tolerance); it never
 repairs its input. Random generators take explicit seeds so experiment
 shards stay reproducible.
 """
@@ -26,14 +26,13 @@ from .tensor import (
     DEFAULT_MAX_TOTAL_DIM,
     Permutation,
     TensorShape,
-    _basis_map,
+    conjugate_by_permutation,
     kron_all,
     tensor_power,
 )
 
-HERMITICITY_TOL = 1e-10
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
+# Absolute tolerance of every density check; linalg.HERMITICITY_TOL is relative.
+DENSITY_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 
 # Exact symmetrization enumerates all N! permutations; 6! = 720 is the cap.
@@ -58,17 +57,14 @@ class DensityOperator:
         return self.shape.d
 
 
-def validate(
-    matrix,
-    shape: TensorShape,
-    herm_tol: float = HERMITICITY_TOL,
-    psd_tol: float = PSD_TOL,
-    trace_tol: float = TRACE_TOL,
-) -> DensityOperator:
+def validate(matrix, shape: TensorShape, tol: float = DENSITY_TOL) -> DensityOperator:
     """Check Hermiticity, positivity, and unit trace; never repair.
 
-    Tolerances are absolute: density matrices are unit-trace objects, so
-    their natural entry scale is already O(1).
+    All three checks are absolute at the one tolerance tol: max |M - M†|,
+    |tr M - 1| and -(min eigenvalue) must each be <= tol. Density matrices
+    are unit-trace objects, so their natural entry scale is already O(1).
+    The Hermitian preconditions in linalg are relative to max(1, max |M|)
+    instead.
     """
     a = linalg.as_matrix(matrix)
     if a.shape[0] != shape.total_dim:
@@ -76,14 +72,14 @@ def validate(
             f"matrix dimension {a.shape[0]} does not match d^N = {shape.total_dim}"
         )
     defect = linalg.hermiticity_defect(a)
-    if defect > herm_tol:
-        raise NotHermitian(f"density candidate: max |M - M†| = {defect:.3e} > {herm_tol:.1e}")
+    if defect > tol:
+        raise NotHermitian(f"density candidate: max |M - M†| = {defect:.3e} > {tol:.1e}")
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > trace_tol:
-        raise TraceNotOne(f"trace = {tr:.12g}, |trace - 1| > {trace_tol:.1e}", trace=tr)
+    if abs(tr - 1.0) > tol:
+        raise TraceNotOne(f"trace = {tr:.12g}, |trace - 1| > {tol:.1e}", trace=tr)
     w = np.linalg.eigvalsh(a)
-    if w[0] < -psd_tol:
-        raise NotPSD(f"min eigenvalue {w[0]:.3e} < -{psd_tol:.1e}", min_eigenvalue=float(w[0]))
+    if w[0] < -tol:
+        raise NotPSD(f"min eigenvalue {w[0]:.3e} < -{tol:.1e}", min_eigenvalue=float(w[0]))
     return DensityOperator(a, shape)
 
 
@@ -100,10 +96,10 @@ def product_state(rho: DensityOperator, n: int, max_total_dim: int | None = None
     shape = TensorShape(rho.d, n, budget)
     m = tensor_power(rho.matrix, n, budget)
     defect = linalg.hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
+    if defect > DENSITY_TOL:
         raise NotHermitian(f"tensor power drifted: defect {defect:.3e}")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > DENSITY_TOL:
         raise TraceNotOne(f"tensor power trace = {tr:.12g}", trace=tr)
     return DensityOperator(m, shape)
 
@@ -132,10 +128,8 @@ def is_symmetric(
     m = rho.matrix
     worst = 0.0
     for p in perms:
-        b = _basis_map(p, rho.shape)
-        binv = _basis_map(p.inverse(), rho.shape)
-        # U_p M = M[binv, :], M U_p = M[:, b]
-        violation = float(np.abs(m[binv, :] - m[:, b]).max())
+        # [U_p, M] = 0 exactly when U_{p^{-1}} M U_p = M
+        violation = float(np.abs(conjugate_by_permutation(m, p, rho.shape) - m).max())
         worst = max(worst, violation)
     return worst <= tol, worst
 
@@ -150,16 +144,11 @@ def symmetrize(rho: DensityOperator) -> DensityOperator:
     acc = np.zeros_like(rho.matrix)
     count = 0
     for p in Permutation.all(n):
-        b = _basis_map(p, rho.shape)
-        # U_p M U_p† re-indexes to M[b^{-1} a, b^{-1} c]; summing over the
-        # whole group makes the inverse relabeling immaterial.
-        acc += rho.matrix[np.ix_(b, b)]
+        # summing over the whole group makes conjugating by U_p or U_p† immaterial
+        acc += conjugate_by_permutation(rho.matrix, p, rho.shape)
         count += 1
     acc /= count
     return validate(acc, rho.shape)
-
-
-_SYMMETRIZE = symmetrize
 
 
 @dataclass(frozen=True)
@@ -188,14 +177,13 @@ class DiscreteMixtureSpec:
 def mixture_of_products(
     spec: DiscreteMixtureSpec,
     n_sites: int | None = None,
-    symmetrize: bool = False,
     max_total_dim: int = DEFAULT_MAX_TOTAL_DIM,
 ) -> DensityOperator:
     """Build sum_m w_m D_1^m ox ... ox D_N^m as a density operator.
 
     Components carrying a single local state are broadcast to n_sites
-    identical factors (the exchangeable-by-construction case). With
-    symmetrize=True the assembled mixture is permutation-averaged (N <= 6).
+    identical factors (the exchangeable-by-construction case); pass the
+    result to symmetrize() for a permutation average (N <= 6).
     """
     if not spec.components:
         raise WeightsInvalid("mixture needs at least one component")
@@ -228,10 +216,7 @@ def mixture_of_products(
             if s.sites != 1 or s.d != d:
                 raise DimensionMismatch("local states must be one-site densities of equal d")
         acc += c.weight * kron_all([s.matrix for s in locs], max_total_dim)
-    rho = validate(acc, shape)
-    if symmetrize:
-        rho = _SYMMETRIZE(rho)
-    return rho
+    return validate(acc, shape)
 
 
 def random_density(d: int, seed) -> DensityOperator:

@@ -123,6 +123,15 @@ def naive_permutation_unitary(image, d: int) -> np.ndarray:
     return u
 
 
+def hartree_rhs_kron(rho_matrix: np.ndarray, a: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """-i([A, rho] + tr_2[V + S V S, rho ox rho]) with a dense swap S and kron."""
+    s = naive_permutation_unitary((2, 1), d)
+    w = v + s @ v @ s
+    pair = np.kron(rho_matrix, rho_matrix)
+    reduced = naive_partial_trace(w @ pair - pair @ w, d, 2, [2])
+    return -1j * (a @ rho_matrix - rho_matrix @ a + reduced)
+
+
 def embed_full(a: np.ndarray, site: int, d: int, n: int) -> np.ndarray:
     """1^(site-1) ox a ox 1^(n-site) by naive kron chain."""
     mats = [np.eye(d)] * (site - 1) + [a] + [np.eye(d)] * (n - site)

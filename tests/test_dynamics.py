@@ -79,6 +79,15 @@ def test_system_rejects_wrong_shapes():
         MeanFieldSystem(2, np.eye(2), np.eye(9))
 
 
+def test_system_w_is_symmetrised_pair():
+    for d in (2, 3):
+        sys = make_system(d=d, seed_a=70 + d, seed_v=75 + d)
+        swap = oracles.naive_permutation_unitary((2, 1), d)
+        assert np.max(np.abs(sys.w - (sys.v + swap @ sys.v @ swap))) <= 1e-15
+    with pytest.raises(TypeError):
+        MeanFieldSystem(2, np.eye(2), np.eye(4), np.eye(4))
+
+
 def test_interaction_norm():
     sys = MeanFieldSystem(2, np.zeros((2, 2)), 2.0 * np.eye(4))
     assert abs(sys.interaction_norm() - 2.0) <= 1e-12
@@ -303,6 +312,35 @@ def test_hartree_rhs_is_marginal_flow_limit():
         marg_deriv = tensor.partial_trace(deriv, shape, range(2, n + 1))
         got = linalg.trace_norm(marg_deriv - flow)
         assert abs(got - defect_norm / n) <= 1e-10
+
+
+def test_hartree_rhs_matches_kron_oracle():
+    for d in (2, 3):
+        sys = make_system(d=d, seed_a=80 + d, seed_v=90 + d)
+        for seed in range(4):
+            rho = random_density(d, 200 + 10 * d + seed)
+            want = oracles.hartree_rhs_kron(rho.matrix, sys.a, sys.v, d)
+            assert np.max(np.abs(hartree_rhs(rho, sys) - want)) <= 1e-13
+
+
+def test_integrate_matches_rk4_on_kron_oracle():
+    sys = make_system(seed_a=95, seed_v=96)
+    rho0 = random_density(2, 97)
+    step = 1e-3
+    traj = integrate_hartree(rho0, sys, 0.0, 200 * step, step, save_every=10**9)
+    assert len(traj.states) == 2
+
+    def f(m):
+        return oracles.hartree_rhs_kron(m, sys.a, sys.v, 2)
+
+    m = rho0.matrix
+    for _ in range(200):
+        k1 = f(m)
+        k2 = f(m + 0.5 * step * k1)
+        k3 = f(m + 0.5 * step * k2)
+        k4 = f(m + step * k3)
+        m = m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.max(np.abs(traj.states[-1].matrix - m)) <= 1e-12
 
 
 def test_hartree_rhs_input_checks():

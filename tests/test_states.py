@@ -209,7 +209,7 @@ def test_mixture_symmetrize_flag():
     rng = np.random.default_rng(35)
     locals_a = tuple(random_density(2, int(rng.integers(1 << 30))) for _ in range(3))
     spec = DiscreteMixtureSpec((MixtureComponent(1.0, locals_a),))
-    mix = mixture_of_products(spec, symmetrize=True)
+    mix = symmetrize(mixture_of_products(spec))
     ok, worst = is_symmetric(mix, tol=1e-10, full_group=True)
     assert ok, worst
 
