@@ -87,7 +87,6 @@ from .dynamics import (
     MeanFieldSystem,
     bbgky_residual,
     build_hamiltonian,
-    build_reduced_hamiltonian,
     epsilon_term,
     evolve_exact,
     gronwall_envelope,

@@ -14,10 +14,11 @@ override table. Unknown top-level keys, duplicates, and type mismatches are
 line-diagnosed ParseErrors; cross-field consistency problems (descending
 N_list, oversized step, k beyond the smallest N) are ConfigInvalid.
 
-Tolerance names are open-ended. Two are read: ``drift`` (trajectory
-validation, by propagation and hartree_convergence) and ``residual`` (the
-finite-difference pass threshold, by bbgky_verify). Every other name is
-accepted and ignored.
+Two tolerance names are read: ``drift`` (trajectory validation, by
+propagation and hartree_convergence) and ``residual`` (the
+finite-difference pass threshold, by bbgky_verify). A name the kind does
+not read is ConfigInvalid, so a typo such as ``tol.drfit`` cannot pass
+silently.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .dynamics import DEFAULT_STEP_CAP
 from .errors import ConfigInvalid, ParseError
 
 KINDS = ("chaos_sweep", "propagation", "bbgky_verify", "hartree_convergence", "bound_audit")
+# the tol.<name> overrides each kind reads; any other name is rejected
+TOL_NAMES = {"propagation": {"drift"}, "hartree_convergence": {"drift"},
+             "bbgky_verify": {"residual"}}
 FORMATS = ("csv", "json")
 
 
@@ -240,7 +244,10 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigInvalid(f"save_every must be >= 1, got {c.save_every}")
     if c.out_format not in FORMATS:
         raise ConfigInvalid(f"format must be one of {', '.join(FORMATS)}, got {c.out_format!r}")
+    read = TOL_NAMES.get(c.kind, set())
     for name, value in c.tol:
+        if name not in read:
+            raise ConfigInvalid(f"tol.{name} is not read by {c.kind}; it reads {sorted(read)}")
         if not value > 0:
             raise ConfigInvalid(f"tol.{name} must be positive, got {value}")
 

@@ -2,9 +2,11 @@
 
 Every kernel uses the symmetrised pair operator W = V + S V S (S the
 two-site swap, so W_12 = V_12 + V_21), built once by MeanFieldSystem. The
-N-body generator is H_N = sum_j A_j + (1/N) sum_{i < j} W_ij, evolved
-exactly by conjugation with e^{-itH_N} from one cached eigendecomposition.
-The limiting one-site equation
+N-body generator is H_N = sum_j A_j + (1/N) sum_{i < j} W_ij, diagonalized
+once by ExactPropagator. The N-body checks read the marginals they need from
+its evolve_grid, contracted from the eigenbasis without forming the N-site
+state; evolve returns whole states for one-shot use. The limiting one-site
+equation
 
     d rho / dt = -i [A + tr_2(W (1 ox rho)), rho]
 
@@ -13,8 +15,8 @@ fixed-step RK4 under a step cap an order of magnitude below the 1/(4 ||V||)
 stability scale of the flow's Lipschitz constant. The residual checkers
 quantify how well the evolved marginals satisfy the coupled hierarchy of
 equations relating consecutive marginal orders, and epsilon_term measures
-the defect between the N-body hierarchy and its limit, which carries the
-5 n^2 ||V|| / N ceiling that drives the propagation estimates.
+from the (n+1)-site marginal the defect between the N-body hierarchy and its
+limit, which carries the 5 n^2 ||V|| / N ceiling of the propagation estimates.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .errors import (
     StepTooLarge,
     TraceNotOne,
 )
-from .metrics import marginal
 from .states import DensityOperator, validate
 from .tensor import (
     DEFAULT_MAX_TOTAL_DIM,
@@ -88,21 +89,6 @@ def step_cap(sys: MeanFieldSystem) -> float:
     return min(DEFAULT_STEP_CAP, 1.0 / (40.0 * max(sys.interaction_norm(), 1.0)))
 
 
-def _mean_field_generator(
-    sys: MeanFieldSystem, n: int, coupling_n: int, max_total_dim: int
-) -> np.ndarray:
-    """sum_{j <= n} A_j + (1/coupling_n) sum over pairs i < j <= n of W_ij.
-
-    Every term is scattered into one D x D buffer; no per-term matrix is formed.
-    """
-    shape = TensorShape(sys.d, n, max_total_dim)
-    h = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-    for j in range(1, n + 1):
-        _add_on_sites(h, sys.a, (j,), shape)
-    _add_pairs(h, sys.w, shape, 1.0 / coupling_n)
-    return h
-
-
 def _add_pairs(out: np.ndarray, w: np.ndarray, shape: TensorShape, scale: float) -> None:
     """out += scale * sum over pairs i < j of W_ij, in place.
 
@@ -127,22 +113,26 @@ def _pair_trace(w: np.ndarray, x: np.ndarray, shape: TensorShape) -> np.ndarray:
 
 
 def build_hamiltonian(
-    sys: MeanFieldSystem, n_sites: int, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
+    sys: MeanFieldSystem,
+    n: int,
+    n_sites: int | None = None,
+    max_total_dim: int = DEFAULT_MAX_TOTAL_DIM,
 ) -> np.ndarray:
-    """H_N = sum_j A_j + (1/N) sum over ordered pairs i != j of V_ij."""
-    return _mean_field_generator(sys, n_sites, n_sites, max_total_dim)
+    """sum_{j <= n} A_j + (1/N) sum over pairs i < j <= n of W_ij, N = n_sites.
 
-
-def build_reduced_hamiltonian(
-    sys: MeanFieldSystem, n: int, n_sites: int, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
-) -> np.ndarray:
-    """First-n-sites generator with the full-system 1/N pair coupling.
-
-    Note the coupling stays 1/N even though only n sites appear.
+    With n_sites = n (the default) this is H_N; with n < n_sites it is the
+    first-n-sites generator H_{n,N} of the marginal flow, whose pair coupling
+    stays 1/N. Every term is scattered into one D x D buffer.
     """
+    n_sites = n if n_sites is None else n_sites
     if not 1 <= n <= n_sites:
         raise ValueError(f"marginal order {n} outside 1..{n_sites}")
-    return _mean_field_generator(sys, n, n_sites, max_total_dim)
+    shape = TensorShape(sys.d, n, max_total_dim)
+    h = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+    for j in range(1, n + 1):
+        _add_on_sites(h, sys.a, (j,), shape)
+    _add_pairs(h, sys.w, shape, 1.0 / n_sites)
+    return h
 
 
 class ExactPropagator:
@@ -157,7 +147,7 @@ class ExactPropagator:
                  max_total_dim: int = DEFAULT_MAX_TOTAL_DIM):
         self.sys = sys
         self.shape = TensorShape(sys.d, n_sites, max_total_dim)
-        h = build_hamiltonian(sys, n_sites, max_total_dim)
+        h = build_hamiltonian(sys, n_sites, max_total_dim=max_total_dim)
         self.eigenvalues, self.eigenvectors = linalg.herm_eigen(h)
 
     def unitary(self, t: float) -> np.ndarray:
@@ -271,6 +261,8 @@ def integrate_hartree(
     """
     if rho0.sites != 1:
         raise DimensionMismatch("the nonlinear flow lives on one site")
+    if rho0.d != sys.d:
+        raise DimensionMismatch(f"state d = {rho0.d}, system d = {sys.d}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if t1 < t0:
@@ -318,8 +310,16 @@ class EpsilonTerm(NamedTuple):
     bound: float
 
 
-def epsilon_term(rho_N: DensityOperator, sys: MeanFieldSystem, n: int) -> EpsilonTerm:
+def _drop_last_site(m: DensityOperator) -> np.ndarray:
+    """rho^(n) from rho^(n+1): the partial trace over site n+1."""
+    return partial_trace(m.matrix, m.shape, (m.sites,))
+
+
+def epsilon_term(m_np1: DensityOperator, sys: MeanFieldSystem, n_sites: int) -> EpsilonTerm:
     """Defect between the N-body marginal flow and its limiting form at order n.
+
+    m_np1 is the (n+1)-site marginal rho_N^(n+1) of an N = n_sites state, so
+    n = m_np1.sites - 1; rho_N^(n) is its partial trace over site n+1.
 
     eps_n = (1/N) sum_{i < j <= n} [W_ij, rho_N^(n)]
             - (n/N) sum_{j <= n} tr_{n+1} [W_{j,n+1}, rho_N^(n+1)]
@@ -327,21 +327,17 @@ def epsilon_term(rho_N: DensityOperator, sys: MeanFieldSystem, n: int) -> Epsilo
     Its trace norm must stay below 5 n^2 ||V|| / N; a violation signals an
     implementation bug, not bad input.
     """
-    n_sites = rho_N.sites
+    n = m_np1.sites - 1
     if not 1 <= n <= n_sites - 1:
         raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
-    if rho_N.d != sys.d:
-        raise DimensionMismatch(f"state d = {rho_N.d}, system d = {sys.d}")
+    if m_np1.d != sys.d:
+        raise DimensionMismatch(f"state d = {m_np1.d}, system d = {sys.d}")
 
-    m_n = marginal(rho_N, n).matrix
-    m_np1 = marginal(rho_N, n + 1).matrix
-    shape_n = rho_N.shape.reduced(n)
-    shape_np1 = rho_N.shape.reduced(n + 1)
-
+    m_n = _drop_last_site(m_np1)
     pairs = np.zeros_like(m_n)
-    _add_pairs(pairs, sys.w, shape_n, 1.0)
+    _add_pairs(pairs, sys.w, m_np1.shape.reduced(n), 1.0)
     eps = (pairs @ m_n - m_n @ pairs) / n_sites
-    eps -= (n / n_sites) * _pair_trace(sys.w, m_np1, shape_np1)
+    eps -= (n / n_sites) * _pair_trace(sys.w, m_np1.matrix, m_np1.shape)
 
     norm = linalg.trace_norm(eps)
     bound = 5.0 * n * n * sys.interaction_norm() / n_sites
@@ -361,15 +357,16 @@ class HierarchyResidual:
     epsilon_bound: float
 
 
-def _marginal_flow_rhs(
-    sys: MeanFieldSystem, m_n: np.ndarray, m_np1: np.ndarray, n: int, n_sites: int,
-    max_total_dim: int,
-) -> np.ndarray:
-    """[H_{n,N}, rho^(n)] + ((N-n)/N) sum_j tr_{n+1}[W_{j,n+1}, rho^(n+1)]."""
-    h_n = build_reduced_hamiltonian(sys, n, n_sites, max_total_dim)
+def _marginal_flow_rhs(sys: MeanFieldSystem, m_np1: DensityOperator, n_sites: int) -> np.ndarray:
+    """[H_{n,N}, rho^(n)] + ((N-n)/N) sum_j tr_{n+1}[W_{j,n+1}, rho^(n+1)].
+
+    n = m_np1.sites - 1; rho^(n) is the partial trace of m_np1 over site n+1.
+    """
+    n = m_np1.sites - 1
+    m_n = _drop_last_site(m_np1)
+    h_n = build_hamiltonian(sys, n, n_sites, m_np1.shape.max_total_dim)
     rhs = h_n @ m_n - m_n @ h_n
-    shape_np1 = TensorShape(sys.d, n + 1, max_total_dim)
-    rhs += ((n_sites - n) / n_sites) * _pair_trace(sys.w, m_np1, shape_np1)
+    rhs += ((n_sites - n) / n_sites) * _pair_trace(sys.w, m_np1.matrix, m_np1.shape)
     return rhs
 
 
@@ -384,7 +381,8 @@ def bbgky_residual(
     """Central-difference check of the coupled marginal-flow equations.
 
     residual = || (rho^(n)(t+h) - rho^(n)(t-h)) / 2h - (-i) RHS(t) ||_1,
-    O(h^2) for the smooth exact flow. The epsilon defect at (n, t) rides
+    O(h^2) for the smooth exact flow. The (n+1)-site marginals at t-h, t,
+    t+h come from one evolve_grid call. The epsilon defect at (n, t) rides
     along in the result.
     """
     if h <= 0:
@@ -395,17 +393,12 @@ def bbgky_residual(
     prop = propagator if propagator is not None else ExactPropagator(
         sys, n_sites, rho0.shape.max_total_dim
     )
-    r_plus = prop.evolve(rho0, t + h)
-    r_minus = prop.evolve(rho0, t - h)
-    r_mid = prop.evolve(rho0, t)
+    before, mid, after = prop.evolve_grid(rho0, (t - h, t, t + h), n + 1)
 
-    lhs = (marginal(r_plus, n).matrix - marginal(r_minus, n).matrix) / (2.0 * h)
-    rhs = _marginal_flow_rhs(
-        sys, marginal(r_mid, n).matrix, marginal(r_mid, n + 1).matrix, n, n_sites,
-        rho0.shape.max_total_dim,
-    )
+    lhs = (_drop_last_site(after) - _drop_last_site(before)) / (2.0 * h)
+    rhs = _marginal_flow_rhs(sys, mid, n_sites)
     residual = linalg.trace_norm(lhs - (-1j) * rhs)
-    eps = epsilon_term(r_mid, sys, n)
+    eps = epsilon_term(mid, sys, n_sites)
     return HierarchyResidual(
         n=n, t=t, residual_trace_norm=residual, epsilon_norm=eps.norm, epsilon_bound=eps.bound
     )

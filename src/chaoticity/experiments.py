@@ -31,7 +31,6 @@ from .dynamics import (
 )
 from .errors import BoundViolation, ChaoticityError, ConfigInvalid
 from .metrics import (
-    chaos_distance,
     chaos_report,
     corollary_bound,
     empirical_variance,
@@ -178,45 +177,40 @@ def _run_propagation(config: ExperimentConfig, parallel: int):
     v_norm = sys.interaction_norm()
     orders = sorted(set(config.k_list))
 
+    # the envelope integrates errors over the whole trajectory grid; rows need only their times
+    if config.gronwall:
+        grid, states = trajectory.times, trajectory.states
+    else:
+        grid = np.asarray(config.times, dtype=float)
+        states = [trajectory.state_at(t) for t in config.times]
+
     def worker(n_sites: int):
         prop = ExactPropagator(sys, n_sites, config.max_total_dim)
         rho_n0 = product_state(rho0, n_sites, config.max_total_dim)
-        evolved = {t: prop.evolve(rho_n0, t) for t in config.times}
-
-        e_grid: dict[int, np.ndarray] = {}
-        envelopes: dict[int, np.ndarray] = {}
-        grid = trajectory.times
-        if config.gronwall:
-            need = sorted(set(orders) | {n + 1 for n in orders if n + 1 <= n_sites})
-            # one grid pass at the highest order; lower orders are traced from it
-            top = prop.evolve_grid(rho_n0, grid, need[-1])
-            for n in need:
-                e_grid[n] = np.array([
-                    linalg.trace_norm(
-                        marginal(m, n).matrix
-                        - tensor_power(state.matrix, n, config.max_total_dim)
-                    )
-                    for m, state in zip(top, trajectory.states)
-                ])
-            for n in orders:
-                if n + 1 <= n_sites:
-                    envelopes[n] = gronwall_envelope(grid, e_grid[n + 1], n, n_sites, v_norm)
+        # E_n needs order n; epsilon and the envelope need order n + 1 as well
+        need = sorted(set(orders) | {n + 1 for n in orders if n + 1 <= n_sites})
+        # one grid pass at the highest order; lower orders are traced from it
+        top = prop.evolve_grid(rho_n0, grid, need[-1])
+        marginals = {n: [marginal(m, n) for m in top] for n in need}
+        e_grid = {n: np.array([
+            linalg.trace_norm(m.matrix - tensor_power(state.matrix, n, config.max_total_dim))
+            for m, state in zip(marginals[n], states)
+        ]) for n in need}
+        envelopes = {n: gronwall_envelope(grid, e_grid[n + 1], n, n_sites, v_norm)
+                     for n in orders if config.gronwall and n + 1 <= n_sites}
 
         rows = []
         for n in orders:
             for t in config.times:
-                if config.gronwall:
-                    i = _grid_index(grid, t)
-                    e_val = float(e_grid[n][i])
-                else:
-                    e_val = chaos_distance(evolved[t], trajectory.state_at(t), n)
+                i = _grid_index(grid, t)
+                e_val = float(e_grid[n][i])
                 if n <= n_sites - 1:
-                    eps = epsilon_term(evolved[t], sys, n)
+                    eps = epsilon_term(marginals[n + 1][i], sys, n_sites)
                     eps_norm, eps_bound = eps.norm, eps.bound
                 else:
                     eps_norm = eps_bound = None
-                if config.gronwall and n in envelopes:
-                    bound = float(envelopes[n][_grid_index(grid, t)])
+                if n in envelopes:
+                    bound = float(envelopes[n][i])
                     ok = bool(e_val <= 1.05 * bound + 1e-12)
                 else:
                     bound = None

@@ -194,3 +194,74 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+# ------------------------------------------------------------ full-state forms
+# Exact evolution used to form the whole N-site state and take marginals from
+# it; the package now contracts marginals straight from the eigenbasis. These
+# keep the full-state route, with digit-loop embeddings and partial traces.
+
+
+def trace_norm_svd(m: np.ndarray) -> float:
+    return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+def marginal_full(rho_matrix: np.ndarray, d: int, n_sites: int, k: int) -> np.ndarray:
+    """First-k-sites marginal of a full N-site matrix."""
+    return naive_partial_trace(rho_matrix, d, n_sites, range(k + 1, n_sites + 1))
+
+
+def symmetrised_pairs_full(v: np.ndarray, d: int, k: int, pairs) -> np.ndarray:
+    """sum over the given pairs (i, j) of V_ij + V_ji on k sites."""
+    out = np.zeros((d**k, d**k), dtype=np.complex128)
+    for i, j in pairs:
+        out += embed_sites_full(v, (i, j), d, k) + embed_sites_full(v, (j, i), d, k)
+    return out
+
+
+def _traced_pair_commutator(v: np.ndarray, m_np1: np.ndarray, d: int, n: int) -> np.ndarray:
+    """sum_{j <= n} tr_{n+1}[V_{j,n+1} + V_{n+1,j}, rho^(n+1)]."""
+    w = symmetrised_pairs_full(v, d, n + 1, [(j, n + 1) for j in range(1, n + 1)])
+    return naive_partial_trace(w @ m_np1 - m_np1 @ w, d, n + 1, [n + 1])
+
+
+def epsilon_full_state(rho_matrix: np.ndarray, v: np.ndarray, d: int, n_sites: int, n: int):
+    """The order-n hierarchy defect of a full N-site state: (1/N) sum_{i<j<=n}
+    [W_ij, rho^(n)] - (n/N) sum_{j<=n} tr_{n+1}[W_{j,n+1}, rho^(n+1)]."""
+    m_n = marginal_full(rho_matrix, d, n_sites, n)
+    m_np1 = marginal_full(rho_matrix, d, n_sites, n + 1)
+    inner = symmetrised_pairs_full(
+        v, d, n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    )
+    return (inner @ m_n - m_n @ inner) / n_sites - (n / n_sites) * _traced_pair_commutator(
+        v, m_np1, d, n
+    )
+
+
+def bbgky_residual_full_state(prop, rho0, a: np.ndarray, v: np.ndarray, n: int,
+                              t: float, h: float) -> float:
+    """|| (rho^(n)(t+h) - rho^(n)(t-h)) / 2h + i RHS(t) ||_1 from three full
+    states prop.evolve(rho0, s), RHS = [H_{n,N}, rho^(n)]
+    + ((N-n)/N) sum_{j<=n} tr_{n+1}[W_{j,n+1}, rho^(n+1)]."""
+    d, n_sites = rho0.d, rho0.sites
+
+    def marg(s, k):
+        return marginal_full(prop.evolve(rho0, s).matrix, d, n_sites, k)
+
+    lhs = (marg(t + h, n) - marg(t - h, n)) / (2.0 * h)
+    h_n = sum(embed_sites_full(a, (j,), d, n) for j in range(1, n + 1))
+    h_n = h_n + symmetrised_pairs_full(
+        v, d, n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    ) / n_sites
+    m_n, m_np1 = marg(t, n), marg(t, n + 1)
+    rhs = h_n @ m_n - m_n @ h_n
+    rhs = rhs + ((n_sites - n) / n_sites) * _traced_pair_commutator(v, m_np1, d, n)
+    return trace_norm_svd(lhs + 1j * rhs)
+
+
+def marginal_error_full_state(rho_matrix: np.ndarray, one_site: np.ndarray, d: int,
+                              n_sites: int, n: int) -> float:
+    """E_n = tr |rho_N^(n) - rho^(ox n)| from a full N-site state."""
+    return trace_norm_svd(
+        marginal_full(rho_matrix, d, n_sites, n) - naive_kron_chain([one_site] * n)
+    )

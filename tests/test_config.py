@@ -51,10 +51,25 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_tolerance_lines():
-    c = parse_config("kind = bbgky_verify\ntol.residual = 1e-4\ntol.drift = 2e-7\n")
-    assert c.tol == (("drift", 2e-7), ("residual", 1e-4))
+    c = parse_config("kind = bbgky_verify\ntol.residual = 1e-4\n")
+    assert c.tol == (("residual", 1e-4),)
     assert c.tol_value("residual", 99.0) == 1e-4
     assert c.tol_value("missing", 99.0) == 99.0
+    for kind in ("propagation", "hartree_convergence"):
+        c = parse_config(f"kind = {kind}\ntimes = 0.5\ntol.drift = 2e-7\n")
+        assert c.tol == (("drift", 2e-7),)
+
+
+def test_tolerance_names_a_kind_does_not_read_are_rejected():
+    with pytest.raises(ConfigInvalid, match="tol.drfit"):
+        parse_config("kind = propagation\ntol.drfit = 1e-6\n")
+    for kind in ("chaos_sweep", "bound_audit"):
+        with pytest.raises(ConfigInvalid):
+            parse_config(f"kind = {kind}\ntol.residual = 1e-4\n")
+    with pytest.raises(ConfigInvalid):
+        parse_config("kind = bbgky_verify\ntol.drift = 1e-6\n")
+    with pytest.raises(ConfigInvalid):
+        validate_config(ExperimentConfig(kind="hartree_convergence", tol=(("residual", 1e-4),)))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -190,7 +205,7 @@ def test_write_config_is_canonical():
     assert "out =" not in text  # unset optional key omitted
     assert text.endswith("\n")
     # tolerance lines trail the scalar fields
-    c2 = parse_config("kind = chaos_sweep\ntol.residual = 1e-4\n")
+    c2 = parse_config("kind = bbgky_verify\ntol.residual = 1e-4\n")
     assert write_config(c2).rstrip().split("\n")[-1] == "tol.residual = 0.0001"
 
 

@@ -14,7 +14,6 @@ from chaoticity.dynamics import (
     MeanFieldSystem,
     bbgky_residual,
     build_hamiltonian,
-    build_reduced_hamiltonian,
     epsilon_term,
     evolve_exact,
     gronwall_envelope,
@@ -155,20 +154,20 @@ def test_hamiltonian_budget():
 def test_reduced_hamiltonian_full_order():
     sys = make_system(seed_a=7, seed_v=8)
     assert np.allclose(
-        build_reduced_hamiltonian(sys, 3, 3), build_hamiltonian(sys, 3), atol=1e-13
+        build_hamiltonian(sys, 3, 3), build_hamiltonian(sys, 3), atol=1e-13
     )
 
 
 def test_reduced_hamiltonian_order_one():
     sys = make_system(seed_a=9, seed_v=10)
-    got = build_reduced_hamiltonian(sys, 1, 5)
+    got = build_hamiltonian(sys, 1, 5)
     assert np.allclose(got, sys.a, atol=1e-14)
 
 
 def test_reduced_hamiltonian_keeps_full_coupling():
     # n=2 inside N=4: pair term carries 1/4, not 1/2
     sys = make_system(seed_a=11, seed_v=12)
-    got = build_reduced_hamiltonian(sys, 2, 4)
+    got = build_hamiltonian(sys, 2, 4)
     eye = np.eye(2)
     want = np.kron(sys.a, eye) + np.kron(eye, sys.a) + pair_generator(sys) / 4.0
     assert np.allclose(got, want, atol=1e-13)
@@ -177,9 +176,9 @@ def test_reduced_hamiltonian_keeps_full_coupling():
 def test_reduced_hamiltonian_order_range():
     sys = make_system()
     with pytest.raises(ValueError):
-        build_reduced_hamiltonian(sys, 0, 3)
+        build_hamiltonian(sys, 0, 3)
     with pytest.raises(ValueError):
-        build_reduced_hamiltonian(sys, 4, 3)
+        build_hamiltonian(sys, 4, 3)
 
 
 # ---------------------------------------------------------------- exact evolution
@@ -410,6 +409,12 @@ def test_integrate_argument_checks():
         integrate_hartree(rho0, sys, 0.0, 1.0, 1e-3, save_every=0)
 
 
+def test_integrate_rejects_wrong_local_dimension():
+    sys = make_system()
+    with pytest.raises(DimensionMismatch):
+        integrate_hartree(random_density(3, 54), sys, 0.0, 0.01, 1e-3)
+
+
 def test_integrate_preserves_density_structure():
     sys = make_system(seed_a=55, seed_v=56)
     rho0 = random_density(2, 57)
@@ -455,7 +460,7 @@ def test_epsilon_vanishes_without_interaction():
     a = random_hermitian(2, 67)
     sys = MeanFieldSystem(2, a, np.zeros((4, 4)))
     rho_n = product_state(random_density(2, 68), 4)
-    term = epsilon_term(rho_n, sys, 2)
+    term = epsilon_term(marginal(rho_n, 3), sys, 4)
     assert term.norm <= 1e-12
     assert term.bound == 0.0
 
@@ -464,7 +469,7 @@ def test_epsilon_order_one_collapses():
     # at n=1 the intra-block sum is empty, leaving only the traced bracket
     sys = make_system(seed_a=69, seed_v=70)
     rho_n = product_state(random_density(2, 71), 4)
-    term = epsilon_term(rho_n, sys, 1)
+    term = epsilon_term(marginal(rho_n, 2), sys, 4)
     m2 = marginal(rho_n, 2).matrix
     w = pair_generator(sys)
     want = -tensor.partial_trace(w @ m2 - m2 @ w, TensorShape(2, 2), (2,)) / 4.0
@@ -475,7 +480,7 @@ def test_epsilon_order_one_collapses():
 def test_epsilon_bound_formula():
     sys = make_system(seed_a=72, seed_v=73, v_cap=0.8)
     rho_n = product_state(random_density(2, 74), 6)
-    term = epsilon_term(rho_n, sys, 2)
+    term = epsilon_term(marginal(rho_n, 3), sys, 6)
     v_norm = sys.interaction_norm()
     assert abs(term.bound - 5.0 * 4.0 * v_norm / 6.0) <= 1e-12
     assert term.norm <= term.bound + 1e-9
@@ -491,7 +496,7 @@ def test_epsilon_stays_bounded_on_evolved_states():
         rho0 = product_state(random_density(2, int(rng.integers(1 << 30))), 5)
         evolved = evolve_exact(rho0, sys, float(rng.uniform(0.1, 1.0)))
         for n in (1, 2, 3):
-            term = epsilon_term(evolved, sys, n)  # raises BoundViolation on failure
+            term = epsilon_term(marginal(evolved, n + 1), sys, 5)  # raises BoundViolation
             assert term.norm <= term.bound + 1e-9
 
 
@@ -499,9 +504,30 @@ def test_epsilon_order_range():
     sys = make_system()
     rho_n = product_state(random_density(2, 76), 3)
     with pytest.raises(ValueError):
-        epsilon_term(rho_n, sys, 0)
+        epsilon_term(marginal(rho_n, 1), sys, 3)  # n = 0
     with pytest.raises(ValueError):
-        epsilon_term(rho_n, sys, 3)  # n must leave room for the n+1 marginal
+        epsilon_term(product_state(random_density(2, 76), 4), sys, 3)  # n = 3 > N - 1
+
+
+def test_epsilon_rejects_wrong_local_dimension():
+    sys = make_system()
+    with pytest.raises(DimensionMismatch):
+        epsilon_term(product_state(random_density(3, 77), 2), sys, 4)
+
+
+def test_epsilon_on_marginals_matches_full_state_oracle():
+    # the (n+1)-site marginal carries everything eps_n needs: compare with the
+    # defect formed from the whole N-site state, at N <= 6
+    sys = make_system(seed_a=101, seed_v=102)
+    generic = validate(random_density(16, 103).matrix, TensorShape(2, 4))
+    prop = ExactPropagator(sys, 6)
+    evolved = prop.evolve(product_state(random_density(2, 104), 6), 0.7)
+    for state in (generic, evolved):
+        for n in range(1, state.sites):
+            term = epsilon_term(marginal(state, n + 1), sys, state.sites)
+            want = oracles.epsilon_full_state(state.matrix, sys.v, 2, state.sites, n)
+            assert np.max(np.abs(term.matrix - want)) <= 1e-12
+            assert abs(term.norm - oracles.trace_norm_svd(want)) <= 1e-12
 
 
 # ---------------------------------------------------------------- hierarchy checks
@@ -548,6 +574,21 @@ def test_bbgky_residual_argument_checks():
         bbgky_residual(rho0, sys, 3, 0.1, 1e-3)
     with pytest.raises(ValueError):
         bbgky_residual(rho0, sys, 1, 0.1, 0.0)
+
+
+def test_bbgky_residual_matches_full_state_oracle():
+    # one evolve_grid call against three full states and their marginals
+    sys = make_system(seed_a=105, seed_v=106)
+    for n_sites in (3, 6):
+        rho0 = product_state(random_density(2, 107 + n_sites), n_sites)
+        prop = ExactPropagator(sys, n_sites)
+        for n in (1, 2):
+            t, h = 0.4, 1e-2
+            got = bbgky_residual(rho0, sys, n, t, h, propagator=prop)
+            want = oracles.bbgky_residual_full_state(prop, rho0, sys.a, sys.v, n, t, h)
+            assert abs(got.residual_trace_norm - want) <= 1e-12
+            eps = oracles.epsilon_full_state(prop.evolve(rho0, t).matrix, sys.v, 2, n_sites, n)
+            assert abs(got.epsilon_norm - oracles.trace_norm_svd(eps)) <= 1e-12
 
 
 def test_tensor_hierarchy_free_flow():

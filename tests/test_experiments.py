@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 from chaoticity.config import ExperimentConfig, config_hash, parse_config
+from chaoticity.dynamics import ExactPropagator, gronwall_envelope, integrate_hartree
 from chaoticity.errors import ConfigInvalid
 from chaoticity.experiments import (
     SCHEMAS,
     ResultTable,
+    _draw_initial,
+    _draw_system,
     run_experiment,
     subseed,
 )
+from chaoticity.states import product_state
 from chaoticity.version import __version__
+
+import oracles
 
 
 def col(table: ResultTable, name: str):
@@ -151,6 +157,46 @@ def test_propagation_determinism():
     b = run_experiment(cfg)
     assert a.rows == b.rows
     assert a.metadata["config_hash"] == b.metadata["config_hash"]
+
+
+
+@pytest.mark.parametrize("gronwall", [False, True])
+def test_propagation_rows_match_full_state_oracle(gronwall):
+    # rows read marginals from evolve_grid; rebuild every float from full
+    # N-site states prop.evolve(rho_N(0), t) at N <= 6
+    cfg = ExperimentConfig(
+        kind="propagation", N_list=(2, 4, 6), k_list=(1, 2), times=(0.25, 0.5),
+        save_every=50, gronwall=gronwall,
+    )
+    table = run_experiment(cfg)
+    assert table.metadata.get("error") is None and len(table.rows) == 12
+    sys, rho0 = _draw_system(cfg), _draw_initial(cfg)
+    traj = integrate_hartree(rho0, sys, 0.0, 0.5, cfg.step, cfg.save_every)
+    v_norm = sys.interaction_norm()
+    for n_sites, n, t, e_norm, eps_norm, eps_bound, g_bound, g_ok in table.rows:
+        prop = ExactPropagator(sys, n_sites)
+        rho_n0 = product_state(rho0, n_sites)
+
+        def error(s, state, order):
+            full = prop.evolve(rho_n0, s).matrix
+            return oracles.marginal_error_full_state(full, state.matrix, 2, n_sites, order)
+
+        assert abs(e_norm - error(t, traj.state_at(t), n)) <= 1e-12
+        if n < n_sites:
+            full = prop.evolve(rho_n0, t).matrix
+            eps = oracles.epsilon_full_state(full, sys.v, 2, n_sites, n)
+            assert abs(eps_norm - oracles.trace_norm_svd(eps)) <= 1e-12
+            assert abs(eps_bound - 5.0 * n * n * v_norm / n_sites) <= 1e-15
+        else:
+            assert eps_norm is None and eps_bound is None
+        if gronwall and n < n_sites:
+            e_next = [error(s, state, n + 1) for s, state in zip(traj.times, traj.states)]
+            env = gronwall_envelope(traj.times, np.array(e_next), n, n_sites, v_norm)
+            want = env[int(np.argmin(np.abs(traj.times - t)))]
+            assert abs(g_bound - want) <= 1e-12
+            assert g_ok is bool(e_norm <= 1.05 * want + 1e-12)
+        else:
+            assert g_bound is None and g_ok is None
 
 
 # ---------------------------------------------------------------- bbgky
