@@ -27,6 +27,7 @@ from .errors import (
     MemoryBudgetExceeded,
     NotHermitian,
     NotPSD,
+    NotSymmetric,
     ParseError,
     PermutationBudgetExceeded,
     SameSite,
@@ -61,6 +62,7 @@ from .states import (
     DensityOperator,
     DiscreteMixtureSpec,
     MixtureComponent,
+    ProductMixture,
     is_symmetric,
     mixture_of_products,
     product_state,

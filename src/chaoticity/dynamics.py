@@ -370,6 +370,44 @@ def _marginal_flow_rhs(sys: MeanFieldSystem, m_np1: DensityOperator, n_sites: in
     return rhs
 
 
+def _bbgky_residuals(
+    rho0: DensityOperator,
+    sys: MeanFieldSystem,
+    n: int,
+    t: float,
+    steps,
+    propagator: ExactPropagator | None = None,
+) -> list[HierarchyResidual]:
+    """bbgky_residual at (n, t) for each step h in steps, sharing the midpoint.
+
+    One evolve_grid call covers t - h and t + h for every h as well as t;
+    the midpoint marginal, the right side and the epsilon defect at t are
+    computed once.
+    """
+    for h in steps:
+        if h <= 0:
+            raise ValueError(f"h must be positive, got {h}")
+    n_sites = rho0.sites
+    if not 1 <= n <= n_sites - 1:
+        raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
+    prop = propagator if propagator is not None else ExactPropagator(
+        sys, n_sites, rho0.shape.max_total_dim
+    )
+    times = [t - h for h in steps] + [t] + [t + h for h in reversed(steps)]
+    grid = prop.evolve_grid(rho0, times, n + 1)
+    mid = grid[len(steps)]
+    rhs = _marginal_flow_rhs(sys, mid, n_sites)
+    eps = epsilon_term(mid, sys, n_sites)
+    out = []
+    for i, h in enumerate(steps):
+        lhs = (_drop_last_site(grid[-1 - i]) - _drop_last_site(grid[i])) / (2.0 * h)
+        out.append(HierarchyResidual(
+            n=n, t=t, residual_trace_norm=linalg.trace_norm(lhs - (-1j) * rhs),
+            epsilon_norm=eps.norm, epsilon_bound=eps.bound,
+        ))
+    return out
+
+
 def bbgky_residual(
     rho0: DensityOperator,
     sys: MeanFieldSystem,
@@ -385,23 +423,8 @@ def bbgky_residual(
     t+h come from one evolve_grid call. The epsilon defect at (n, t) rides
     along in the result.
     """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    n_sites = rho0.sites
-    if not 1 <= n <= n_sites - 1:
-        raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
-    prop = propagator if propagator is not None else ExactPropagator(
-        sys, n_sites, rho0.shape.max_total_dim
-    )
-    before, mid, after = prop.evolve_grid(rho0, (t - h, t, t + h), n + 1)
-
-    lhs = (_drop_last_site(after) - _drop_last_site(before)) / (2.0 * h)
-    rhs = _marginal_flow_rhs(sys, mid, n_sites)
-    residual = linalg.trace_norm(lhs - (-1j) * rhs)
-    eps = epsilon_term(mid, sys, n_sites)
-    return HierarchyResidual(
-        n=n, t=t, residual_trace_norm=residual, epsilon_norm=eps.norm, epsilon_bound=eps.bound
-    )
+    (res,) = _bbgky_residuals(rho0, sys, n, t, (h,), propagator)
+    return res
 
 
 def tensor_hierarchy_residual(

@@ -47,6 +47,10 @@ class SameSite(BadSiteIndex):
     """Two-body embedding asked to put both factors on one site."""
 
 
+class NotSymmetric(ChaoticityError):
+    """A state required to be permutation symmetric is not, beyond tolerance."""
+
+
 class PermutationBudgetExceeded(ChaoticityError):
     """Exact N! permutation enumeration requested beyond the supported N."""
 

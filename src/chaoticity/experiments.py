@@ -24,7 +24,7 @@ from .config import ExperimentConfig, config_hash, validate_config
 from .dynamics import (
     ExactPropagator,
     MeanFieldSystem,
-    bbgky_residual,
+    _bbgky_residuals,
     epsilon_term,
     gronwall_envelope,
     integrate_hartree,
@@ -39,8 +39,7 @@ from .metrics import (
 )
 from .states import (
     DensityOperator,
-    DiscreteMixtureSpec,
-    mixture_of_products,
+    ProductMixture,
     product_state,
     random_density,
     random_hermitian,
@@ -100,8 +99,11 @@ def _draw_observable(rng: np.random.Generator, d: int, norm_cap: float) -> np.nd
     return g
 
 
-def _draw_mixture(config: ExperimentConfig, *key: int):
-    """(rho_bar, spec): seeded component states and simplex weights."""
+def _draw_mixture(config: ExperimentConfig, n_sites: int, *key: int):
+    """(rho_bar, mixture): seeded components and simplex weights on n_sites.
+
+    The draws depend on key only, so every N of one key sees the same mixture.
+    """
     locals_ = [
         random_density(config.d, subseed(config.seed, NS_MIXTURE, *key, i))
         for i in range(config.components)
@@ -111,7 +113,7 @@ def _draw_mixture(config: ExperimentConfig, *key: int):
     w /= w.sum()
     bar = sum(wi * s.matrix for wi, s in zip(w, locals_))
     rho_bar = validate(bar, TensorShape(config.d, 1))
-    return rho_bar, DiscreteMixtureSpec.iid(w, locals_)
+    return rho_bar, ProductMixture(w, locals_, n_sites, config.max_total_dim)
 
 
 def _draw_system(config: ExperimentConfig) -> MeanFieldSystem:
@@ -135,10 +137,8 @@ def _over_N(config: ExperimentConfig, parallel: int, worker):
 
 
 def _run_chaos_sweep(config: ExperimentConfig, parallel: int):
-    rho_bar, spec = _draw_mixture(config)
-
     def worker(n_sites: int):
-        rho_n = mixture_of_products(spec, n_sites, max_total_dim=config.max_total_dim)
+        rho_bar, rho_n = _draw_mixture(config, n_sites)
         rows = []
         for k in config.k_list:
             rep = chaos_report(rho_n, rho_bar, k)
@@ -236,8 +236,9 @@ def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
             if n > n_sites - 1:
                 continue
             for t in config.times:
-                r1 = bbgky_residual(rho_n0, sys, n, t, config.fd_h, prop)
-                r2 = bbgky_residual(rho_n0, sys, n, t, config.fd_h / 2.0, prop)
+                r1, r2 = _bbgky_residuals(
+                    rho_n0, sys, n, t, (config.fd_h, config.fd_h / 2.0), prop
+                )
                 ratio = (
                     r1.residual_trace_norm / r2.residual_trace_norm
                     if r2.residual_trace_norm > 0.0
@@ -297,8 +298,7 @@ def _run_bound_audit(config: ExperimentConfig, parallel: int):
         rows = []
         for k in config.k_list:
             for rep in range(reps):
-                rho_bar, spec = _draw_mixture(config, n_sites, k, rep)
-                rho_n = mixture_of_products(spec, n_sites, max_total_dim=config.max_total_dim)
+                rho_bar, rho_n = _draw_mixture(config, n_sites, n_sites, k, rep)
                 rng = np.random.default_rng(
                     subseed(config.seed, NS_OBSERVABLE, n_sites, k, rep)
                 )

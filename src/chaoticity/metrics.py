@@ -13,6 +13,19 @@ of the same question, each exact (no sampling):
                     a combinatorial sampling defect 2 prod ||A_i|| (1 - prod_m
                     (1 - m/N)); C_{k,N} stays below it on symmetric states.
 
+Every metric reads only marginals of rho_N, and marginal() is the one place
+that tells the two state kinds apart: a dense DensityOperator is traced, a
+ProductMixture sum_m w_m sigma_m^(ox N) answers sum_m w_m sigma_m^(ox k)
+from its components, so no d^N matrix is formed for it. Each marginal is
+validated. On a symmetric state e_N needs only the first two:
+
+    e_N(A) = tr(rho^(1) B†B) / N + (1 - 1/N) tr(rho^(2) (B† ox B)),
+    B = A - tr(A rho) 1,
+
+so empirical_variance requires a symmetric rho_N: a ProductMixture is one
+by construction, a dense state must pass is_symmetric or NotSymmetric is
+raised.
+
 The bound is evaluated in its printed squared-factor form and, because the
 underlying Cauchy-Schwarz step suggests unsquared factors were intended, the
 unsquared variant is computed alongside; reports carry both.
@@ -25,9 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadSiteIndex, BoundViolation, DimensionMismatch
-from .states import DensityOperator, validate
-from .tensor import TensorShape, empirical_observable, kron_all, partial_trace, tensor_power
+from .errors import BadSiteIndex, BoundViolation, DimensionMismatch, NotSymmetric
+from .states import DensityOperator, ProductMixture, is_symmetric, validate
+from .tensor import kron, kron_all, partial_trace, tensor_power
+
+State = DensityOperator | ProductMixture
 
 # e values in [-E_CLAMP, 0) are reported as 0 (flagged); below -E_ERROR is a bug.
 E_CLAMP = 1e-10
@@ -35,41 +50,63 @@ E_ERROR = 1e-8
 BOUND_SLACK = 1e-9
 
 
-def marginal(rho_N: DensityOperator, k: int) -> DensityOperator:
-    """First-k-sites marginal: trace out sites k+1..N."""
+def marginal(rho_N: State, k: int) -> DensityOperator:
+    """First-k-sites marginal: trace out sites k+1..N.
+
+    A ProductMixture answers from its components; a dense state is traced.
+    """
     n = rho_N.sites
     if not 1 <= k <= n:
         raise BadSiteIndex(f"marginal order {k} outside 1..{n}")
+    if isinstance(rho_N, ProductMixture):
+        return rho_N.marginal(k)
     traced = range(k + 1, n + 1)
     m = partial_trace(rho_N.matrix, rho_N.shape, traced)
     return validate(m, rho_N.shape.reduced(k))
 
 
-def chaos_distance(rho_N: DensityOperator, rho: DensityOperator, k: int) -> float:
+def chaos_distance(rho_N: State, rho: DensityOperator, k: int) -> float:
     """tr |rho_N^(k) - rho^(ox k)|."""
     if rho.sites != 1:
         raise DimensionMismatch("reference state must live on one site")
     if rho.d != rho_N.d:
         raise DimensionMismatch(f"local dimensions differ: {rho.d} vs {rho_N.d}")
     marg = marginal(rho_N, k)
-    ref = tensor_power(rho.matrix, k, rho_N.shape.max_total_dim)
+    ref = tensor_power(rho.matrix, k, marg.shape.max_total_dim)
     return linalg.trace_norm(marg.matrix - ref)
 
 
-def empirical_variance(rho_N: DensityOperator, rho: DensityOperator, a: np.ndarray) -> float:
-    """e_N(A) = tr(|X_N(A) - tr(A rho) 1|^2 rho_N).
+def empirical_variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> float:
+    """e_N(A) = tr(|X_N(A) - tr(A rho) 1|^2 rho_N) from the first two marginals.
 
-    Expands the modulus square explicitly as B†B with B = X_N(A) - tr(A rho) 1
-    and contracts tr(B†B rho_N) = <B, B rho_N>; no sampling anywhere. The
-    value is real up to roundoff; a real part below -1e-8 means a kernel bug.
+    With B = A - tr(A rho) 1, X_N(A) - tr(A rho) 1 = (1/N) sum_j B_j, whose
+    modulus square is (1/N^2) sum_{i,j} B_i† B_j. On a symmetric state the N
+    diagonal terms read rho_N^(1) and the N(N-1) others rho_N^(2):
+
+        e_N(A) = tr(rho^(1) B†B) / N + (1 - 1/N) tr(rho^(2) (B† ox B)),
+
+    and at N = 1 only the first term remains. A dense rho_N that fails
+    is_symmetric raises NotSymmetric. The value is real up to roundoff; a
+    real part below -1e-8 means a kernel bug.
     """
     a = np.asarray(a, dtype=np.complex128)
+    n = rho_N.sites
     if rho.sites != 1 or a.shape != (rho_N.d, rho_N.d):
         raise DimensionMismatch("observable and reference state must be one-site objects")
+    ok, worst = is_symmetric(rho_N)
+    if not ok:
+        raise NotSymmetric(
+            f"empirical variance needs a symmetric state: max |U_p rho_N U_p† - rho_N| = {worst:.3e}"
+        )
     c = linalg.trace_product(a, rho.matrix)
-    x = empirical_observable(a, rho_N.shape)
-    b = x - c * np.eye(rho_N.shape.total_dim)
-    val = complex(np.vdot(b, b @ rho_N.matrix))
+    b = a - c * np.eye(rho_N.d)
+    b_dag = b.conj().T
+    val = linalg.trace_product(b_dag @ b, marginal(rho_N, 1).matrix) / n
+    if n > 1:
+        m2 = marginal(rho_N, 2)
+        val += (1.0 - 1.0 / n) * linalg.trace_product(
+            kron(b_dag, b, m2.shape.max_total_dim), m2.matrix
+        )
     if val.real < -E_ERROR:
         raise BoundViolation(f"empirical variance {val.real:.3e} < -{E_ERROR:.1e}")
     return float(val.real)
@@ -86,7 +123,7 @@ def _product_expectation(marg_k: DensityOperator, observables, rho: DensityOpera
     return joint, prod
 
 
-def factorization_error(rho_N: DensityOperator, rho: DensityOperator, observables) -> float:
+def factorization_error(rho_N: State, rho: DensityOperator, observables) -> float:
     """C_{k,N} = |tr((A_1 ox ... ox A_k) rho_N^(k)) - prod_j tr(rho A_j)|.
 
     Contracted against the k-site marginal; tracing the identity padding
@@ -194,7 +231,7 @@ def _tuple_label(labels, index_tuple) -> str:
 
 
 def chaos_report(
-    rho_N: DensityOperator,
+    rho_N: State,
     rho: DensityOperator,
     k: int,
     observables=None,

@@ -5,6 +5,11 @@ validate() is the single gate deciding what counts as a density operator
 (Hermitian, PSD, unit trace, all at one absolute tolerance); it never
 repairs its input. Random generators take explicit seeds so experiment
 shards stay reproducible.
+
+Two kinds of N-site state exist. DensityOperator holds the dense d^N x d^N
+matrix. ProductMixture holds an exchangeable mixture sum_m w_m sigma_m^(ox N)
+by its weights and one-site components and answers marginal(k) without ever
+forming d^N; mixture_of_products is its dense counterpart.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    BadSiteIndex,
     DimensionMismatch,
     NotHermitian,
     NotPSD,
@@ -105,17 +111,18 @@ def product_state(rho: DensityOperator, n: int, max_total_dim: int | None = None
 
 
 def is_symmetric(
-    rho: DensityOperator, tol: float = 1e-10, full_group: bool = False
+    rho: DensityOperator | ProductMixture, tol: float = 1e-10, full_group: bool = False
 ) -> tuple[bool, float]:
     """Commutation test with permutation unitaries; returns (ok, worst).
 
     Adjacent transpositions generate the full permutation group, and an
     operator commuting with every generator commutes with every product of
     generators, so the default checks the N-1 adjacent swaps only.
-    full_group=True enumerates all N! permutations (N <= 5).
+    full_group=True enumerates all N! permutations (N <= 5). A
+    ProductMixture is symmetric by construction.
     """
     n = rho.sites
-    if n == 1:
+    if n == 1 or isinstance(rho, ProductMixture):
         return True, 0.0
     if full_group:
         if n > FULL_GROUP_MAX_SITES:
@@ -174,6 +181,24 @@ class DiscreteMixtureSpec:
         )
 
 
+def _checked_weights(weights) -> np.ndarray:
+    """Mixture weights as floats: at least one, none negative, summing to one."""
+    weights = np.array(weights, dtype=float)
+    if weights.size == 0:
+        raise WeightsInvalid("mixture needs at least one component")
+    if (weights < -WEIGHT_TOL).any():
+        raise WeightsInvalid(f"negative weight in {weights.tolist()}")
+    if abs(weights.sum() - 1.0) > WEIGHT_TOL:
+        raise WeightsInvalid(f"weights sum to {weights.sum():.15g}, expected 1")
+    return weights
+
+
+def _check_local_states(local_states, d: int) -> None:
+    for s in local_states:
+        if s.sites != 1 or s.d != d:
+            raise DimensionMismatch("local states must be one-site densities of equal d")
+
+
 def mixture_of_products(
     spec: DiscreteMixtureSpec,
     n_sites: int | None = None,
@@ -182,16 +207,11 @@ def mixture_of_products(
     """Build sum_m w_m D_1^m ox ... ox D_N^m as a density operator.
 
     Components carrying a single local state are broadcast to n_sites
-    identical factors (the exchangeable-by-construction case); pass the
-    result to symmetrize() for a permutation average (N <= 6).
+    identical factors (the exchangeable-by-construction case, which
+    ProductMixture holds without forming d^N); pass the result to
+    symmetrize() for a permutation average (N <= 6).
     """
-    if not spec.components:
-        raise WeightsInvalid("mixture needs at least one component")
-    weights = np.array([c.weight for c in spec.components], dtype=float)
-    if (weights < -WEIGHT_TOL).any():
-        raise WeightsInvalid(f"negative weight in {weights.tolist()}")
-    if abs(weights.sum() - 1.0) > WEIGHT_TOL:
-        raise WeightsInvalid(f"weights sum to {weights.sum():.15g}, expected 1")
+    _checked_weights([c.weight for c in spec.components])
 
     lengths = {len(c.local_states) for c in spec.components}
     if n_sites is None:
@@ -212,11 +232,56 @@ def mixture_of_products(
             raise DimensionMismatch(
                 f"component has {len(c.local_states)} local states, expected {n_sites}"
             )
-        for s in locs:
-            if s.sites != 1 or s.d != d:
-                raise DimensionMismatch("local states must be one-site densities of equal d")
+        _check_local_states(locs, d)
         acc += c.weight * kron_all([s.matrix for s in locs], max_total_dim)
     return validate(acc, shape)
+
+
+@dataclass(frozen=True, eq=False)
+class ProductMixture:
+    """The exchangeable N-site state sum_m w_m sigma_m^(ox N), held by its parts.
+
+    Its k-site marginal is sum_m w_m sigma_m^(ox k), so marginal(k) costs
+    O(d^2k) and the d^N matrix is never formed; max_total_dim bounds the
+    marginals, not d^N. The N-site state is PSD by construction
+    (nonnegative weights times tensor powers of validated one-site
+    densities, see product_state), and every marginal is still validated.
+    Weights and components pass the same checks as in mixture_of_products.
+    """
+
+    weights: tuple[float, ...]
+    components: tuple[DensityOperator, ...]
+    n_sites: int
+    max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
+
+    def __post_init__(self):
+        weights = _checked_weights(self.weights)
+        components = tuple(self.components)
+        if len(components) != weights.size:
+            raise DimensionMismatch(f"{weights.size} weights for {len(components)} components")
+        _check_local_states(components, components[0].d)
+        if self.n_sites < 1:
+            raise ValueError(f"site count must be >= 1, got {self.n_sites}")
+        object.__setattr__(self, "weights", tuple(weights.tolist()))
+        object.__setattr__(self, "components", components)
+
+    @property
+    def sites(self) -> int:
+        return self.n_sites
+
+    @property
+    def d(self) -> int:
+        return self.components[0].d
+
+    def marginal(self, k: int) -> DensityOperator:
+        """validate(sum_m w_m sigma_m^(ox k)), the first-k-sites marginal."""
+        if not 1 <= k <= self.n_sites:
+            raise BadSiteIndex(f"marginal order {k} outside 1..{self.n_sites}")
+        shape = TensorShape(self.d, k, self.max_total_dim)
+        acc = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+        for w, s in zip(self.weights, self.components):
+            acc += w * tensor_power(s.matrix, k, self.max_total_dim)
+        return validate(acc, shape)
 
 
 def random_density(d: int, seed) -> DensityOperator:

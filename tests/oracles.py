@@ -11,6 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from chaoticity import metrics
+from chaoticity.experiments import NS_OBSERVABLE, _draw_mixture, _draw_observable, subseed
+from chaoticity.states import DiscreteMixtureSpec, mixture_of_products
+from chaoticity.tensor import TensorShape, empirical_observable
+
 
 def power_iteration_norm(m: np.ndarray, iters: int = 5000, seed: int = 0) -> float:
     """Largest singular value via power iteration on M†M."""
@@ -265,3 +270,92 @@ def marginal_error_full_state(rho_matrix: np.ndarray, one_site: np.ndarray, d: i
     return trace_norm_svd(
         marginal_full(rho_matrix, d, n_sites, n) - naive_kron_chain([one_site] * n)
     )
+
+
+# ------------------------------------------------------------ dense mixtures
+# The mixture kinds used to build the d^N mixture and contract the site
+# average X_N(A) against it on the full space. These rebuild their rows that
+# way, with marginals by naive partial trace and joints against the full state.
+
+
+def empirical_variance_full(rho_n_matrix: np.ndarray, rho_matrix: np.ndarray, a: np.ndarray,
+                            d: int, n: int) -> float:
+    """tr(B†B rho_N) with B = X_N(A) - tr(A rho) 1 formed as a D x D matrix."""
+    shape = TensorShape(d, n, d**n)
+    c = complex(np.trace(a @ rho_matrix))
+    b = empirical_observable(a, shape) - c * np.eye(shape.total_dim)
+    return float(np.vdot(b, b @ rho_n_matrix).real)
+
+
+def dense_mixture(mix):
+    """The d^N matrix of a ProductMixture, from the dense builder."""
+    spec = DiscreteMixtureSpec.iid(mix.weights, mix.components)
+    return mixture_of_products(spec, mix.sites, max_total_dim=mix.d**mix.sites)
+
+
+def joint_full(rho_n_matrix: np.ndarray, observables, d: int, n: int) -> complex:
+    """tr((A_1 ox ... ox A_k ox 1) rho_N) with numpy kron on the full space."""
+    big = np.eye(d ** (n - len(observables)), dtype=np.complex128)
+    for a in reversed(observables):
+        big = np.kron(a, big)
+    return complex(np.trace(big @ rho_n_matrix))
+
+
+def product_of_means(rho_matrix: np.ndarray, observables) -> complex:
+    out = 1.0 + 0.0j
+    for a in observables:
+        out *= np.trace(rho_matrix @ a)
+    return out
+
+
+def chaos_sweep_rows_dense(config) -> list[tuple]:
+    """chaos_sweep rows from dense mixtures: chaos_report's rules, full-space values."""
+    d = config.d
+    obs = metrics.weyl_basis(d)
+    m = len(obs)
+    rows = []
+    for n in config.N_list:
+        rho_bar, mix = _draw_mixture(config, n)
+        big = dense_mixture(mix).matrix
+        raw = [empirical_variance_full(big, rho_bar.matrix, a, d, n) for a in obs]
+        shown = [0.0 if -metrics.E_CLAMP <= e < 0.0 else e for e in raw]
+        e_adj = [max(empirical_variance_full(big, rho_bar.matrix, a.conj().T, d, n), 0.0)
+                 for a in obs]
+        for k in config.k_list:
+            dist = trace_norm_svd(
+                marginal_full(big, d, n, k) - naive_kron_chain([rho_bar.matrix] * k)
+            )
+            worst_c, worst_b, ok = -1.0, (0.0, 0.0), True
+            for flat in range(min(8, m**k)):
+                idx = [flat // m ** (k - 1 - j) % m for j in range(k)]
+                tup = [obs[i] for i in idx]
+                c = abs(joint_full(big, tup, d, n) - product_of_means(rho_bar.matrix, tup))
+                e_vals = [e_adj[i] for i in idx]
+                b_sq = metrics.corollary_bound(rho_bar, tup, e_vals, n, squared=True)
+                b_un = metrics.corollary_bound(rho_bar, tup, e_vals, n, squared=False)
+                ok = ok and bool(c <= b_sq + metrics.BOUND_SLACK)
+                if c > worst_c:
+                    worst_c, worst_b = c, (b_sq, b_un)
+            rows.append((n, k, dist, worst_c, worst_b[0], worst_b[1], ok, max(shown)))
+    return rows
+
+
+def bound_audit_rows_dense(config) -> list[tuple]:
+    """bound_audit rows from dense mixtures, the same draws in the same order."""
+    d = config.d
+    reps = -(-config.trials // (len(config.N_list) * len(config.k_list)))
+    rows = []
+    for n in config.N_list:
+        for k in config.k_list:
+            for rep in range(reps):
+                rho_bar, mix = _draw_mixture(config, n, n, k, rep)
+                big = dense_mixture(mix).matrix
+                rng = np.random.default_rng(subseed(config.seed, NS_OBSERVABLE, n, k, rep))
+                obs = [_draw_observable(rng, d, config.a_norm_cap) for _ in range(k)]
+                c = abs(joint_full(big, obs, d, n) - product_of_means(rho_bar.matrix, obs))
+                e_vals = [max(empirical_variance_full(big, rho_bar.matrix, a.conj().T, d, n), 0.0)
+                          for a in obs]
+                b_sq = metrics.corollary_bound(rho_bar, obs, e_vals, n, squared=True)
+                b_un = metrics.corollary_bound(rho_bar, obs, e_vals, n, squared=False)
+                rows.append((n, k, rep, c, b_sq, b_un, bool(c <= b_sq + 1e-9), b_sq - c))
+    return rows

@@ -34,6 +34,7 @@ from chaoticity.metrics import (
 )
 from chaoticity.states import (
     DiscreteMixtureSpec,
+    ProductMixture,
     is_symmetric,
     mixture_of_products,
     product_state,
@@ -116,7 +117,7 @@ def test_criterion_03_rate_bound_on_mixtures():
                 comps = [random_density(2, int(rng.integers(1 << 30))) for _ in range(3)]
                 w = rng.random(3) + 1e-9
                 w /= w.sum()
-                rho_n = mixture_of_products(DiscreteMixtureSpec.iid(w, comps), n_sites)
+                rho_n = ProductMixture(w, comps, n_sites)
                 bar = validate(
                     sum(wi * c.matrix for wi, c in zip(w, comps)), TensorShape(2, 1)
                 )

@@ -12,6 +12,7 @@ from chaoticity.dynamics import (
     ExactPropagator,
     HartreeTrajectory,
     MeanFieldSystem,
+    _bbgky_residuals,
     bbgky_residual,
     build_hamiltonian,
     epsilon_term,
@@ -565,6 +566,23 @@ def test_bbgky_residual_shared_propagator_consistent():
     a = bbgky_residual(rho0, sys, 2, 0.3, 1e-3, propagator=prop)
     b = bbgky_residual(rho0, sys, 2, 0.3, 1e-3)
     assert abs(a.residual_trace_norm - b.residual_trace_norm) <= 1e-12
+
+
+@pytest.mark.parametrize("n_sites, n", [(3, 1), (3, 2), (6, 2)])
+def test_bbgky_residuals_share_one_grid(n_sites, n):
+    # h and h/2 from one evolve_grid call equal two separate one-step calls
+    sys = make_system(seed_a=88, seed_v=89)
+    rho0 = product_state(random_density(2, 90), n_sites)
+    prop = ExactPropagator(sys, n_sites)
+    pair = _bbgky_residuals(rho0, sys, n, 0.3, (1e-2, 5e-3), prop)
+    for h, got in zip((1e-2, 5e-3), pair):
+        want = bbgky_residual(rho0, sys, n, 0.3, h, prop)
+        assert abs(got.residual_trace_norm - want.residual_trace_norm) <= 1e-15
+        assert (got.n, got.t, got.epsilon_norm, got.epsilon_bound) == (
+            want.n, want.t, want.epsilon_norm, want.epsilon_bound
+        )
+    with pytest.raises(ValueError):
+        _bbgky_residuals(rho0, sys, n, 0.3, (1e-2, 0.0), prop)
 
 
 def test_bbgky_residual_argument_checks():

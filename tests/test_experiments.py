@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from chaoticity import states, tensor
 from chaoticity.config import ExperimentConfig, config_hash, parse_config
 from chaoticity.dynamics import ExactPropagator, gronwall_envelope, integrate_hartree
 from chaoticity.errors import ConfigInvalid
@@ -276,6 +279,80 @@ def test_bound_audit_determinism_per_combo():
         ExperimentConfig(kind="bound_audit", N_list=(2, 4), k_list=(1,), trials=4)
     )
     assert a.rows == b.rows
+
+
+# ---------------------------------------------------------------- mixture kinds
+
+
+def assert_rows_close(got, want, tol=1e-12):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        for x, y in zip(g, w):
+            if isinstance(y, (bool, int)):
+                assert x == y and type(x) is type(y), (g, w)
+            else:
+                assert abs(x - y) <= tol, (g, w)
+
+
+def without_roundoff_bounds(got, want):
+    """Drop corollary_bound and its unsquared twin where the largest C is roundoff.
+
+    chaos_report reports the bound of the tuple with the largest C. When every
+    tested C is roundoff around 0 (k = 1, where rho_bar is the one-site
+    marginal, and d = 3, where the first eight Weyl tuples all start with the
+    identity), roundoff picks that tuple.
+    """
+    keep = [w[3] > 1e-14 for w in want]
+
+    def cut(rows):
+        return [r if k else r[:4] + r[6:] for r, k in zip(rows, keep)]
+
+    return cut(got), cut(want), sum(keep)
+
+
+@pytest.mark.parametrize("d, n_list", [(2, (3, 4, 5, 6)), (3, (3, 4))])
+def test_chaos_sweep_rows_match_dense_mixtures(d, n_list):
+    cfg = ExperimentConfig(kind="chaos_sweep", d=d, N_list=n_list, k_list=(1, 2, 3), seed=31)
+    table = run_experiment(cfg)
+    assert "error" not in table.metadata
+    got, want, kept = without_roundoff_bounds(table.rows, oracles.chaos_sweep_rows_dense(cfg))
+    assert kept == (2 * len(n_list) if d == 2 else 0)
+    assert_rows_close(got, want)
+
+
+@pytest.mark.parametrize("d, n_list", [(2, (3, 4, 5, 6)), (3, (3, 4))])
+def test_bound_audit_rows_match_dense_mixtures(d, n_list):
+    cfg = ExperimentConfig(kind="bound_audit", d=d, N_list=n_list, k_list=(1, 2, 3), trials=24)
+    table = run_experiment(cfg)
+    assert "error" not in table.metadata
+    assert_rows_close(table.rows, oracles.bound_audit_rows_dense(cfg))
+
+
+def forbid(monkeypatch, fn) -> int:
+    """Make fn raise in every chaoticity namespace that holds it; returns how many."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{fn.__module__}.{fn.__name__} was called")
+
+    hits = 0
+    for name, module in list(sys.modules.items()):
+        if name == "chaoticity" or name.startswith("chaoticity."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, refuse)
+                    hits += 1
+    return hits
+
+
+def test_mixture_kinds_never_form_the_n_site_state(monkeypatch):
+    for fn in (states.mixture_of_products, tensor.partial_trace, tensor.empirical_observable):
+        assert forbid(monkeypatch, fn) >= 2
+    for kind, extra in (("chaos_sweep", {}), ("bound_audit", {"trials": 3})):
+        cfg = ExperimentConfig(kind=kind, N_list=(10,), k_list=(1, 2, 3), **extra)
+        table = run_experiment(cfg)
+        assert "error" not in table.metadata
+        assert len(table.rows) == 3
 
 
 # ---------------------------------------------------------------- config text path

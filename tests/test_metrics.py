@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chaoticity import linalg, metrics, tensor
-from chaoticity.errors import BadSiteIndex, DimensionMismatch
+from chaoticity.errors import BadSiteIndex, DimensionMismatch, MemoryBudgetExceeded, NotSymmetric
 from chaoticity.metrics import (
     chaos_distance,
     chaos_report,
@@ -20,6 +20,8 @@ from chaoticity.metrics import (
 )
 from chaoticity.states import (
     DiscreteMixtureSpec,
+    MixtureComponent,
+    ProductMixture,
     mixture_of_products,
     product_state,
     random_density,
@@ -330,6 +332,108 @@ def test_chaos_report_custom_observables():
     rep = chaos_report(rho_N, rho_bar, k=2, observables=obs, labels=["a", "b"])
     assert {lbl for lbl, _ in rep.e_values} == {"a", "b"}
     assert rep.bound_satisfied
+
+
+# ---------------------------------------------------------------- product mixtures
+
+
+def iid_mixture(d, n, seed, count=3):
+    """(ProductMixture, the dense state, rho_bar) from seeded components."""
+    rng = np.random.default_rng(seed)
+    comps = [random_density(d, int(rng.integers(1 << 30))) for _ in range(count)]
+    w = rng.random(count) + 1e-9
+    w /= w.sum()
+    mix = ProductMixture(w, comps, n)
+    return mix, oracles.dense_mixture(mix), mix.marginal(1)
+
+
+ORACLE_SIZES = [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 8)]
+
+
+@pytest.mark.parametrize("d, n", ORACLE_SIZES)
+def test_product_mixture_matches_dense_mixture(d, n):
+    mix, dense, _ = iid_mixture(d, n, 1000 + 10 * d + n)
+    big = dense.matrix
+    ref = random_density(d, 2000 + n)  # off the mixture mean, so k = 1 is not trivial
+    rng = np.random.default_rng(3000 + 10 * d + n)
+    for k in range(1, min(3, n) + 1):
+        want_marg = oracles.marginal_full(big, d, n, k)
+        assert np.abs(mix.marginal(k).matrix - want_marg).max() <= 1e-12
+        assert np.abs(marginal(mix, k).matrix - want_marg).max() <= 1e-12
+        want_dist = oracles.trace_norm_svd(want_marg - oracles.naive_kron_chain([ref.matrix] * k))
+        assert abs(chaos_distance(mix, ref, k) - want_dist) <= 1e-12
+        obs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(k)]
+        want_c = abs(oracles.joint_full(big, obs, d, n) - oracles.product_of_means(ref.matrix, obs))
+        assert abs(factorization_error(mix, ref, obs) - want_c) <= 1e-12
+    for a in (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
+              random_hermitian(d, 4000 + n)):
+        want_e = oracles.empirical_variance_full(big, ref.matrix, a, d, n)
+        assert abs(empirical_variance(mix, ref, a) - want_e) <= 1e-12
+        assert abs(empirical_variance(dense, ref, a) - want_e) <= 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (2, 4), (2, 6), (3, 2), (3, 4)])
+def test_empirical_variance_two_marginal_form_matches_expanded_oracle(d, n):
+    mix, dense, rho_bar = iid_mixture(d, n, 5000 + 10 * d + n)
+    rng = np.random.default_rng(6000 + n)
+    for _ in range(3):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        want = oracles.empirical_variance_expanded(dense.matrix, rho_bar.matrix, a, d, n)
+        assert abs(empirical_variance(mix, rho_bar, a) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 5), (2, 8), (3, 3), (3, 5)])
+def test_chaos_report_product_mixture_matches_dense(d, n):
+    # The bound fields belong to the tuple with the largest C, so a tie decided
+    # by roundoff could pick different tuples. Eight generic observables keep
+    # the first eight tuples free of mirrored pairs such as (A, B) and (B, A),
+    # and a reference off the mixture mean keeps C away from roundoff at k = 1.
+    mix, dense, _ = iid_mixture(d, n, 7000 + 10 * d + n)
+    ref = random_density(d, 8000 + n)
+    rng = np.random.default_rng(9000 + 10 * d + n)
+    obs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(8)]
+    for k in range(1, min(3, n) + 1):
+        want = chaos_report(dense, ref, k, obs)
+        top = sorted(c for _, c in want.c_values)
+        assert top[-1] - top[-2] > 1e-9
+        assert_reports_match(chaos_report(mix, ref, k, obs), want, bounds=True)
+        # the default Weyl set: every field but the tie-prone bound pair
+        assert_reports_match(chaos_report(mix, ref, k), chaos_report(dense, ref, k), bounds=False)
+
+
+def assert_reports_match(got, want, bounds):
+    assert (got.k, got.N) == (want.k, want.N)
+    assert abs(got.chaos_distance - want.chaos_distance) <= 1e-12
+    for field in ("e_values", "c_values"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert [lbl for lbl, _ in g] == [lbl for lbl, _ in w]
+        assert max(abs(x - y) for (_, x), (_, y) in zip(g, w)) <= 1e-12
+    if bounds:
+        assert abs(got.corollary_bound - want.corollary_bound) <= 1e-12
+        assert abs(got.corollary_bound_unsquared - want.corollary_bound_unsquared) <= 1e-12
+    assert got.bound_satisfied == want.bound_satisfied
+    assert got.clamped_labels == want.clamped_labels
+
+
+def test_empirical_variance_rejects_non_symmetric_dense_state():
+    rho, sigma = random_density(2, 80), random_density(2, 81)
+    skewed = mixture_of_products(DiscreteMixtureSpec((MixtureComponent(1.0, (rho, sigma)),)))
+    a = random_hermitian(2, 82)
+    with pytest.raises(NotSymmetric):
+        empirical_variance(skewed, rho, a)
+    with pytest.raises(NotSymmetric):
+        chaos_report(skewed, rho, 1)
+
+
+def test_metric_budget_comes_from_the_marginal():
+    # a mixture on 20 sites: 2^20 exceeds its budget, its 3-site marginals do not
+    mix, _, rho_bar = iid_mixture(2, 3, 83)
+    wide = ProductMixture(mix.weights, mix.components, 20, max_total_dim=64)
+    assert chaos_distance(wide, rho_bar, 3) == chaos_distance(mix, rho_bar, 3)
+    rep = chaos_report(wide, rho_bar, 2)
+    assert rep.N == 20 and rep.bound_satisfied
+    with pytest.raises(MemoryBudgetExceeded):
+        marginal(wide, 7)
 
 
 # ---------------------------------------------------------------- trend

@@ -7,6 +7,7 @@ import pytest
 
 from chaoticity import states, tensor
 from chaoticity.errors import (
+    BadSiteIndex,
     DimensionMismatch,
     NotHermitian,
     NotPSD,
@@ -17,6 +18,7 @@ from chaoticity.errors import (
 from chaoticity.states import (
     DiscreteMixtureSpec,
     MixtureComponent,
+    ProductMixture,
     is_symmetric,
     mixture_of_products,
     product_state,
@@ -231,6 +233,49 @@ def test_mixture_site_count_validation():
         mixture_of_products(spec, n_sites=3)
     with pytest.raises(ValueError):
         mixture_of_products(DiscreteMixtureSpec.iid([1.0], [rho]))  # n_sites required
+
+
+# ---------------------------------------------------------------- product mixtures
+
+
+def test_product_mixture_holds_its_parts():
+    rho, sigma = random_density(2, 90), random_density(2, 91)
+    mix = ProductMixture(np.array([0.25, 0.75]), [rho, sigma], 6)
+    assert (mix.sites, mix.d) == (6, 2)
+    assert mix.weights == (0.25, 0.75) and mix.components == (rho, sigma)
+    assert is_symmetric(mix, full_group=True) == (True, 0.0)
+    assert mix.marginal(2).shape == TensorShape(2, 2)
+    with pytest.raises(BadSiteIndex):
+        mix.marginal(7)
+    with pytest.raises(BadSiteIndex):
+        mix.marginal(0)
+    with pytest.raises(ValueError):
+        ProductMixture([1.0], [rho], 0)
+
+
+BAD_MIXTURES = [
+    # (weights, component seeds and site counts, n_sites, error)
+    ([0.4, 0.4], [(2, 1), (2, 1)], WeightsInvalid),
+    ([1.5, -0.5], [(2, 1), (2, 1)], WeightsInvalid),
+    ([], [], WeightsInvalid),
+    ([0.5, 0.5], [(2, 1), (3, 1)], DimensionMismatch),
+    ([0.5, 0.5], [(2, 1), (2, 2)], DimensionMismatch),
+]
+
+
+@pytest.mark.parametrize("weights, parts, error", BAD_MIXTURES)
+def test_product_mixture_rejects_what_mixture_of_products_rejects(weights, parts, error):
+    comps = [product_state(random_density(d, 92 + i), sites) for i, (d, sites) in enumerate(parts)]
+    with pytest.raises(error):
+        mixture_of_products(DiscreteMixtureSpec.iid(weights, comps), n_sites=3)
+    with pytest.raises(error):
+        ProductMixture(weights, comps, 3)
+
+
+def test_product_mixture_weight_count_must_match():
+    rho = random_density(2, 95)
+    with pytest.raises(DimensionMismatch):
+        ProductMixture([0.5, 0.5], [rho], 3)
 
 
 # ---------------------------------------------------------------- samplers
