@@ -12,6 +12,7 @@ Layering: linalg (dense Hermitian primitives) -> tensor (sites, kron,
 partial trace, permutations) -> states (density operators, symmetric
 mixtures) -> metrics (chaos distance, empirical variance, rate bounds)
 -> dynamics (exact evolution, the nonlinear flow, hierarchy residuals)
+-> blocks (exact evolution at d = 2 in the spin blocks)
 -> config/experiments/cli (reproducible experiment harness).
 """
 
@@ -82,6 +83,7 @@ from .metrics import (
     marginal,
     weyl_basis,
 )
+from .blocks import BlockPropagator
 from .dynamics import (
     ExactPropagator,
     HartreeTrajectory,

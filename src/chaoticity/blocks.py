@@ -1,0 +1,251 @@
+"""Exact evolution of product states at d = 2 in the spin blocks of S_N.
+
+H_N = sum_j A_j + (1/N) sum_{i<j} W_ij and rho0^(ox N) commute with every
+site permutation, so by Schur-Weyl duality both act on (C^2)^(ox N) as
+sum_r X_r ox 1_{m_r}. Block r = 0..N//2 (spin j = N/2 - r) is
+Sym^{N-2r}(C^2), of dimension N - 2r + 1 and multiplicity
+m_r = C(N, r) - C(N, r-1). In its two-mode boson basis |a> (a quanta in
+site state 0), a collective sum J(X) = sum_i X_i is
+sum_pq X_pq b_p† b_q + r tr X, and rho0^(ox N) is
+Sym^{N-2r}(rho0) det(rho0)^r.
+
+Sums over distinct sites, D(X_1..X_s) = sum over distinct i of
+X_1^{i_1} ... X_s^{i_s}, follow from D(X_1..X_s) = D(X_1..X_{s-1}) J(X_s)
+- sum_l D(X_1..(X_l X_s)..X_{s-1}). They give the pair term,
+sum_{i<j} W_ij = (1/2) sum W[pr, qs] D(E_pq, E_rs), and every marginal,
+tr(rho_N D(E_{p_1 q_1}, ..)) = (N)_k <q|rho^(k)|p>. A product of matrix
+units shifts a by a fixed amount, so each D is a single band of each
+block, and depends only on the multiset of its units.
+
+BlockPropagator shares dynamics.ExactPropagator's evolve_grid contract but
+takes the one-site rho0; check_block_budget is the memory rule for what it
+holds.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from . import linalg
+from .dynamics import MeanFieldSystem
+from .errors import BadSiteIndex, DimensionMismatch, MemoryBudgetExceeded
+from .states import DensityOperator, validate
+from .tensor import DEFAULT_MAX_TOTAL_DIM, TensorShape
+
+
+# the four d = 2 matrix units E_pq = |p><q| as (p, q); E_pq shifts the quanta a by q - p
+_UNITS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _block_sizes(n_sites: int) -> np.ndarray:
+    """Dimension N - 2r + 1 of spin block r = 0..N//2 (spin j = N/2 - r)."""
+    return n_sites - 2 * np.arange(n_sites // 2 + 1) + 1
+
+
+def _band_rows(size: int, offset: int) -> np.ndarray:
+    """The a with both a and a + offset inside a block of the given size."""
+    return np.arange(max(0, -offset), size - max(0, offset))
+
+
+def block_entries(n_sites: int, max_order: int) -> int:
+    """Complex entries a BlockPropagator(sys, n_sites, max_order) holds at most.
+
+    Two sets of square blocks (eigenvectors and the rotated initial state)
+    and three work blocks of the largest size, the band coefficients of every
+    distinct-site sum up to max_order and the padded bands they are built
+    from, and one marginal of order max_order.
+    """
+    sizes = _block_sizes(n_sites)
+    square = int((sizes * sizes).sum())
+    band = sum(int(np.clip(sizes - abs(off), 0, None).sum())
+               for off in range(-max_order, max_order + 1))
+    tuples = math.comb(max_order + 4, 4)
+    return (2 * square + 3 * (n_sites + 1) ** 2
+            + tuples * (band + sizes.size * (n_sites + 1)) + 4**max_order)
+
+
+def check_block_budget(n_sites: int, max_order: int, max_total_dim: int) -> None:
+    """Raise MemoryBudgetExceeded unless a BlockPropagator fits the budget.
+
+    The dense path holds D x D matrices with D <= max_total_dim; the block
+    path may hold as many entries, max_total_dim^2, and its marginals obey
+    the dense rule 2^order <= max_total_dim.
+    """
+    if 2**max_order > max_total_dim:
+        raise MemoryBudgetExceeded(
+            f"a marginal of order {max_order} has 2^{max_order} rows, over the budget "
+            f"{max_total_dim}"
+        )
+    held = block_entries(n_sites, max_order)
+    if held > max_total_dim**2:
+        raise MemoryBudgetExceeded(
+            f"the spin blocks of N = {n_sites} up to order {max_order} hold {held} entries, "
+            f"over the budget of {max_total_dim}^2 = {max_total_dim**2}"
+        )
+
+
+def _xlogy(x: np.ndarray, y: float) -> np.ndarray:
+    """x log y with 0 log 0 = 0, for counts x >= 0 and y >= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
+class BlockPropagator:
+    """Exact marginals of rho0^(ox N) under H_N at d = 2, from the spin blocks.
+
+    Everything is built at construction: each block's eigendecomposition and
+    the band coefficients of every marginal order up to max_order. Immutable
+    after that, so safe to share between threads. evolve_grid takes the
+    one-site rho0, rotates each block's state by its phases and reads the
+    bands the marginal needs; nothing of size 2^N is formed.
+    """
+
+    def __init__(self, sys: MeanFieldSystem, n_sites: int, max_order: int,
+                 max_total_dim: int = DEFAULT_MAX_TOTAL_DIM):
+        if sys.d != 2:
+            raise DimensionMismatch(f"the block propagator needs d = 2, got d = {sys.d}")
+        if not 1 <= max_order <= n_sites:
+            raise BadSiteIndex(f"marginal order {max_order} outside 1..{n_sites}")
+        check_block_budget(n_sites, max_order, max_total_dim)
+        self.n_sites = n_sites
+        self.max_order = max_order
+        self.max_total_dim = max_total_dim
+        self._sizes = sizes = _block_sizes(n_sites)
+        spin_r = np.arange(sizes.size)[:, None]
+        top = sizes[:, None] - 1
+        quanta = np.arange(n_sites + 1)
+        inside = quanta <= top
+        # J(E_pq) per block as (offset, v) with J[a + offset, a] = v[:, a], zero outside
+        self._units = {
+            (0, 0): (0, np.where(inside, quanta + spin_r, 0.0)),
+            (1, 1): (0, np.where(inside, top - quanta + spin_r, 0.0)),
+            (0, 1): (1, np.sqrt(np.clip((quanta + 1) * (top - quanta), 0, None))),
+            (1, 0): (-1, np.sqrt(np.clip(quanta * (top - quanta + 1), 0, None))),
+        }
+        sums = self._distinct_site_sums(np.where(inside, 1.0, 0.0), max_order)
+
+        # W = sum W[(p1 p2), (q1 q2)] E_p1q1 ox E_p2q2, and sum_{i<j} W_ij = D(W) / 2
+        terms = [(sys.a[p, q], ((p, q),)) for p, q in _UNITS]
+        terms += [(0.5 / n_sites * sys.w[2 * p1 + p2, 2 * q1 + q2],
+                   tuple(sorted(((p1, q1), (p2, q2)))))
+                  for p1, q1 in _UNITS for p2, q2 in _UNITS]
+        self._u, self._energies = [], []
+        for h in self._block_matrices([(c, *sums[key]) for c, key in terms]):
+            energies, u = linalg.herm_eigen(h)
+            self._energies.append(energies)
+            self._u.append(u)
+
+        # marginal entries are read from the bands |offset| <= max_order of each block
+        self._band_index, blocks, rows, offsets = [], [], [], []
+        for i, size in enumerate(sizes):
+            index = []
+            for off in range(-max_order, max_order + 1):
+                band = _band_rows(size, off)
+                index.append(band * size + band + off)
+                blocks.append(np.full(band.size, i))
+                rows.append(band)
+                offsets.append(np.full(band.size, off))
+            self._band_index.append(np.concatenate(index))
+        blocks, rows, offsets = (np.concatenate(x) for x in (blocks, rows, offsets))
+        self._band_slices = np.cumsum([0] + [ix.size for ix in self._band_index])
+
+        # order k: rho^(k)[q, p] = (coefficients[k] @ bands)[scatter[k][q 2^k + p]],
+        # with 1/(N)_k folded into the coefficients
+        self._coefficients, self._scatter = {}, {}
+        for k in range(1, max_order + 1):
+            keys = list(itertools.combinations_with_replacement(_UNITS, k))
+            position = {key: i for i, key in enumerate(keys)}
+            falling = math.perm(n_sites, k)
+            coeff = np.empty((len(keys), rows.size))
+            for i, key in enumerate(keys):
+                off, v = sums[key]
+                coeff[i] = np.where(offsets == off, v[blocks, rows], 0.0) / falling
+            self._coefficients[k] = coeff
+            digits = np.array(list(itertools.product((0, 1), repeat=k)))
+            self._scatter[k] = np.array([
+                position[tuple(sorted(zip(col, row)))] for row in digits for col in digits
+            ])
+
+    def _distinct_site_sums(self, identity: np.ndarray, max_order: int) -> dict:
+        """(offset, band) of D over every multiset of matrix units up to max_order."""
+        sums = {(): (0, identity)}
+        width = identity.shape[1]
+        for k in range(1, max_order + 1):
+            for key in itertools.combinations_with_replacement(_UNITS, k):
+                rest, (p, q) = key[:-1], key[-1]
+                off, v = sums[rest]
+                shift, unit = self._units[(p, q)]
+                # (D(rest) J)[a + shift + off, a] = v[a + shift] J[a + shift, a]
+                band = np.zeros_like(v)
+                lo, hi = max(0, -shift), width - max(0, shift)
+                band[:, lo:hi] = v[:, lo + shift:hi + shift] * unit[:, lo:hi]
+                for l, (pl, ql) in enumerate(rest):
+                    if ql == p:
+                        merged = tuple(sorted(rest[:l] + ((pl, q),) + rest[l + 1:]))
+                        band -= sums[merged][1]
+                sums[key] = (off + shift, band)
+        return sums
+
+    def _block_matrices(self, terms):
+        """Dense blocks of sum c D over terms (c, offset, band), one at a time."""
+        for i, size in enumerate(self._sizes):
+            m = np.zeros((size, size), dtype=np.complex128)
+            for c, off, band in terms:
+                rows = _band_rows(size, off)
+                m[rows + off, rows] += c * band[i, rows]
+            yield m
+
+    def _block_states(self, rho: DensityOperator) -> list[np.ndarray]:
+        """U_r† rho0^(ox N)|_r U_r, each block weighted by its multiplicity.
+
+        rho0 has eigenvalues lam0 <= lam1. On block r, Sym^{N-2r}(rho0) shares
+        its eigenvectors with the boson operator sum_pq rho0_pq b_p† b_q, the
+        one with a quanta in lam1's eigenvector having eigenvalue
+        a lam1 + (N - 2r - a) lam0, ascending in a. There m_r rho0^(ox N) has
+        the eigenvalue m_r lam1^{r+a} lam0^{N-r-a}, formed from logarithms:
+        a term of the binomial expansion of (tr rho0)^N, so it is at most 1,
+        though m_r alone leaves the float range near N = 1030.
+        """
+        lam = np.clip(linalg.herm_eigen(rho.matrix).eigenvalues, 0.0, None)
+        m = rho.matrix
+        generator = [(m[p, q], *self._units[(p, q)]) for p, q in _UNITS]
+        out = []
+        for r, (g, u) in enumerate(zip(self._block_matrices(generator), self._u)):
+            # the r tr rho0 = r shift of the collective diagonal leaves the eigenvectors alone
+            q = linalg.herm_eigen(g).eigenvectors
+            ones = np.arange(r, r + q.shape[0])
+            multiplicity = math.comb(self.n_sites, r) - (math.comb(self.n_sites, r - 1) if r else 0)
+            weights = np.exp(math.log(multiplicity) + _xlogy(ones, lam[1])
+                             + _xlogy(self.n_sites - ones, lam[0]))
+            rotated = u.conj().T @ q
+            out.append((rotated * weights) @ rotated.conj().T)
+        return out
+
+    def evolve_grid(self, rho: DensityOperator, times, order: int) -> list[DensityOperator]:
+        """Validated first-`order`-sites marginals of (rho^(ox N))(t) for a one-site rho.
+
+        Per time, each block's state is phased in the eigenbasis, rotated back
+        and read on its bands; one product with the order's coefficients gives
+        the 4^order entries.
+        """
+        if rho.sites != 1 or rho.d != 2:
+            raise DimensionMismatch(f"expected a one-site d = 2 state, got {rho.shape}")
+        if not 1 <= order <= self.max_order:
+            raise BadSiteIndex(f"marginal order {order} outside 1..{self.max_order}")
+        states = self._block_states(rho)
+        coeff, scatter = self._coefficients[order], self._scatter[order]
+        shape = TensorShape(2, order, self.max_total_dim)
+        bands = np.empty(self._band_slices[-1], dtype=np.complex128)
+        out = []
+        slices = self._band_slices
+        for t in times:
+            for i, (u, energies, s) in enumerate(zip(self._u, self._energies, states)):
+                p = np.exp(-1j * t * energies)
+                rho_t = (u * p) @ (s * p.conj()) @ u.conj().T
+                bands[slices[i]:slices[i + 1]] = rho_t.ravel()[self._band_index[i]]
+            m = (coeff @ bands)[scatter].reshape(2**order, 2**order)
+            out.append(validate(m, shape))
+        return out

@@ -19,6 +19,11 @@ propagation and hartree_convergence) and ``residual`` (the
 finite-difference pass threshold, by bbgky_verify). A name the kind does
 not read is ConfigInvalid, so a typo such as ``tol.drfit`` cannot pass
 silently.
+
+``max_total_dim`` bounds d^max(N) for every kind but two: at d = 2,
+propagation and bbgky_verify evolve in the spin blocks of
+blocks.BlockPropagator and are bounded by the entries those hold, at most
+max_total_dim^2 (blocks.check_block_budget), so N = 64 fits the default.
 """
 
 from __future__ import annotations
@@ -27,14 +32,17 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 
+from .blocks import check_block_budget
 from .dynamics import DEFAULT_STEP_CAP
-from .errors import ConfigInvalid, ParseError
+from .errors import ConfigInvalid, MemoryBudgetExceeded, ParseError
 
 KINDS = ("chaos_sweep", "propagation", "bbgky_verify", "hartree_convergence", "bound_audit")
 # the tol.<name> overrides each kind reads; any other name is rejected
 TOL_NAMES = {"propagation": {"drift"}, "hartree_convergence": {"drift"},
              "bbgky_verify": {"residual"}}
 FORMATS = ("csv", "json")
+# kinds that evolve rho0^(ox N) with blocks.BlockPropagator at d = 2
+BLOCK_KINDS = ("propagation", "bbgky_verify")
 
 
 @dataclass(frozen=True)
@@ -194,10 +202,6 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigInvalid(
             f"max_total_dim = {c.max_total_dim} cannot hold even two sites at d = {c.d}"
         )
-    if c.d ** max(c.N_list) > c.max_total_dim:
-        raise ConfigInvalid(
-            f"d^max(N) = {c.d}^{max(c.N_list)} exceeds the memory budget {c.max_total_dim}"
-        )
     if not c.k_list:
         raise ConfigInvalid("k_list must be nonempty")
     if any(k < 1 for k in c.k_list):
@@ -205,6 +209,17 @@ def validate_config(config: ExperimentConfig) -> None:
     if max(c.k_list) > min(c.N_list):
         raise ConfigInvalid(
             f"max k = {max(c.k_list)} exceeds the smallest N = {min(c.N_list)}"
+        )
+    if c.d == 2 and c.kind in BLOCK_KINDS:
+        # the spin-block propagator's entries, up to the order n + 1 of the largest n
+        try:
+            check_block_budget(max(c.N_list), min(max(c.k_list) + 1, max(c.N_list)),
+                               c.max_total_dim)
+        except MemoryBudgetExceeded as exc:
+            raise ConfigInvalid(str(exc)) from exc
+    elif c.d ** max(c.N_list) > c.max_total_dim:
+        raise ConfigInvalid(
+            f"d^max(N) = {c.d}^{max(c.N_list)} exceeds the memory budget {c.max_total_dim}"
         )
     if c.kind == "bbgky_verify" and min(c.k_list) > max(c.N_list) - 1:
         raise ConfigInvalid(

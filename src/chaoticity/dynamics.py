@@ -2,11 +2,20 @@
 
 Every kernel uses the symmetrised pair operator W = V + S V S (S the
 two-site swap, so W_12 = V_12 + V_21), built once by MeanFieldSystem. The
-N-body generator is H_N = sum_j A_j + (1/N) sum_{i < j} W_ij, diagonalized
-once by ExactPropagator. The N-body checks read the marginals they need from
-its evolve_grid, contracted from the eigenbasis without forming the N-site
-state; evolve returns whole states for one-shot use. The limiting one-site
-equation
+N-body generator is H_N = sum_j A_j + (1/N) sum_{i < j} W_ij. Two exact
+propagators evolve with it and share the evolve_grid(rho, times, order)
+contract, returning validated marginals:
+
+- blocks.BlockPropagator (d = 2) evolves a product state rho0^(ox N) from
+  the one-site rho0. Both it and H_N are permutation invariant, so they split
+  into spin blocks of size <= N + 1 (Schur-Weyl duality); marginals are read
+  from bands of those blocks, and nothing of size 2^N is formed.
+- ExactPropagator diagonalizes H_N on the whole d^N space. It is the path at
+  d >= 3 and the reference the block path is tested against; evolve returns
+  whole states for one-shot use.
+
+The N-body checks read the marginals they need from evolve_grid. The
+limiting one-site equation
 
     d rho / dt = -i [A + tr_2(W (1 ox rho)), rho]
 
@@ -22,7 +31,7 @@ limit, which carries the 5 n^2 ||V|| / N ceiling of the propagation estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -45,6 +54,9 @@ from .tensor import (
     partial_trace,
     tensor_power,
 )
+
+if TYPE_CHECKING:
+    from .blocks import BlockPropagator
 
 # Absolute ceiling on the RK4 step; the dynamic cap below can only lower it.
 DEFAULT_STEP_CAP = 0.025
@@ -146,6 +158,7 @@ class ExactPropagator:
     def __init__(self, sys: MeanFieldSystem, n_sites: int,
                  max_total_dim: int = DEFAULT_MAX_TOTAL_DIM):
         self.sys = sys
+        self.n_sites = n_sites
         self.shape = TensorShape(sys.d, n_sites, max_total_dim)
         h = build_hamiltonian(sys, n_sites, max_total_dim=max_total_dim)
         self.eigenvalues, self.eigenvectors = linalg.herm_eigen(h)
@@ -376,18 +389,20 @@ def _bbgky_residuals(
     n: int,
     t: float,
     steps,
-    propagator: ExactPropagator | None = None,
+    propagator: ExactPropagator | BlockPropagator | None = None,
 ) -> list[HierarchyResidual]:
     """bbgky_residual at (n, t) for each step h in steps, sharing the midpoint.
 
     One evolve_grid call covers t - h and t + h for every h as well as t;
     the midpoint marginal, the right side and the epsilon defect at t are
-    computed once.
+    computed once. N is the propagator's; rho0 is the initial state its
+    evolve_grid takes (N-site for ExactPropagator, one-site for
+    BlockPropagator).
     """
     for h in steps:
         if h <= 0:
             raise ValueError(f"h must be positive, got {h}")
-    n_sites = rho0.sites
+    n_sites = rho0.sites if propagator is None else propagator.n_sites
     if not 1 <= n <= n_sites - 1:
         raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
     prop = propagator if propagator is not None else ExactPropagator(
@@ -414,14 +429,16 @@ def bbgky_residual(
     n: int,
     t: float,
     h: float,
-    propagator: ExactPropagator | None = None,
+    propagator: ExactPropagator | BlockPropagator | None = None,
 ) -> HierarchyResidual:
     """Central-difference check of the coupled marginal-flow equations.
 
     residual = || (rho^(n)(t+h) - rho^(n)(t-h)) / 2h - (-i) RHS(t) ||_1,
     O(h^2) for the smooth exact flow. The (n+1)-site marginals at t-h, t,
     t+h come from one evolve_grid call. The epsilon defect at (n, t) rides
-    along in the result.
+    along in the result. rho0 is what the propagator's evolve_grid takes:
+    the N-site state for an ExactPropagator (built from rho0 when none is
+    given), the one-site rho0 for a BlockPropagator.
     """
     (res,) = _bbgky_residuals(rho0, sys, n, t, (h,), propagator)
     return res

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import linalg
 from .config import ExperimentConfig, config_hash, validate_config
+from .blocks import BlockPropagator
 from .dynamics import (
     ExactPropagator,
     MeanFieldSystem,
@@ -136,6 +137,19 @@ def _over_N(config: ExperimentConfig, parallel: int, worker):
     return [row for chunk in chunks for row in chunk]
 
 
+def _propagator(config: ExperimentConfig, sys: MeanFieldSystem, rho0: DensityOperator,
+                n_sites: int, max_order: int):
+    """(propagator, the initial state its evolve_grid takes) for rho0^(ox N).
+
+    At d = 2 the spin-block propagator evolves the one-site rho0; at d >= 3
+    the dense one diagonalizes H_N and evolves the N-site product state.
+    """
+    if sys.d == 2:
+        return BlockPropagator(sys, n_sites, max_order, config.max_total_dim), rho0
+    prop = ExactPropagator(sys, n_sites, config.max_total_dim)
+    return prop, product_state(rho0, n_sites, config.max_total_dim)
+
+
 def _run_chaos_sweep(config: ExperimentConfig, parallel: int):
     def worker(n_sites: int):
         rho_bar, rho_n = _draw_mixture(config, n_sites)
@@ -185,12 +199,11 @@ def _run_propagation(config: ExperimentConfig, parallel: int):
         states = [trajectory.state_at(t) for t in config.times]
 
     def worker(n_sites: int):
-        prop = ExactPropagator(sys, n_sites, config.max_total_dim)
-        rho_n0 = product_state(rho0, n_sites, config.max_total_dim)
         # E_n needs order n; epsilon and the envelope need order n + 1 as well
         need = sorted(set(orders) | {n + 1 for n in orders if n + 1 <= n_sites})
+        prop, initial = _propagator(config, sys, rho0, n_sites, need[-1])
         # one grid pass at the highest order; lower orders are traced from it
-        top = prop.evolve_grid(rho_n0, grid, need[-1])
+        top = prop.evolve_grid(initial, grid, need[-1])
         marginals = {n: [marginal(m, n) for m in top] for n in need}
         e_grid = {n: np.array([
             linalg.trace_norm(m.matrix - tensor_power(state.matrix, n, config.max_total_dim))
@@ -229,15 +242,15 @@ def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
     residual_gate = config.tol_value("residual", float("inf"))
 
     def worker(n_sites: int):
-        prop = ExactPropagator(sys, n_sites, config.max_total_dim)
-        rho_n0 = product_state(rho0, n_sites, config.max_total_dim)
+        orders = [n for n in config.k_list if n <= n_sites - 1]
+        if not orders:
+            return []
+        prop, initial = _propagator(config, sys, rho0, n_sites, max(orders) + 1)
         rows = []
-        for n in config.k_list:
-            if n > n_sites - 1:
-                continue
+        for n in orders:
             for t in config.times:
                 r1, r2 = _bbgky_residuals(
-                    rho_n0, sys, n, t, (config.fd_h, config.fd_h / 2.0), prop
+                    initial, sys, n, t, (config.fd_h, config.fd_h / 2.0), prop
                 )
                 ratio = (
                     r1.residual_trace_norm / r2.residual_trace_norm

@@ -12,8 +12,22 @@ from __future__ import annotations
 import numpy as np
 
 from chaoticity import metrics
-from chaoticity.experiments import NS_OBSERVABLE, _draw_mixture, _draw_observable, subseed
-from chaoticity.states import DiscreteMixtureSpec, mixture_of_products
+from chaoticity.dynamics import (
+    ExactPropagator,
+    _bbgky_residuals,
+    epsilon_term,
+    gronwall_envelope,
+    integrate_hartree,
+)
+from chaoticity.experiments import (
+    NS_OBSERVABLE,
+    _draw_initial,
+    _draw_mixture,
+    _draw_observable,
+    _draw_system,
+    subseed,
+)
+from chaoticity.states import DiscreteMixtureSpec, mixture_of_products, product_state
 from chaoticity.tensor import TensorShape, empirical_observable
 
 
@@ -358,4 +372,71 @@ def bound_audit_rows_dense(config) -> list[tuple]:
                 b_sq = metrics.corollary_bound(rho_bar, obs, e_vals, n, squared=True)
                 b_un = metrics.corollary_bound(rho_bar, obs, e_vals, n, squared=False)
                 rows.append((n, k, rep, c, b_sq, b_un, bool(c <= b_sq + 1e-9), b_sq - c))
+    return rows
+
+
+# ------------------------------------------------------------ dense N-body path
+# At d = 2 the N-body kinds evolve rho0^(ox N) in the spin blocks. These
+# rebuild their rows on the dense path instead: ExactPropagator on the
+# N-site product state, with marginals by naive partial trace.
+
+
+def propagation_rows_dense(config) -> list[tuple]:
+    """propagation rows from ExactPropagator.evolve_grid on rho0^(ox N)."""
+    sys, rho0 = _draw_system(config), _draw_initial(config)
+    traj = integrate_hartree(rho0, sys, 0.0, max(config.times), config.step,
+                             config.save_every, config.tol_value("drift", 1e-7))
+    if config.gronwall:
+        grid, states = traj.times, traj.states
+    else:
+        grid = np.asarray(config.times, dtype=float)
+        states = [traj.state_at(t) for t in config.times]
+    v_norm = sys.interaction_norm()
+    d = config.d
+    rows = []
+    for n_sites in config.N_list:
+        top = min(max(config.k_list) + 1, n_sites)
+        evolved = ExactPropagator(sys, n_sites).evolve_grid(product_state(rho0, n_sites), grid, top)
+
+        def errors(order):
+            return np.array([
+                trace_norm_svd(marginal_full(m.matrix, d, top, order)
+                               - naive_kron_chain([s.matrix] * order))
+                for m, s in zip(evolved, states)
+            ])
+
+        for n in sorted(set(config.k_list)):
+            e = errors(n)
+            env = (gronwall_envelope(grid, errors(n + 1), n, n_sites, v_norm)
+                   if config.gronwall and n < n_sites else None)
+            for t in config.times:
+                i = int(np.argmin(np.abs(grid - t)))
+                eps = (epsilon_term(metrics.marginal(evolved[i], n + 1), sys, n_sites)
+                       if n < n_sites else None)
+                bound = None if env is None else float(env[i])
+                rows.append((
+                    n_sites, n, float(t), float(e[i]),
+                    None if eps is None else eps.norm, None if eps is None else eps.bound,
+                    bound, None if env is None else bool(e[i] <= 1.05 * bound + 1e-12),
+                ))
+    return rows
+
+
+def bbgky_rows_dense(config) -> list[tuple]:
+    """bbgky_verify rows from ExactPropagator grids of rho0^(ox N)."""
+    sys, rho0 = _draw_system(config), _draw_initial(config)
+    h = config.fd_h
+    rows = []
+    for n_sites in config.N_list:
+        prop = ExactPropagator(sys, n_sites)
+        rho_n0 = product_state(rho0, n_sites)
+        for n in sorted(config.k_list):
+            if n > n_sites - 1:
+                continue
+            for t in config.times:
+                r1, r2 = _bbgky_residuals(rho_n0, sys, n, t, (h, h / 2.0), prop)
+                rows.append((n_sites, n, float(t), h, r1.residual_trace_norm,
+                             r2.residual_trace_norm,
+                             r1.residual_trace_norm / r2.residual_trace_norm,
+                             r1.epsilon_norm, r1.epsilon_bound))
     return rows

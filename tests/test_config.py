@@ -150,6 +150,23 @@ def test_validation_memory_budget():
     assert c.d == 3  # 3^7 = 2187 fits
 
 
+def test_validation_block_budget():
+    # at d = 2 the N-body kinds hold spin blocks, not 2^N
+    for kind in ("propagation", "bbgky_verify"):
+        c = parse_config(f"kind = {kind}\nN_list = 8, 64\nk_list = 1, 2\n")
+        assert max(c.N_list) == 64
+        with pytest.raises(ConfigInvalid):
+            parse_config(f"kind = {kind}\nN_list = 8, 64\nk_list = 1, 2\nmax_total_dim = 256\n")
+        with pytest.raises(ConfigInvalid):
+            parse_config(f"kind = {kind}\nN_list = 400\nk_list = 1\n")
+        with pytest.raises(ConfigInvalid):  # a 2^13-row marginal
+            parse_config(f"kind = {kind}\nN_list = 20\nk_list = 12\n")
+        with pytest.raises(ConfigInvalid):  # d = 3 keeps the d^N rule: 3^8 > 4096
+            parse_config(f"kind = {kind}\nd = 3\nN_list = 2, 8\nk_list = 1\n")
+    with pytest.raises(ConfigInvalid):  # the other kinds keep it at d = 2
+        parse_config("kind = chaos_sweep\nN_list = 2, 64\n")
+
+
 def test_validation_step_cap():
     with pytest.raises(ConfigInvalid):
         parse_config("kind = propagation\nstep = 0.05\ntimes = 0.5\n")

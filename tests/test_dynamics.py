@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chaoticity import linalg, tensor
+from chaoticity.blocks import BlockPropagator, block_entries, check_block_budget
 from chaoticity.dynamics import (
     DEFAULT_STEP_CAP,
     ExactPropagator,
@@ -267,6 +268,83 @@ def test_propagator_shape_check():
     prop = ExactPropagator(sys, 3)
     with pytest.raises(DimensionMismatch):
         prop.evolve(product_state(random_density(2, 34), 2), 0.1)
+
+
+# ---------------------------------------------------------------- spin blocks
+
+
+@pytest.mark.parametrize("n_sites", range(2, 11))
+def test_block_grid_matches_dense_grid(n_sites):
+    times = (0.0, 0.2, 0.75, 1.6)
+    for seed in (40, 41, 42):
+        sys = make_system(seed_a=seed, seed_v=seed + 100)
+        rho0 = random_density(2, seed + 200)
+        top = min(4, n_sites)
+        block = BlockPropagator(sys, n_sites, top)
+        # one dense grid at the top order; its lower orders are traced from it
+        dense = ExactPropagator(sys, n_sites).evolve_grid(product_state(rho0, n_sites), times, top)
+        for order in range(1, top + 1):
+            got = block.evolve_grid(rho0, times, order)
+            assert len(got) == len(times)
+            for g, w in zip(got, dense):
+                want = marginal(w, order)
+                assert g.shape == want.shape
+                assert np.max(np.abs(g.matrix - want.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("rho0", [
+    np.array([[1.0, 0.0], [0.0, 0.0]]),  # pure: a zero eigenvalue
+    np.array([[0.5, 0.5j], [-0.5j, 0.5]]),  # pure, off the basis
+    np.eye(2) / 2,  # degenerate spectrum
+])
+def test_block_grid_on_edge_states(rho0):
+    sys = make_system(seed_a=43, seed_v=44)
+    rho0 = validate(rho0, TensorShape(2, 1))
+    got = BlockPropagator(sys, 5, 3).evolve_grid(rho0, (0.0, 0.6), 3)
+    want = ExactPropagator(sys, 5).evolve_grid(product_state(rho0, 5), (0.0, 0.6), 3)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g.matrix - w.matrix)) <= 1e-12
+
+
+def test_block_state_at_large_n():
+    # 200 sites: multiplicities near 9e58 and weights near 1e-120 meet in logs
+    n_sites = 200
+    sys = make_system(seed_a=45, seed_v=46)
+    rho0 = random_density(2, 47)
+    prop = BlockPropagator(sys, n_sites, 3)
+    traces = [np.trace(s).real for s in prop._block_states(rho0)]
+    assert abs(sum(traces) - 1.0) <= 1e-12
+    (m3,) = prop.evolve_grid(rho0, (0.0,), 3)
+    for k in (1, 2, 3):
+        want = tensor.tensor_power(rho0.matrix, k)
+        assert np.max(np.abs(marginal(m3, k).matrix - want)) <= 1e-12
+
+
+def test_block_budget_counts_held_entries():
+    assert block_entries(64, 3) <= 4096**2
+    assert block_entries(400, 2) > 4096**2
+    BlockPropagator(make_system(), 64, 3)
+    with pytest.raises(MemoryBudgetExceeded):
+        BlockPropagator(make_system(), 64, 3, max_total_dim=256)
+    with pytest.raises(MemoryBudgetExceeded):
+        check_block_budget(20, 13, 4096)  # a 2^13-row marginal
+
+
+def test_block_propagator_argument_checks():
+    with pytest.raises(DimensionMismatch):
+        BlockPropagator(make_system(d=3), 4, 2)
+    for order in (0, 5):
+        with pytest.raises(BadSiteIndex):
+            BlockPropagator(make_system(), 4, order)
+    prop = BlockPropagator(make_system(), 4, 2)
+    assert prop.n_sites == 4
+    for order in (0, 3):
+        with pytest.raises(BadSiteIndex):
+            prop.evolve_grid(random_density(2, 48), [0.1], order)
+    with pytest.raises(DimensionMismatch):
+        prop.evolve_grid(product_state(random_density(2, 48), 2), [0.1], 1)
+    with pytest.raises(DimensionMismatch):
+        prop.evolve_grid(random_density(3, 48), [0.1], 1)
 
 
 # ---------------------------------------------------------------- one-site flow

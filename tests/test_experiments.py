@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from chaoticity import states, tensor
 from chaoticity.config import ExperimentConfig, config_hash, parse_config
+from chaoticity.blocks import BlockPropagator
 from chaoticity.dynamics import ExactPropagator, gronwall_envelope, integrate_hartree
 from chaoticity.errors import ConfigInvalid
 from chaoticity.experiments import (
@@ -202,7 +205,73 @@ def test_propagation_rows_match_full_state_oracle(gronwall):
             assert g_bound is None and g_ok is None
 
 
+@pytest.mark.parametrize("gronwall", [False, True])
+def test_propagation_rows_match_dense_path(gronwall):
+    # d = 2 rows come from the spin blocks; the oracle diagonalizes H_N on 2^N
+    cfg = ExperimentConfig(
+        kind="propagation", N_list=(3, 5, 8), k_list=(1, 2, 3), times=(0.25, 0.5),
+        save_every=50, gronwall=gronwall,
+    )
+    table = run_experiment(cfg)
+    assert "error" not in table.metadata
+    assert_rows_close(table.rows, oracles.propagation_rows_dense(cfg))
+
+
+def test_propagation_rows_stable_under_larger_n_list():
+    base = dict(kind="propagation", k_list=(1, 2), times=(0.25, 0.5), save_every=50)
+    short = run_experiment(ExperimentConfig(N_list=(6, 8, 10), **base))
+    longer = run_experiment(ExperimentConfig(N_list=(6, 8, 10, 32), **base))
+    assert json.dumps(longer.rows[: len(short.rows)]) == json.dumps(short.rows)
+    assert {r[0] for r in longer.rows[len(short.rows):]} == {32}
+
+
+def test_propagation_reaches_64_sites():
+    start = time.perf_counter()
+    cfg = ExperimentConfig(kind="propagation", N_list=(16, 32, 64), k_list=(1, 2))
+    table = run_experiment(cfg)
+    elapsed = time.perf_counter() - start
+    assert "error" not in table.metadata and len(table.rows) == 6
+    assert all(ok is True for ok in col(table, "gronwall_ok"))
+    # mean-field scaling: the order-1 defect shrinks as N grows
+    e1 = [r[3] for r in table.rows if r[1] == 1]
+    assert e1[0] > e1[1] > e1[2]
+    assert elapsed < 60.0
+
+
+def test_propagation_d3_keeps_the_dense_path(monkeypatch):
+    # rows pinned from the dense path before the spin blocks existed
+    monkeypatch.setattr(BlockPropagator, "__init__", refuse_call)
+    cfg = ExperimentConfig(
+        kind="propagation", d=3, N_list=(2, 3, 4), k_list=(1, 2), times=(0.25, 0.5),
+        save_every=50,
+    )
+    table = run_experiment(cfg)
+    assert "error" not in table.metadata and len(table.rows) == 12
+    pinned = {
+        (3, 2, 0.5): (0.21343982917148785, 0.48017257598711455, 4.067653320984784),
+        (4, 1, 0.25): (0.020928270365851827, 0.05715167482833992, 0.3522899028832066),
+        (4, 2, 0.5): (0.1654876952299823, 0.33735841206650513, 3.0565761174476718),
+    }
+    for row in table.rows:
+        if row[:3] in pinned:
+            got = (row[3], row[4], row[6])
+            for x, y in zip(got, pinned[row[:3]]):
+                assert abs(x - y) <= 1e-12 * y
+
+
 # ---------------------------------------------------------------- bbgky
+
+
+def test_bbgky_rows_match_dense_path():
+    # fd_h = 1e-2 keeps the 1/2h-amplified roundoff of the residuals near 1e-13
+    cfg = ExperimentConfig(
+        kind="bbgky_verify", N_list=(3, 5, 8), k_list=(1, 2, 3), times=(0.1, 0.4), fd_h=1e-2,
+    )
+    table = run_experiment(cfg)
+    assert "error" not in table.metadata
+    want = oracles.bbgky_rows_dense(cfg)
+    assert_rows_close([r[:6] + r[7:] for r in table.rows], [r[:6] + r[7:] for r in want])
+    assert all(r[6] == r[4] / r[5] for r in table.rows)
 
 
 def test_bbgky_rows_ratios_and_skips():
@@ -289,7 +358,7 @@ def assert_rows_close(got, want, tol=1e-12):
     for g, w in zip(got, want):
         assert len(g) == len(w)
         for x, y in zip(g, w):
-            if isinstance(y, (bool, int)):
+            if y is None or isinstance(y, (bool, int)):
                 assert x == y and type(x) is type(y), (g, w)
             else:
                 assert abs(x - y) <= tol, (g, w)
@@ -343,6 +412,20 @@ def forbid(monkeypatch, fn) -> int:
                     monkeypatch.setattr(module, attr, refuse)
                     hits += 1
     return hits
+
+
+def refuse_call(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_block_kinds_never_form_the_n_site_state(monkeypatch):
+    monkeypatch.setattr(ExactPropagator, "__init__", refuse_call)
+    assert forbid(monkeypatch, states.product_state) >= 2
+    for kind, extra in (("propagation", {}), ("bbgky_verify", {"fd_h": 1e-2})):
+        cfg = ExperimentConfig(kind=kind, N_list=(3, 6), k_list=(1, 2), times=(0.3,), **extra)
+        table = run_experiment(cfg)
+        assert "error" not in table.metadata
+        assert len(table.rows) == 4
 
 
 def test_mixture_kinds_never_form_the_n_site_state(monkeypatch):
