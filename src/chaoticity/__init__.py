@@ -9,8 +9,8 @@ bound the theory provides: factorization rates, hierarchy defects, and
 the propagation-of-chaos inequality chain.
 
 Layering: linalg (dense Hermitian primitives) -> tensor (sites, kron,
-partial trace, permutations) -> states (density operators, symmetric
-mixtures) -> metrics (chaos distance, empirical variance, rate bounds)
+partial trace, permutation conjugation) -> states (density operators,
+symmetric mixtures) -> metrics (chaos distance, empirical variance, rate bounds)
 -> dynamics (exact evolution, the nonlinear flow, hierarchy residuals)
 -> blocks (exact evolution at d = 2 in the spin blocks)
 -> config/experiments/cli (reproducible experiment harness).
@@ -31,15 +31,12 @@ from .errors import (
     NotSymmetric,
     ParseError,
     PermutationBudgetExceeded,
-    SameSite,
     StepTooLarge,
     TraceNotOne,
     WeightsInvalid,
 )
 from .linalg import (
-    adjoint,
     herm_eigen,
-    herm_expm,
     is_hermitian,
     operator_norm,
     trace_norm,
@@ -49,23 +46,15 @@ from .tensor import (
     Permutation,
     TensorShape,
     conjugate_by_permutation,
-    embed_one_body,
-    embed_on_sites,
-    embed_two_body,
-    empirical_observable,
     kron,
     kron_all,
     partial_trace,
-    permutation_unitary,
     tensor_power,
 )
 from .states import (
     DensityOperator,
-    DiscreteMixtureSpec,
-    MixtureComponent,
     ProductMixture,
     is_symmetric,
-    mixture_of_products,
     product_state,
     random_density,
     random_hermitian,
@@ -92,7 +81,6 @@ from .dynamics import (
     bbgky_residual,
     build_hamiltonian,
     epsilon_term,
-    evolve_exact,
     gronwall_envelope,
     hartree_rhs,
     integrate_hartree,

@@ -213,11 +213,6 @@ class ExactPropagator:
         return out
 
 
-def evolve_exact(rho: DensityOperator, sys: MeanFieldSystem, t: float) -> DensityOperator:
-    """One-shot exact evolution; sweeps should hold an ExactPropagator."""
-    return ExactPropagator(sys, rho.sites, rho.shape.max_total_dim).evolve(rho, t)
-
-
 @dataclass(frozen=True, eq=False)
 class HartreeTrajectory:
     """Stored states of one integration run, on the save grid."""
@@ -383,41 +378,28 @@ def _marginal_flow_rhs(sys: MeanFieldSystem, m_np1: DensityOperator, n_sites: in
     return rhs
 
 
-def _bbgky_residuals(
-    rho0: DensityOperator,
-    sys: MeanFieldSystem,
-    n: int,
-    t: float,
-    steps,
-    propagator: ExactPropagator | BlockPropagator | None = None,
-) -> list[HierarchyResidual]:
-    """bbgky_residual at (n, t) for each step h in steps, sharing the midpoint.
+def _window_times(t: float, steps) -> list[float]:
+    """t - h for h in steps, then t, then t + h for h in reversed(steps)."""
+    return [t - h for h in steps] + [t] + [t + h for h in reversed(steps)]
 
-    One evolve_grid call covers t - h and t + h for every h as well as t;
-    the midpoint marginal, the right side and the epsilon defect at t are
-    computed once. N is the propagator's; rho0 is the initial state its
-    evolve_grid takes (N-site for ExactPropagator, one-site for
-    BlockPropagator).
+
+def _window_residuals(
+    window, sys: MeanFieldSystem, n_sites: int, t: float, steps
+) -> list[HierarchyResidual]:
+    """bbgky_residual at (n, t) for each step h in steps, from one window.
+
+    window holds the (n+1)-site marginals at _window_times(t, steps) of an
+    N = n_sites evolution. The midpoint marginal, the right side and the
+    epsilon defect at t are computed once for every h.
     """
-    for h in steps:
-        if h <= 0:
-            raise ValueError(f"h must be positive, got {h}")
-    n_sites = rho0.sites if propagator is None else propagator.n_sites
-    if not 1 <= n <= n_sites - 1:
-        raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
-    prop = propagator if propagator is not None else ExactPropagator(
-        sys, n_sites, rho0.shape.max_total_dim
-    )
-    times = [t - h for h in steps] + [t] + [t + h for h in reversed(steps)]
-    grid = prop.evolve_grid(rho0, times, n + 1)
-    mid = grid[len(steps)]
+    mid = window[len(steps)]
     rhs = _marginal_flow_rhs(sys, mid, n_sites)
     eps = epsilon_term(mid, sys, n_sites)
     out = []
     for i, h in enumerate(steps):
-        lhs = (_drop_last_site(grid[-1 - i]) - _drop_last_site(grid[i])) / (2.0 * h)
+        lhs = (_drop_last_site(window[-1 - i]) - _drop_last_site(window[i])) / (2.0 * h)
         out.append(HierarchyResidual(
-            n=n, t=t, residual_trace_norm=linalg.trace_norm(lhs - (-1j) * rhs),
+            n=mid.sites - 1, t=t, residual_trace_norm=linalg.trace_norm(lhs - (-1j) * rhs),
             epsilon_norm=eps.norm, epsilon_bound=eps.bound,
         ))
     return out
@@ -440,7 +422,16 @@ def bbgky_residual(
     the N-site state for an ExactPropagator (built from rho0 when none is
     given), the one-site rho0 for a BlockPropagator.
     """
-    (res,) = _bbgky_residuals(rho0, sys, n, t, (h,), propagator)
+    if h <= 0:
+        raise ValueError(f"h must be positive, got {h}")
+    n_sites = rho0.sites if propagator is None else propagator.n_sites
+    if not 1 <= n <= n_sites - 1:
+        raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
+    prop = propagator if propagator is not None else ExactPropagator(
+        sys, n_sites, rho0.shape.max_total_dim
+    )
+    window = prop.evolve_grid(rho0, _window_times(t, (h,)), n + 1)
+    (res,) = _window_residuals(window, sys, n_sites, t, (h,))
     return res
 
 

@@ -43,10 +43,6 @@ class BadSiteIndex(ChaoticityError):
     """Site index outside 1..N."""
 
 
-class SameSite(BadSiteIndex):
-    """Two-body embedding asked to put both factors on one site."""
-
-
 class NotSymmetric(ChaoticityError):
     """A state required to be permutation symmetric is not, beyond tolerance."""
 

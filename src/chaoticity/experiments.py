@@ -25,7 +25,8 @@ from .blocks import BlockPropagator
 from .dynamics import (
     ExactPropagator,
     MeanFieldSystem,
-    _bbgky_residuals,
+    _window_residuals,
+    _window_times,
     epsilon_term,
     gronwall_envelope,
     integrate_hartree,
@@ -241,17 +242,22 @@ def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
     rho0 = _draw_initial(config)
     residual_gate = config.tol_value("residual", float("inf"))
 
+    steps = (config.fd_h, config.fd_h / 2.0)
+    width = 2 * len(steps) + 1
+
     def worker(n_sites: int):
         orders = [n for n in config.k_list if n <= n_sites - 1]
         if not orders:
             return []
         prop, initial = _propagator(config, sys, rho0, n_sites, max(orders) + 1)
+        # one grid pass at the highest order over every t's window; lower orders are traced from it
+        times = [s for t in config.times for s in _window_times(t, steps)]
+        top = prop.evolve_grid(initial, times, max(orders) + 1)
         rows = []
         for n in orders:
-            for t in config.times:
-                r1, r2 = _bbgky_residuals(
-                    initial, sys, n, t, (config.fd_h, config.fd_h / 2.0), prop
-                )
+            for j, t in enumerate(config.times):
+                window = [marginal(m, n + 1) for m in top[j * width:(j + 1) * width]]
+                r1, r2 = _window_residuals(window, sys, n_sites, t, steps)
                 ratio = (
                     r1.residual_trace_norm / r2.residual_trace_norm
                     if r2.residual_trace_norm > 0.0

@@ -1,5 +1,5 @@
 """Dense complex linear algebra: Hermitian eigendecompositions, trace and
-operator norms, and unitary exponentials e^{-itH}.
+operator norms, Hermiticity checks.
 
 Matrices are square numpy complex128 arrays. Functions never mutate their
 inputs. Eigen/singular-value work is delegated to LAPACK via numpy.
@@ -34,11 +34,6 @@ def as_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix has NaN or Inf entries")
     return a
-
-
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -123,9 +118,3 @@ def operator_norm(m) -> float:
         return float(np.abs(w).max())
     return float(_singular_values(a).max())
 
-
-def herm_expm(h, t: float, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Unitary e^{-itH} for Hermitian H, via one eigendecomposition."""
-    w, v = herm_eigen(h, tol)
-    phases = np.exp(-1j * t * w)
-    return (v * phases) @ v.conj().T

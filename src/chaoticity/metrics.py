@@ -65,15 +65,47 @@ def marginal(rho_N: State, k: int) -> DensityOperator:
     return validate(m, rho_N.shape.reduced(k))
 
 
-def chaos_distance(rho_N: State, rho: DensityOperator, k: int) -> float:
-    """tr |rho_N^(k) - rho^(ox k)|."""
+def _check_reference(rho_N: State, rho: DensityOperator) -> None:
     if rho.sites != 1:
         raise DimensionMismatch("reference state must live on one site")
     if rho.d != rho_N.d:
         raise DimensionMismatch(f"local dimensions differ: {rho.d} vs {rho_N.d}")
-    marg = marginal(rho_N, k)
-    ref = tensor_power(rho.matrix, k, marg.shape.max_total_dim)
+
+
+def _distance(marg: DensityOperator, rho: DensityOperator) -> float:
+    """tr |marg - rho^(ox k)| for a k-site marginal."""
+    ref = tensor_power(rho.matrix, marg.sites, marg.shape.max_total_dim)
     return linalg.trace_norm(marg.matrix - ref)
+
+
+def chaos_distance(rho_N: State, rho: DensityOperator, k: int) -> float:
+    """tr |rho_N^(k) - rho^(ox k)|."""
+    _check_reference(rho_N, rho)
+    return _distance(marginal(rho_N, k), rho)
+
+
+def _require_symmetric(rho_N: State) -> None:
+    ok, worst = is_symmetric(rho_N)
+    if not ok:
+        raise NotSymmetric(
+            f"empirical variance needs a symmetric state: max |U_p rho_N U_p† - rho_N| = {worst:.3e}"
+        )
+
+
+def _e_from_marginals(m1: DensityOperator, m2: DensityOperator | None, n: int,
+                      rho: DensityOperator, a: np.ndarray) -> float:
+    """e_N(A) of a symmetric N-site state from its marginals m1 and m2 (None at N = 1)."""
+    c = linalg.trace_product(a, rho.matrix)
+    b = a - c * np.eye(rho.d)
+    b_dag = b.conj().T
+    val = linalg.trace_product(b_dag @ b, m1.matrix) / n
+    if n > 1:
+        val += (1.0 - 1.0 / n) * linalg.trace_product(
+            kron(b_dag, b, m2.shape.max_total_dim), m2.matrix
+        )
+    if val.real < -E_ERROR:
+        raise BoundViolation(f"empirical variance {val.real:.3e} < -{E_ERROR:.1e}")
+    return float(val.real)
 
 
 def empirical_variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> float:
@@ -93,23 +125,10 @@ def empirical_variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> flo
     n = rho_N.sites
     if rho.sites != 1 or a.shape != (rho_N.d, rho_N.d):
         raise DimensionMismatch("observable and reference state must be one-site objects")
-    ok, worst = is_symmetric(rho_N)
-    if not ok:
-        raise NotSymmetric(
-            f"empirical variance needs a symmetric state: max |U_p rho_N U_p† - rho_N| = {worst:.3e}"
-        )
-    c = linalg.trace_product(a, rho.matrix)
-    b = a - c * np.eye(rho_N.d)
-    b_dag = b.conj().T
-    val = linalg.trace_product(b_dag @ b, marginal(rho_N, 1).matrix) / n
-    if n > 1:
-        m2 = marginal(rho_N, 2)
-        val += (1.0 - 1.0 / n) * linalg.trace_product(
-            kron(b_dag, b, m2.shape.max_total_dim), m2.matrix
-        )
-    if val.real < -E_ERROR:
-        raise BoundViolation(f"empirical variance {val.real:.3e} < -{E_ERROR:.1e}")
-    return float(val.real)
+    _require_symmetric(rho_N)
+    m1 = marginal(rho_N, 1)
+    m2 = marginal(rho_N, 2) if n > 1 else None
+    return _e_from_marginals(m1, m2, n, rho, a)
 
 
 def _product_expectation(marg_k: DensityOperator, observables, rho: DensityOperator) -> tuple[complex, complex]:
@@ -246,7 +265,8 @@ def chaos_report(
     order, truncated to max_tuples; each tuple's error is compared with its
     own rate bound, and bound_satisfied requires every tested tuple to pass.
     The reported corollary_bound fields belong to the tuple with the largest
-    factorization error.
+    factorization error. rho_N passes one symmetry gate, as in
+    empirical_variance, and its 1-, 2- and k-site marginals are formed once.
     """
     d = rho_N.d
     if observables is None:
@@ -259,14 +279,19 @@ def chaos_report(
     if len(labels) != len(observables):
         raise DimensionMismatch("labels and observables differ in length")
 
-    dist = chaos_distance(rho_N, rho, k)
+    _check_reference(rho_N, rho)
     marg = marginal(rho_N, k)
+    _require_symmetric(rho_N)
+    n = rho_N.sites
+    m1 = marg if k == 1 else marginal(rho_N, 1)
+    m2 = None if n == 1 else marg if k == 2 else marginal(rho_N, 2)
+    dist = _distance(marg, rho)
 
     e_values = []
     e_adjoint = []
     clamped = []
     for lbl, a in zip(labels, observables):
-        raw = empirical_variance(rho_N, rho, a)
+        raw = _e_from_marginals(m1, m2, n, rho, a)
         val = raw
         if raw < 0.0:
             clamped.append(lbl)
@@ -276,7 +301,7 @@ def chaos_report(
         if linalg.is_hermitian(a):
             e_adjoint.append(max(raw, 0.0))
         else:
-            e_adjoint.append(max(empirical_variance(rho_N, rho, a.conj().T), 0.0))
+            e_adjoint.append(max(_e_from_marginals(m1, m2, n, rho, a.conj().T), 0.0))
 
     m = len(observables)
     index_tuples = []

@@ -7,9 +7,10 @@ repairs its input. Random generators take explicit seeds so experiment
 shards stay reproducible.
 
 Two kinds of N-site state exist. DensityOperator holds the dense d^N x d^N
-matrix. ProductMixture holds an exchangeable mixture sum_m w_m sigma_m^(ox N)
-by its weights and one-site components and answers marginal(k) without ever
-forming d^N; mixture_of_products is its dense counterpart.
+matrix: product_state builds rho^(ox N), and any other dense state is built
+by the caller and passed through validate. ProductMixture holds an
+exchangeable mixture sum_m w_m sigma_m^(ox N) by its weights and one-site
+components and answers marginal(k) without ever forming d^N.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .tensor import (
     Permutation,
     TensorShape,
     conjugate_by_permutation,
-    kron_all,
     tensor_power,
 )
 
@@ -158,85 +158,6 @@ def symmetrize(rho: DensityOperator) -> DensityOperator:
     return validate(acc, rho.shape)
 
 
-@dataclass(frozen=True)
-class MixtureComponent:
-    weight: float
-    local_states: tuple[DensityOperator, ...]
-
-
-@dataclass(frozen=True)
-class DiscreteMixtureSpec:
-    """Weighted list of product states: sum_m w_m D_1^m ox ... ox D_N^m."""
-
-    components: tuple[MixtureComponent, ...]
-
-    @classmethod
-    def iid(cls, weights, states) -> "DiscreteMixtureSpec":
-        """Components whose N local states are all equal; here N is implied
-        later by mixture_of_products' n_sites argument, so store one state."""
-        return cls(
-            tuple(
-                MixtureComponent(float(w), (s,)) for w, s in zip(weights, states, strict=True)
-            )
-        )
-
-
-def _checked_weights(weights) -> np.ndarray:
-    """Mixture weights as floats: at least one, none negative, summing to one."""
-    weights = np.array(weights, dtype=float)
-    if weights.size == 0:
-        raise WeightsInvalid("mixture needs at least one component")
-    if (weights < -WEIGHT_TOL).any():
-        raise WeightsInvalid(f"negative weight in {weights.tolist()}")
-    if abs(weights.sum() - 1.0) > WEIGHT_TOL:
-        raise WeightsInvalid(f"weights sum to {weights.sum():.15g}, expected 1")
-    return weights
-
-
-def _check_local_states(local_states, d: int) -> None:
-    for s in local_states:
-        if s.sites != 1 or s.d != d:
-            raise DimensionMismatch("local states must be one-site densities of equal d")
-
-
-def mixture_of_products(
-    spec: DiscreteMixtureSpec,
-    n_sites: int | None = None,
-    max_total_dim: int = DEFAULT_MAX_TOTAL_DIM,
-) -> DensityOperator:
-    """Build sum_m w_m D_1^m ox ... ox D_N^m as a density operator.
-
-    Components carrying a single local state are broadcast to n_sites
-    identical factors (the exchangeable-by-construction case, which
-    ProductMixture holds without forming d^N); pass the result to
-    symmetrize() for a permutation average (N <= 6).
-    """
-    _checked_weights([c.weight for c in spec.components])
-
-    lengths = {len(c.local_states) for c in spec.components}
-    if n_sites is None:
-        if lengths == {1}:
-            raise ValueError("n_sites required when components carry one local state")
-        if len(lengths) != 1:
-            raise DimensionMismatch(f"components disagree on site count: {sorted(lengths)}")
-        n_sites = lengths.pop()
-    d = spec.components[0].local_states[0].d
-    shape = TensorShape(d, n_sites, max_total_dim)
-
-    acc = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-    for c in spec.components:
-        locs = c.local_states
-        if len(locs) == 1:
-            locs = locs * n_sites
-        if len(locs) != n_sites:
-            raise DimensionMismatch(
-                f"component has {len(c.local_states)} local states, expected {n_sites}"
-            )
-        _check_local_states(locs, d)
-        acc += c.weight * kron_all([s.matrix for s in locs], max_total_dim)
-    return validate(acc, shape)
-
-
 @dataclass(frozen=True, eq=False)
 class ProductMixture:
     """The exchangeable N-site state sum_m w_m sigma_m^(ox N), held by its parts.
@@ -246,7 +167,9 @@ class ProductMixture:
     marginals, not d^N. The N-site state is PSD by construction
     (nonnegative weights times tensor powers of validated one-site
     densities, see product_state), and every marginal is still validated.
-    Weights and components pass the same checks as in mixture_of_products.
+    At least one weight is required, none negative, summing to one
+    (WeightsInvalid otherwise); there is one component per weight, each a
+    one-site density of the same d (DimensionMismatch otherwise).
     """
 
     weights: tuple[float, ...]
@@ -255,11 +178,18 @@ class ProductMixture:
     max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
 
     def __post_init__(self):
-        weights = _checked_weights(self.weights)
+        weights = np.array(self.weights, dtype=float)
+        if weights.size == 0:
+            raise WeightsInvalid("mixture needs at least one component")
+        if (weights < -WEIGHT_TOL).any():
+            raise WeightsInvalid(f"negative weight in {weights.tolist()}")
+        if abs(weights.sum() - 1.0) > WEIGHT_TOL:
+            raise WeightsInvalid(f"weights sum to {weights.sum():.15g}, expected 1")
         components = tuple(self.components)
         if len(components) != weights.size:
             raise DimensionMismatch(f"{weights.size} weights for {len(components)} components")
-        _check_local_states(components, components[0].d)
+        if any(s.sites != 1 or s.d != components[0].d for s in components):
+            raise DimensionMismatch("local states must be one-site densities of equal d")
         if self.n_sites < 1:
             raise ValueError(f"site count must be >= 1, got {self.n_sites}")
         object.__setattr__(self, "weights", tuple(weights.tolist()))

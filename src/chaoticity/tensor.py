@@ -1,19 +1,20 @@
 """Tensor-product structure of N copies of a d-dimensional site: Kronecker
-products, permutation unitaries, partial traces, and site embeddings.
+products, permutation conjugation, partial traces, and site embedding.
 
 Site indices are 1-based in the public API; internal digit arrays are
 0-based. A TensorShape fixes (d, N) and enforces the total-dimension budget
 d**N <= max_total_dim, the guard that keeps everything dense and desk-sized.
 
-Site operators (embed_on_sites and friends, and the Hamiltonian assembly in
-dynamics) are placed by flat-index scatter: an operator b on m ordered sites
-is added at the d^m * d^m * d^(N-m) entries it touches, whose flat index is
-the offset of the target-site digits plus the offset of the remaining
-digits. No kron with identities and no permutation copy is formed.
+Site operators (the Hamiltonian assembly and pair traces in dynamics) are
+placed by _add_on_sites, a flat-index scatter: an operator b on m ordered
+sites is added at the d^m * d^m * d^(N-m) entries it touches, whose flat
+index is the offset of the target-site digits plus the offset of the
+remaining digits. No kron with identities and no permutation copy is formed.
 
 Permutation convention: the unitary U_p maps x_1 ox ... ox x_N to the product
 whose j-th factor is x_{p^{-1}(j)}, i.e. the content of site s moves to site
-p(s). Consequently U_p U_q = U_{p o q} with (p o q)(s) = p(q(s)).
+p(s). conjugate_by_permutation forms U_{p^{-1}} M U_p by re-indexing, without
+building U_p.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     BadSiteIndex,
     DimensionMismatch,
     MemoryBudgetExceeded,
-    SameSite,
 )
 
 DEFAULT_MAX_TOTAL_DIM = 4096
@@ -78,22 +78,6 @@ class Permutation:
 
     def __call__(self, site: int) -> int:
         return self.image[site - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.sites
-        for i, target in enumerate(self.image):
-            inv[target - 1] = i + 1
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self o other: apply other first, then self."""
-        if self.sites != other.sites:
-            raise DimensionMismatch("composing permutations of different sizes")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.sites + 1)))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
@@ -158,14 +142,6 @@ def _basis_map(p: Permutation, shape: TensorShape) -> np.ndarray:
     return np.ravel_multi_index(tuple(moved), dims)
 
 
-def permutation_unitary(p: Permutation, shape: TensorShape) -> np.ndarray:
-    """Dense 0/1 unitary permuting the tensor factors."""
-    b = _basis_map(p, shape)
-    u = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-    u[b, np.arange(shape.total_dim)] = 1.0
-    return u
-
-
 def conjugate_by_permutation(m: np.ndarray, p: Permutation, shape: TensorShape) -> np.ndarray:
     """U_{p^{-1}} M U_p, computed by basis re-indexing (no matmuls).
 
@@ -217,67 +193,11 @@ def _add_on_sites(out: np.ndarray, b: np.ndarray, sites, shape: TensorShape,
     The embedded operator has b[x_S, y_S] at flat indices (x, y) whose digits
     agree off the target sites S and is zero elsewhere, so only the
     d^m * d^m * d^(N-m) entries with row = offset(x_S) + offset(r) and
-    column = offset(y_S) + offset(r) are touched. Sites are trusted here;
-    the public embeddings check them.
+    column = offset(y_S) + offset(r) are touched. Sites are trusted here:
+    callers pass distinct sites in 1..N.
     """
     rest = [s for s in range(1, shape.sites + 1) if s not in sites]
     rows = _site_offsets(sites, shape.d, shape.sites)[:, None] + _site_offsets(
         rest, shape.d, shape.sites
     )[None, :]
     out[rows[:, None, :], rows[None, :, :]] += scale * b[:, :, None]
-
-
-def embed_on_sites(b: np.ndarray, sites: tuple[int, ...], shape: TensorShape) -> np.ndarray:
-    """Operator acting as b on the given ordered sites, identity elsewhere.
-
-    The first tensor factor of b acts on sites[0], the second on sites[1],
-    and so on; the entries are placed by flat-index scatter.
-    """
-    b = np.asarray(b, dtype=np.complex128)
-    m = len(sites)
-    if len(set(sites)) != m:
-        raise SameSite(f"repeated site in {sites}")
-    for s in sites:
-        _check_site(s, shape.sites)
-    if b.shape != (shape.d**m, shape.d**m):
-        raise DimensionMismatch(
-            f"operator of shape {b.shape} cannot act on {m} site(s) of local dim {shape.d}"
-        )
-    out = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-    _add_on_sites(out, b, sites, shape)
-    return out
-
-
-def embed_one_body(a: np.ndarray, site: int, shape: TensorShape) -> np.ndarray:
-    """1^(site-1) ox a ox 1^(N-site): the one-site operator a placed at site."""
-    a = np.asarray(a, dtype=np.complex128)
-    _check_site(site, shape.sites)
-    if a.shape != (shape.d, shape.d):
-        raise DimensionMismatch(f"one-body operator shape {a.shape}, expected d = {shape.d}")
-    out = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-    _add_on_sites(out, a, (site,), shape)
-    return out
-
-
-def embed_two_body(v: np.ndarray, i: int, j: int, shape: TensorShape) -> np.ndarray:
-    """Pair operator v with its first factor on site i and second on site j."""
-    if i == j:
-        raise SameSite(f"two-body embedding needs distinct sites, got ({i}, {j})")
-    if shape.sites < 2:
-        raise BadSiteIndex("two-body embedding needs at least 2 sites")
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (shape.d**2, shape.d**2):
-        raise DimensionMismatch(f"pair operator shape {v.shape}, expected d^2 = {shape.d**2}")
-    return embed_on_sites(v, (i, j), shape)
-
-
-def empirical_observable(a: np.ndarray, shape: TensorShape) -> np.ndarray:
-    """Site average (1/N) sum_j of a placed at site j."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (shape.d, shape.d):
-        raise DimensionMismatch(f"one-body operator shape {a.shape}, expected d = {shape.d}")
-    out = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-    for j in range(1, shape.sites + 1):
-        _add_on_sites(out, a, (j,), shape)
-    out /= shape.sites
-    return out

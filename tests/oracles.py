@@ -14,7 +14,7 @@ import numpy as np
 from chaoticity import metrics
 from chaoticity.dynamics import (
     ExactPropagator,
-    _bbgky_residuals,
+    bbgky_residual,
     epsilon_term,
     gronwall_envelope,
     integrate_hartree,
@@ -27,8 +27,8 @@ from chaoticity.experiments import (
     _draw_system,
     subseed,
 )
-from chaoticity.states import DiscreteMixtureSpec, mixture_of_products, product_state
-from chaoticity.tensor import TensorShape, empirical_observable
+from chaoticity.states import product_state, validate
+from chaoticity.tensor import TensorShape
 
 
 def power_iteration_norm(m: np.ndarray, iters: int = 5000, seed: int = 0) -> float:
@@ -294,17 +294,25 @@ def marginal_error_full_state(rho_matrix: np.ndarray, one_site: np.ndarray, d: i
 
 def empirical_variance_full(rho_n_matrix: np.ndarray, rho_matrix: np.ndarray, a: np.ndarray,
                             d: int, n: int) -> float:
-    """tr(B†B rho_N) with B = X_N(A) - tr(A rho) 1 formed as a D x D matrix."""
-    shape = TensorShape(d, n, d**n)
+    """tr(B†B rho_N) with B = X_N(A) - tr(A rho) 1 formed as a D x D matrix,
+    X_N(A) = (1/N) sum_j 1 ox .. ox A ox .. ox 1 by numpy kron with identities."""
     c = complex(np.trace(a @ rho_matrix))
-    b = empirical_observable(a, shape) - c * np.eye(shape.total_dim)
+    x = sum(np.kron(np.kron(np.eye(d ** (j - 1)), a), np.eye(d ** (n - j)))
+            for j in range(1, n + 1)) / n
+    b = x - c * np.eye(d**n)
     return float(np.vdot(b, b @ rho_n_matrix).real)
 
 
 def dense_mixture(mix):
-    """The d^N matrix of a ProductMixture, from the dense builder."""
-    spec = DiscreteMixtureSpec.iid(mix.weights, mix.components)
-    return mixture_of_products(spec, mix.sites, max_total_dim=mix.d**mix.sites)
+    """The validated d^N matrix sum_m w_m sigma_m^(ox N) of a ProductMixture."""
+    d, n = mix.d, mix.sites
+    acc = np.zeros((d**n, d**n), dtype=np.complex128)
+    for w, s in zip(mix.weights, mix.components):
+        power = s.matrix
+        for _ in range(n - 1):
+            power = np.kron(power, s.matrix)
+        acc += w * power
+    return validate(acc, TensorShape(d, n, d**n))
 
 
 def joint_full(rho_n_matrix: np.ndarray, observables, d: int, n: int) -> complex:
@@ -434,7 +442,7 @@ def bbgky_rows_dense(config) -> list[tuple]:
             if n > n_sites - 1:
                 continue
             for t in config.times:
-                r1, r2 = _bbgky_residuals(rho_n0, sys, n, t, (h, h / 2.0), prop)
+                r1, r2 = (bbgky_residual(rho_n0, sys, n, t, s, prop) for s in (h, h / 2.0))
                 rows.append((n_sites, n, float(t), h, r1.residual_trace_norm,
                              r2.residual_trace_norm,
                              r1.residual_trace_norm / r2.residual_trace_norm,

@@ -21,7 +21,6 @@ from chaoticity.dynamics import (
     MeanFieldSystem,
     bbgky_residual,
     epsilon_term,
-    evolve_exact,
     gronwall_envelope,
     integrate_hartree,
 )
@@ -34,10 +33,8 @@ from chaoticity.metrics import (
     marginal,
 )
 from chaoticity.states import (
-    DiscreteMixtureSpec,
     ProductMixture,
     is_symmetric,
-    mixture_of_products,
     product_state,
     random_density,
     random_hermitian,
@@ -327,8 +324,8 @@ def test_criterion_10_symmetry_propagation():
                 ]
                 w = rng.random(2) + 1e-9
                 w /= w.sum()
-                rho_n = mixture_of_products(DiscreteMixtureSpec.iid(w, comps), n_sites)
-            evolved = evolve_exact(rho_n, sys, float(rng.uniform(0.1, 1.0)))
+                rho_n = oracles.dense_mixture(ProductMixture(w, comps, n_sites))
+            evolved = ExactPropagator(sys, n_sites).evolve(rho_n, float(rng.uniform(0.1, 1.0)))
             ok, violation = is_symmetric(evolved, tol=1e-8, full_group=True)
             assert ok, (n_sites, trial, violation)
             worst = max(worst, violation)

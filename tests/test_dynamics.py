@@ -13,11 +13,11 @@ from chaoticity.dynamics import (
     ExactPropagator,
     HartreeTrajectory,
     MeanFieldSystem,
-    _bbgky_residuals,
+    _window_residuals,
+    _window_times,
     bbgky_residual,
     build_hamiltonian,
     epsilon_term,
-    evolve_exact,
     gronwall_envelope,
     hartree_rhs,
     integrate_hartree,
@@ -56,9 +56,8 @@ def make_system(d=2, seed_a=0, seed_v=1, a_cap=1.0, v_cap=1.0):
 
 def pair_generator(sys):
     """V_12 + V_21 on two sites."""
-    shape = TensorShape(sys.d, 2)
-    return tensor.embed_two_body(sys.v, 1, 2, shape) + tensor.embed_two_body(
-        sys.v, 2, 1, shape
+    return oracles.embed_sites_full(sys.v, (1, 2), sys.d, 2) + oracles.embed_sites_full(
+        sys.v, (2, 1), sys.d, 2
     )
 
 
@@ -189,7 +188,7 @@ def test_reduced_hamiltonian_order_range():
 def test_evolve_time_zero():
     sys = make_system(seed_a=13, seed_v=14)
     rho = product_state(random_density(2, 15), 3)
-    got = evolve_exact(rho, sys, 0.0)
+    got = ExactPropagator(sys, rho.sites).evolve(rho, 0.0)
     assert np.array_equal(got.matrix, rho.matrix)
 
 
@@ -201,22 +200,22 @@ def test_evolve_stationary_state():
     p = np.exp(-lam)
     p /= p.sum()
     rho = validate((u * p) @ u.conj().T, TensorShape(2, 2))
-    got = evolve_exact(rho, sys, 0.9)
+    got = ExactPropagator(sys, rho.sites).evolve(rho, 0.9)
     assert np.max(np.abs(got.matrix - rho.matrix)) <= 1e-12
 
 
 def test_evolve_round_trip():
     sys = make_system(seed_a=18, seed_v=19)
     rho = product_state(random_density(2, 20), 3)
-    fwd = evolve_exact(rho, sys, 0.7)
-    back = evolve_exact(fwd, sys, -0.7)
+    fwd = ExactPropagator(sys, rho.sites).evolve(rho, 0.7)
+    back = ExactPropagator(sys, fwd.sites).evolve(fwd, -0.7)
     assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-8
 
 
 def test_evolve_preserves_spectrum():
     sys = make_system(seed_a=21, seed_v=22)
     rho = product_state(random_density(2, 23), 3)
-    evolved = evolve_exact(rho, sys, 1.3)
+    evolved = ExactPropagator(sys, rho.sites).evolve(rho, 1.3)
     w0 = np.linalg.eigvalsh(rho.matrix)
     w1 = np.linalg.eigvalsh(evolved.matrix)
     assert np.max(np.abs(w0 - w1)) <= 1e-8
@@ -225,7 +224,7 @@ def test_evolve_preserves_spectrum():
 def test_evolve_preserves_symmetry():
     sys = make_system(seed_a=24, seed_v=25)
     rho = product_state(random_density(2, 26), 4)
-    evolved = evolve_exact(rho, sys, 0.6)
+    evolved = ExactPropagator(sys, rho.sites).evolve(rho, 0.6)
     ok, worst = is_symmetric(evolved, tol=1e-9)
     assert ok, worst
 
@@ -573,7 +572,7 @@ def test_epsilon_stays_bounded_on_evolved_states():
             seed_a=int(rng.integers(1 << 30)), seed_v=int(rng.integers(1 << 30))
         )
         rho0 = product_state(random_density(2, int(rng.integers(1 << 30))), 5)
-        evolved = evolve_exact(rho0, sys, float(rng.uniform(0.1, 1.0)))
+        evolved = ExactPropagator(sys, rho0.sites).evolve(rho0, float(rng.uniform(0.1, 1.0)))
         for n in (1, 2, 3):
             term = epsilon_term(marginal(evolved, n + 1), sys, 5)  # raises BoundViolation
             assert term.norm <= term.bound + 1e-9
@@ -652,15 +651,17 @@ def test_bbgky_residuals_share_one_grid(n_sites, n):
     sys = make_system(seed_a=88, seed_v=89)
     rho0 = product_state(random_density(2, 90), n_sites)
     prop = ExactPropagator(sys, n_sites)
-    pair = _bbgky_residuals(rho0, sys, n, 0.3, (1e-2, 5e-3), prop)
-    for h, got in zip((1e-2, 5e-3), pair):
+    steps = (1e-2, 5e-3)
+    window = prop.evolve_grid(rho0, _window_times(0.3, steps), n + 1)
+    pair = _window_residuals(window, sys, n_sites, 0.3, steps)
+    for h, got in zip(steps, pair):
         want = bbgky_residual(rho0, sys, n, 0.3, h, prop)
         assert abs(got.residual_trace_norm - want.residual_trace_norm) <= 1e-15
         assert (got.n, got.t, got.epsilon_norm, got.epsilon_bound) == (
             want.n, want.t, want.epsilon_norm, want.epsilon_bound
         )
     with pytest.raises(ValueError):
-        _bbgky_residuals(rho0, sys, n, 0.3, (1e-2, 0.0), prop)
+        bbgky_residual(rho0, sys, n, 0.3, 0.0, prop)
 
 
 def test_bbgky_residual_argument_checks():

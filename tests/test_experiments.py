@@ -429,8 +429,7 @@ def test_block_kinds_never_form_the_n_site_state(monkeypatch):
 
 
 def test_mixture_kinds_never_form_the_n_site_state(monkeypatch):
-    for fn in (states.mixture_of_products, tensor.partial_trace, tensor.empirical_observable):
-        assert forbid(monkeypatch, fn) >= 2
+    assert forbid(monkeypatch, tensor.partial_trace) >= 2
     for kind, extra in (("chaos_sweep", {}), ("bound_audit", {"trials": 3})):
         cfg = ExperimentConfig(kind=kind, N_list=(10,), k_list=(1, 2, 3), **extra)
         table = run_experiment(cfg)

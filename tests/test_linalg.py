@@ -1,4 +1,5 @@
-"""Dense kernel: eigendecomposition, norms, matrix exponential, arithmetic."""
+"""Dense kernel: eigendecomposition, norms, arithmetic, and e^{-itH} as
+ExactPropagator.unitary computes it."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from chaoticity import linalg
+from chaoticity.dynamics import ExactPropagator, MeanFieldSystem, build_hamiltonian
 from chaoticity.errors import DimensionMismatch, NotHermitian
 
 import oracles
@@ -118,49 +120,53 @@ def test_operator_norm_matches_power_iteration():
         assert abs(linalg.operator_norm(m) - want) <= 1e-9 * max(1.0, want)
 
 
+# e^{-itH} is ExactPropagator.unitary; on one site with no pair term its H
+# is the one-body matrix itself.
+
+
+def one_site_unitary(h, t):
+    d = h.shape[0]
+    return ExactPropagator(MeanFieldSystem(d, h, np.zeros((d * d, d * d))), 1).unitary(t)
+
+
 def test_herm_expm_zero_hamiltonian():
-    u = linalg.herm_expm(np.zeros((3, 3), dtype=complex), 1.7)
+    u = one_site_unitary(np.zeros((3, 3), dtype=complex), 1.7)
     assert np.allclose(u, np.eye(3), atol=1e-14)
 
 
 def test_herm_expm_diagonal_pi():
-    u = linalg.herm_expm(np.diag([np.pi, 0.0]).astype(complex), 1.0)
+    u = one_site_unitary(np.diag([np.pi, 0.0]).astype(complex), 1.0)
     assert np.allclose(u, np.diag([-1.0, 1.0]), atol=1e-12)
 
 
 def test_herm_expm_matches_taylor_oracle():
     for seed in range(4):
         h = rand_herm(4, seed)
-        got = linalg.herm_expm(h, 0.3)
+        got = one_site_unitary(h, 0.3)
         want = oracles.taylor_expm(h, 0.3)
         assert np.max(np.abs(got - want)) <= 1e-9
+    # with the pair term: H_3 of a d = 2 system, 8 x 8
+    sys = MeanFieldSystem(2, rand_herm(2, 10), rand_herm(4, 11))
+    prop = ExactPropagator(sys, 3)
+    want = oracles.taylor_expm(build_hamiltonian(sys, 3), 0.3)
+    assert np.max(np.abs(prop.unitary(0.3) - want)) <= 1e-9
 
 
 def test_herm_expm_unitary_and_group_laws():
     for seed in range(3):
         h = rand_herm(4, seed)
-        u = linalg.herm_expm(h, 0.7)
+        u = one_site_unitary(h, 0.7)
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-9
         # inverse via time reversal
-        assert np.max(np.abs(u @ linalg.herm_expm(h, -0.7) - np.eye(4))) <= 1e-9
+        assert np.max(np.abs(u @ one_site_unitary(h, -0.7) - np.eye(4))) <= 1e-9
         # additivity in t
-        lhs = linalg.herm_expm(h, 1.1)
-        rhs = linalg.herm_expm(h, 0.4) @ linalg.herm_expm(h, 0.7)
+        lhs = one_site_unitary(h, 1.1)
+        rhs = one_site_unitary(h, 0.4) @ one_site_unitary(h, 0.7)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
-
-
-def test_herm_expm_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        linalg.herm_expm(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
 def test_trace_of_identity():
     assert abs(np.trace(np.eye(4)) - 4.0) <= 1e-15
-
-
-def test_adjoint_involution():
-    m = rand_complex(5, 11)
-    assert np.array_equal(linalg.adjoint(linalg.adjoint(m)), m)
 
 
 def test_trace_product_cyclic():

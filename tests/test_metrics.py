@@ -19,10 +19,7 @@ from chaoticity.metrics import (
     weyl_labels,
 )
 from chaoticity.states import (
-    DiscreteMixtureSpec,
-    MixtureComponent,
     ProductMixture,
-    mixture_of_products,
     product_state,
     random_density,
     random_hermitian,
@@ -35,8 +32,7 @@ import oracles
 
 def mixture(d, n, seeds, weights):
     states = [random_density(d, s) for s in seeds]
-    spec = DiscreteMixtureSpec.iid(weights, states)
-    rho_N = mixture_of_products(spec, n_sites=n)
+    rho_N = oracles.dense_mixture(ProductMixture(weights, states, n))
     rho_bar = sum(w * s.matrix for w, s in zip(weights, states))
     return rho_N, validate(rho_bar, TensorShape(d, 1))
 
@@ -417,7 +413,7 @@ def assert_reports_match(got, want, bounds):
 
 def test_empirical_variance_rejects_non_symmetric_dense_state():
     rho, sigma = random_density(2, 80), random_density(2, 81)
-    skewed = mixture_of_products(DiscreteMixtureSpec((MixtureComponent(1.0, (rho, sigma)),)))
+    skewed = validate(tensor.kron(rho.matrix, sigma.matrix), TensorShape(2, 2))
     a = random_hermitian(2, 82)
     with pytest.raises(NotSymmetric):
         empirical_variance(skewed, rho, a)
@@ -442,7 +438,7 @@ def test_metric_budget_comes_from_the_marginal():
 def test_chaoticity_improves_with_n_under_evolution():
     # mean-field evolution of a product state stays nearly chaotic, and the
     # defect at fixed time shrinks as N grows
-    from chaoticity.dynamics import MeanFieldSystem, evolve_exact
+    from chaoticity.dynamics import ExactPropagator, MeanFieldSystem
     from chaoticity.metrics import chaos_distance as dist_fn
 
     a = random_hermitian(2, 50)
@@ -452,7 +448,7 @@ def test_chaoticity_improves_with_n_under_evolution():
     t = 0.3
     dists = []
     for n in (2, 4, 6):
-        rho_n = evolve_exact(product_state(rho0, n), sys, t)
+        rho_n = ExactPropagator(sys, n).evolve(product_state(rho0, n), t)
         bar = marginal(rho_n, 1)
         dists.append(dist_fn(rho_n, bar, min(2, n)))
     assert dists[2] < dists[0]

@@ -16,11 +16,8 @@ from chaoticity.errors import (
     WeightsInvalid,
 )
 from chaoticity.states import (
-    DiscreteMixtureSpec,
-    MixtureComponent,
     ProductMixture,
     is_symmetric,
-    mixture_of_products,
     product_state,
     random_density,
     random_hermitian,
@@ -28,6 +25,8 @@ from chaoticity.states import (
     validate,
 )
 from chaoticity.tensor import Permutation, TensorShape
+
+import oracles
 
 
 # ---------------------------------------------------------------- validation
@@ -175,43 +174,38 @@ def test_symmetrize_budget():
 
 def test_mixture_single_component_is_tensor_power():
     rho = random_density(2, 30)
-    spec = DiscreteMixtureSpec.iid([1.0], [rho])
-    mix = mixture_of_products(spec, n_sites=4)
-    assert np.allclose(mix.matrix, tensor.tensor_power(rho.matrix, 4), atol=1e-14)
+    mix = ProductMixture([1.0], [rho], 4)
+    assert np.allclose(mix.marginal(4).matrix, tensor.tensor_power(rho.matrix, 4), atol=1e-14)
 
 
 def test_mixture_of_iid_components_is_symmetric():
     rho = random_density(2, 31)
     sigma = random_density(2, 32)
-    spec = DiscreteMixtureSpec.iid([0.5, 0.5], [rho, sigma])
-    mix = mixture_of_products(spec, n_sites=3)
+    mix = oracles.dense_mixture(ProductMixture([0.5, 0.5], [rho, sigma], 3))
     ok, worst = is_symmetric(mix, full_group=True)
     assert ok, worst
 
 
 def test_mixture_with_explicit_local_states():
+    # rho ox sigma alone is not symmetric; its average with sigma ox rho is
     rho = random_density(2, 33)
     sigma = random_density(2, 34)
-    spec = DiscreteMixtureSpec(
-        (
-            MixtureComponent(0.5, (rho, sigma)),
-            MixtureComponent(0.5, (sigma, rho)),
-        )
+    shape = TensorShape(2, 2)
+    skewed = validate(tensor.kron(rho.matrix, sigma.matrix), shape)
+    assert not is_symmetric(skewed)[0]
+    mix = validate(
+        (tensor.kron(rho.matrix, sigma.matrix) + tensor.kron(sigma.matrix, rho.matrix)) / 2,
+        shape,
     )
-    mix = mixture_of_products(spec)
-    want = (
-        tensor.kron(rho.matrix, sigma.matrix) + tensor.kron(sigma.matrix, rho.matrix)
-    ) / 2
-    assert np.allclose(mix.matrix, want, atol=1e-14)
     ok, _ = is_symmetric(mix)
     assert ok
 
 
 def test_mixture_symmetrize_flag():
     rng = np.random.default_rng(35)
-    locals_a = tuple(random_density(2, int(rng.integers(1 << 30))) for _ in range(3))
-    spec = DiscreteMixtureSpec((MixtureComponent(1.0, locals_a),))
-    mix = symmetrize(mixture_of_products(spec))
+    locals_a = [random_density(2, int(rng.integers(1 << 30))).matrix for _ in range(3)]
+    skewed = validate(tensor.kron_all(locals_a), TensorShape(2, 3))
+    mix = symmetrize(skewed)
     ok, worst = is_symmetric(mix, tol=1e-10, full_group=True)
     assert ok, worst
 
@@ -219,20 +213,19 @@ def test_mixture_symmetrize_flag():
 def test_mixture_weight_validation():
     rho = random_density(2, 36)
     with pytest.raises(WeightsInvalid):
-        mixture_of_products(DiscreteMixtureSpec.iid([0.4, 0.4], [rho, rho]), n_sites=2)
+        ProductMixture([0.4, 0.4], [rho, rho], 2)
     with pytest.raises(WeightsInvalid):
-        mixture_of_products(DiscreteMixtureSpec.iid([1.5, -0.5], [rho, rho]), n_sites=2)
+        ProductMixture([1.5, -0.5], [rho, rho], 2)
     with pytest.raises(WeightsInvalid):
-        mixture_of_products(DiscreteMixtureSpec(()), n_sites=2)
+        ProductMixture([], [], 2)
 
 
 def test_mixture_site_count_validation():
     rho = random_density(2, 37)
-    spec = DiscreteMixtureSpec((MixtureComponent(1.0, (rho, rho)),))
     with pytest.raises(DimensionMismatch):
-        mixture_of_products(spec, n_sites=3)
+        ProductMixture([1.0], [product_state(rho, 2)], 3)  # components live on one site
     with pytest.raises(ValueError):
-        mixture_of_products(DiscreteMixtureSpec.iid([1.0], [rho]))  # n_sites required
+        ProductMixture([1.0], [rho], 0)
 
 
 # ---------------------------------------------------------------- product mixtures
@@ -265,9 +258,8 @@ BAD_MIXTURES = [
 
 @pytest.mark.parametrize("weights, parts, error", BAD_MIXTURES)
 def test_product_mixture_rejects_what_mixture_of_products_rejects(weights, parts, error):
+    # the weight and component checks the dense mixture builder made
     comps = [product_state(random_density(d, 92 + i), sites) for i, (d, sites) in enumerate(parts)]
-    with pytest.raises(error):
-        mixture_of_products(DiscreteMixtureSpec.iid(weights, comps), n_sites=3)
     with pytest.raises(error):
         ProductMixture(weights, comps, 3)
 
@@ -342,8 +334,7 @@ def test_random_hermitian_below_cap_untouched():
 def test_partial_trace_of_symmetric_is_symmetric():
     rho = random_density(2, 60)
     sigma = random_density(2, 61)
-    spec = DiscreteMixtureSpec.iid([0.3, 0.7], [rho, sigma])
-    mix = mixture_of_products(spec, n_sites=4)
+    mix = oracles.dense_mixture(ProductMixture([0.3, 0.7], [rho, sigma], 4))
     reduced = tensor.partial_trace(mix.matrix, mix.shape, (4,))
     ok, worst = is_symmetric(validate(reduced, TensorShape(2, 3)), full_group=True)
     assert ok, worst
@@ -353,15 +344,12 @@ def test_symmetric_state_has_exchangeable_expectations():
     # tr(rho_N A_1 ox A_2 ox 1...) must not depend on which sites carry A
     rho = random_density(2, 62)
     sigma = random_density(2, 63)
-    mix = mixture_of_products(
-        DiscreteMixtureSpec.iid([0.5, 0.5], [rho, sigma]), n_sites=4
-    )
+    mix = oracles.dense_mixture(ProductMixture([0.5, 0.5], [rho, sigma], 4))
     a = random_hermitian(2, 64)
     b = random_hermitian(2, 65)
-    shape = mix.shape
     vals = []
     for (i, j) in [(1, 2), (2, 4), (3, 1), (4, 3)]:
-        op = tensor.embed_one_body(a, i, shape) @ tensor.embed_one_body(b, j, shape)
+        op = oracles.embed_full(a, i, 2, 4) @ oracles.embed_full(b, j, 2, 4)
         vals.append(np.trace(mix.matrix @ op))
     for v in vals[1:]:
         assert abs(v - vals[0]) <= 1e-10

@@ -1,4 +1,5 @@
-"""Tensor structure: kron, permutations, partial trace, site embeddings."""
+"""Tensor structure: kron, permutation conjugation, partial trace, and the
+_add_on_sites scatter that places every site operator."""
 
 from __future__ import annotations
 
@@ -6,12 +7,7 @@ import numpy as np
 import pytest
 
 from chaoticity import linalg, tensor
-from chaoticity.errors import (
-    BadSiteIndex,
-    DimensionMismatch,
-    MemoryBudgetExceeded,
-    SameSite,
-)
+from chaoticity.errors import BadSiteIndex, DimensionMismatch, MemoryBudgetExceeded
 from chaoticity.states import random_density
 from chaoticity.tensor import Permutation, TensorShape
 
@@ -21,6 +17,27 @@ import oracles
 def rand_complex(dim, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def embed(b, sites, shape, scale=1.0):
+    """scale * (b on the ordered sites, identity elsewhere), by the production scatter."""
+    out = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+    tensor._add_on_sites(out, np.asarray(b, dtype=np.complex128), sites, shape, scale)
+    return out
+
+
+def inverse_image(p):
+    """Image of p^{-1}: the site whose content p moves to s, for s = 1..N."""
+    inv = [0] * p.sites
+    for site, target in enumerate(p.image, start=1):
+        inv[target - 1] = site
+    return tuple(inv)
+
+
+def naive_unitaries(p, d):
+    """(U_p, U_{p^{-1}}) from the digit-loop oracle."""
+    return (oracles.naive_permutation_unitary(p.image, d),
+            oracles.naive_permutation_unitary(inverse_image(p), d))
 
 
 # ---------------------------------------------------------------- shapes
@@ -50,10 +67,14 @@ def test_permutation_rejects_non_bijection():
 
 
 def test_permutation_compose_inverse_identity():
+    # conjugating by p and then by p^{-1} is the identity map
     p = Permutation((2, 3, 1))
-    q = p.inverse()
-    assert p.compose(q).image == Permutation.identity(3).image
-    assert q.compose(p).image == Permutation.identity(3).image
+    q = Permutation(inverse_image(p))
+    assert q.image == (3, 1, 2)
+    shape = TensorShape(2, 3)
+    m = rand_complex(8, 8)
+    there = tensor.conjugate_by_permutation(m, p, shape)
+    assert np.array_equal(tensor.conjugate_by_permutation(there, q, shape), m)
     assert Permutation.transposition(3, 1, 3).image == (3, 2, 1)
 
 
@@ -102,66 +123,85 @@ def test_tensor_power():
     )
 
 
-# ---------------------------------------------------------------- permutation unitaries
+# ---------------------------------------------------------------- permutation conjugation
+# conjugate_by_permutation(M, p) = U_{p^{-1}} M U_p by re-indexing; U_p itself
+# is built only by the digit-loop oracle.
 
 
 def test_permutation_unitary_identity():
     shape = TensorShape(2, 3)
-    u = tensor.permutation_unitary(Permutation.identity(3), shape)
-    assert np.array_equal(u, np.eye(8))
+    m = rand_complex(8, 100)
+    assert np.array_equal(tensor.conjugate_by_permutation(m, Permutation((1, 2, 3)), shape), m)
 
 
 def test_permutation_unitary_swap_example():
-    # swap on d=2, N=2 sends e0 ox e1 (column 1) to e1 ox e0 (row 2)
-    u = tensor.permutation_unitary(Permutation((2, 1)), TensorShape(2, 2))
-    assert u[2, 1] == 1.0
-    assert u[1, 2] == 1.0
-    assert u[0, 0] == 1.0 and u[3, 3] == 1.0
+    # the swap on d=2, N=2 exchanges e0 ox e1 (index 1) and e1 ox e0 (index 2)
+    shape = TensorShape(2, 2)
+    swap = Permutation((2, 1))
+    m = np.zeros((4, 4), dtype=complex)
+    m[1, 2] = 1.0
+    m[0, 0] = m[3, 1] = 2.0
+    got = tensor.conjugate_by_permutation(m, swap, shape)
+    want = np.zeros((4, 4), dtype=complex)
+    want[2, 1] = 1.0
+    want[0, 0] = want[3, 2] = 2.0
+    assert np.array_equal(got, want)
 
 
 def test_permutation_unitary_three_cycle_order():
     shape = TensorShape(2, 3)
-    u = tensor.permutation_unitary(Permutation((2, 3, 1)), shape)
-    assert np.allclose(np.linalg.matrix_power(u, 3), np.eye(8))
+    cycle = Permutation((2, 3, 1))
+    m = rand_complex(8, 101)
+    moved = m
+    for turn in range(3):
+        moved = tensor.conjugate_by_permutation(moved, cycle, shape)
+        assert np.array_equal(moved, m) == (turn == 2)
 
 
 def test_permutation_unitary_matches_naive():
     shape = TensorShape(3, 3)
+    m = rand_complex(27, 102)
     for p in Permutation.all(3):
-        got = tensor.permutation_unitary(p, shape)
-        want = oracles.naive_permutation_unitary(p.image, 3)
-        assert np.array_equal(got, want)
+        u, u_inv = naive_unitaries(p, 3)
+        got = tensor.conjugate_by_permutation(m, p, shape)
+        assert np.allclose(got, u_inv @ m @ u, atol=1e-13)
 
 
 def test_permutation_unitary_composition_law():
+    # conjugating by q and then by p is conjugating by q o p
     shape = TensorShape(2, 4)
+    m = rand_complex(16, 103)
     rng = np.random.default_rng(7)
     perms = list(Permutation.all(4))
     for _ in range(6):
         p = perms[rng.integers(len(perms))]
         q = perms[rng.integers(len(perms))]
-        up = tensor.permutation_unitary(p, shape)
-        uq = tensor.permutation_unitary(q, shape)
-        upq = tensor.permutation_unitary(p.compose(q), shape)
-        assert np.array_equal(up @ uq, upq)
+        q_after_p = Permutation(tuple(q.image[p.image[s] - 1] for s in range(4)))
+        two_steps = tensor.conjugate_by_permutation(
+            tensor.conjugate_by_permutation(m, q, shape), p, shape
+        )
+        assert np.array_equal(two_steps, tensor.conjugate_by_permutation(m, q_after_p, shape))
 
 
 def test_permutation_unitary_is_unitary():
+    # a unitary similarity fixes 1 and respects products
     shape = TensorShape(2, 3)
+    a, b = rand_complex(8, 104), rand_complex(8, 105)
     for p in Permutation.all(3):
-        u = tensor.permutation_unitary(p, shape)
-        assert np.array_equal(u @ u.conj().T, np.eye(8))
+        assert np.array_equal(tensor.conjugate_by_permutation(np.eye(8), p, shape), np.eye(8))
+        prod = tensor.conjugate_by_permutation(a, p, shape) @ tensor.conjugate_by_permutation(
+            b, p, shape
+        )
+        assert np.allclose(prod, tensor.conjugate_by_permutation(a @ b, p, shape), atol=1e-12)
 
 
 def test_conjugate_by_permutation_matches_explicit():
     shape = TensorShape(2, 3)
     m = rand_complex(8, 9)
     for p in Permutation.all(3):
-        u = tensor.permutation_unitary(p, shape)
-        uinv = tensor.permutation_unitary(p.inverse(), shape)
-        want = uinv @ m @ u
+        u, u_inv = naive_unitaries(p, 2)
         got = tensor.conjugate_by_permutation(m, p, shape)
-        assert np.allclose(got, want, atol=1e-13)
+        assert np.allclose(got, u_inv @ m @ u, atol=1e-13)
 
 
 # ---------------------------------------------------------------- partial trace
@@ -250,31 +290,33 @@ def test_partial_trace_errors():
 
 
 # ---------------------------------------------------------------- embeddings
+# Every site operator is placed by tensor._add_on_sites; embed() above calls it
+# on a zero buffer.
 
 
 def test_embed_one_body_single_site():
     a = rand_complex(2, 30)
-    got = tensor.embed_one_body(a, 1, TensorShape(2, 1))
+    got = embed(a, (1,), TensorShape(2, 1))
     assert np.array_equal(got, a)
 
 
 def test_embed_one_body_second_site():
     a = np.diag([1.0, 0.0]).astype(complex)
-    got = tensor.embed_one_body(a, 2, TensorShape(2, 2))
+    got = embed(a, (2,), TensorShape(2, 2))
     assert np.allclose(got, np.diag([1.0, 0.0, 1.0, 0.0]))
 
 
 def test_embed_one_body_norm_preserved():
     for seed in range(4):
         a = rand_complex(2, seed + 60)
-        big = tensor.embed_one_body(a, 2, TensorShape(2, 3))
+        big = embed(a, (2,), TensorShape(2, 3))
         assert abs(linalg.operator_norm(big) - linalg.operator_norm(a)) <= 1e-9
 
 
 def test_embed_one_body_matches_naive():
     a = rand_complex(2, 61)
     for j in (1, 2, 3):
-        got = tensor.embed_one_body(a, j, TensorShape(2, 3))
+        got = embed(a, (j,), TensorShape(2, 3))
         assert np.allclose(got, oracles.embed_full(a, j, 2, 3), atol=1e-13)
 
 
@@ -282,7 +324,7 @@ def test_embed_one_body_matches_digit_loop():
     for d, n in ((2, 6), (3, 3)):
         a = rand_complex(d, 63 + d)
         for j in range(1, n + 1):
-            got = tensor.embed_one_body(a, j, TensorShape(d, n))
+            got = embed(a, (j,), TensorShape(d, n))
             assert np.max(np.abs(got - oracles.embed_sites_full(a, (j,), d, n))) <= 1e-12
 
 
@@ -293,7 +335,7 @@ def test_embed_on_sites_every_ordered_pair_matches_digit_loop():
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i != j:
-                    got = tensor.embed_on_sites(b, (i, j), shape)
+                    got = embed(b, (i, j), shape)
                     want = oracles.embed_sites_full(b, (i, j), d, n)
                     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -301,28 +343,20 @@ def test_embed_on_sites_every_ordered_pair_matches_digit_loop():
 def test_embed_on_sites_three_sites_out_of_order_matches_digit_loop():
     b = rand_complex(8, 76)
     for sites in ((4, 1, 3), (3, 2, 1), (5, 2, 4)):
-        got = tensor.embed_on_sites(b, sites, TensorShape(2, 5))
+        got = embed(b, sites, TensorShape(2, 5))
         want = oracles.embed_sites_full(b, sites, 2, 5)
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_embed_one_body_bad_site():
-    a = rand_complex(2, 62)
-    with pytest.raises(BadSiteIndex):
-        tensor.embed_one_body(a, 4, TensorShape(2, 3))
-    with pytest.raises(BadSiteIndex):
-        tensor.embed_one_body(a, 0, TensorShape(2, 3))
-
-
 def test_embed_two_body_adjacent_pair():
     v = rand_complex(4, 70)
-    got = tensor.embed_two_body(v, 1, 2, TensorShape(2, 2))
+    got = embed(v, (1, 2), TensorShape(2, 2))
     assert np.allclose(got, v, atol=1e-14)
 
 
 def test_embed_two_body_identity_input():
     for (i, j) in [(1, 2), (2, 3), (3, 1)]:
-        got = tensor.embed_two_body(np.eye(4, dtype=complex), i, j, TensorShape(2, 3))
+        got = embed(np.eye(4), (i, j), TensorShape(2, 3))
         assert np.allclose(got, np.eye(8), atol=1e-14)
 
 
@@ -330,14 +364,11 @@ def test_embed_two_body_permutation_independence():
     # two different permutations sending (2,3) to (1,2) must agree
     v = rand_complex(4, 71)
     shape = TensorShape(2, 4)
-    got = tensor.embed_two_body(v, 2, 3, shape)
+    got = embed(v, (2, 3), shape)
     base = tensor.kron(v, np.eye(4, dtype=complex), shape.total_dim)
     for image in [(3, 1, 2, 4), (4, 1, 2, 3)]:
-        p = Permutation(image)  # p(2)=1, p(3)=2 both times
-        u = tensor.permutation_unitary(p, shape)
-        uinv = tensor.permutation_unitary(p.inverse(), shape)
-        want = uinv @ base @ u
-        assert np.allclose(got, want, atol=1e-13)
+        u, u_inv = naive_unitaries(Permutation(image), 2)  # p(2)=1, p(3)=2 both times
+        assert np.allclose(got, u_inv @ base @ u, atol=1e-13)
 
 
 def test_embed_two_body_covariance():
@@ -345,40 +376,38 @@ def test_embed_two_body_covariance():
     v = rand_complex(4, 72)
     shape = TensorShape(2, 3)
     for sigma in Permutation.all(3):
-        sinv = sigma.inverse()
+        sinv = inverse_image(sigma)
         for (i, j) in [(1, 2), (1, 3), (2, 3), (3, 1)]:
-            vij = tensor.embed_two_body(v, i, j, shape)
-            got = tensor.conjugate_by_permutation(vij, sigma, shape)
-            want = tensor.embed_two_body(v, sinv(i), sinv(j), shape)
+            got = tensor.conjugate_by_permutation(embed(v, (i, j), shape), sigma, shape)
+            want = embed(v, (sinv[i - 1], sinv[j - 1]), shape)
             assert np.allclose(got, want, atol=1e-13)
 
 
-def test_embed_two_body_errors():
-    v = rand_complex(4, 73)
-    with pytest.raises(SameSite):
-        tensor.embed_two_body(v, 2, 2, TensorShape(2, 3))
-    with pytest.raises(BadSiteIndex):
-        tensor.embed_two_body(v, 1, 4, TensorShape(2, 3))
-    with pytest.raises(DimensionMismatch):
-        tensor.embed_two_body(rand_complex(3, 74), 1, 2, TensorShape(2, 3))
-
-
 # ---------------------------------------------------------------- empirical observable
+# X_N(A) = (1/N) sum_j A_j, accumulated in one buffer by _add_on_sites' scale.
+
+
+def site_average(a, shape):
+    out = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+    for j in range(1, shape.sites + 1):
+        tensor._add_on_sites(out, np.asarray(a, dtype=np.complex128), (j,), shape,
+                             1.0 / shape.sites)
+    return out
 
 
 def test_empirical_observable_identity():
-    got = tensor.empirical_observable(np.eye(2, dtype=complex), TensorShape(2, 3))
+    got = site_average(np.eye(2, dtype=complex), TensorShape(2, 3))
     assert np.allclose(got, np.eye(8), atol=1e-14)
 
 
 def test_empirical_observable_single_site():
     a = rand_complex(2, 80)
-    assert np.array_equal(tensor.empirical_observable(a, TensorShape(2, 1)), a)
+    assert np.array_equal(site_average(a, TensorShape(2, 1)), a)
 
 
 def test_empirical_observable_bit_count():
     # A = diag(1,0): diagonal entry of X_N at basis index b = (#zero digits)/N
-    got = tensor.empirical_observable(np.diag([1.0, 0.0]).astype(complex), TensorShape(2, 3))
+    got = site_average(np.diag([1.0, 0.0]).astype(complex), TensorShape(2, 3))
     want = np.zeros(8)
     for idx in range(8):
         bits = [(idx >> k) & 1 for k in range(3)]
@@ -390,7 +419,7 @@ def test_empirical_observable_bit_count():
 def test_empirical_observable_matches_digit_loop():
     for d, n in ((2, 6), (3, 3)):
         a = rand_complex(d, 91 + d)
-        got = tensor.empirical_observable(a, TensorShape(d, n))
+        got = site_average(a, TensorShape(d, n))
         want = sum(oracles.embed_sites_full(a, (j,), d, n) for j in range(1, n + 1)) / n
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -398,7 +427,7 @@ def test_empirical_observable_matches_digit_loop():
 def test_empirical_observable_norm_bound():
     for seed in range(4):
         a = rand_complex(2, seed + 90)
-        x = tensor.empirical_observable(a, TensorShape(2, 4))
+        x = site_average(a, TensorShape(2, 4))
         assert linalg.operator_norm(x) <= linalg.operator_norm(a) + 1e-10
 
 
@@ -418,8 +447,8 @@ def test_gather_embedding_orientation():
     # embedding B on sites (2,1) must transpose the two factors of B
     b = tensor.kron(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
     shape = TensorShape(2, 2)
-    direct = tensor.embed_on_sites(b, (1, 2), shape)
-    flipped = tensor.embed_on_sites(b, (2, 1), shape)
+    direct = embed(b, (1, 2), shape)
+    flipped = embed(b, (2, 1), shape)
     assert np.allclose(direct, b, atol=1e-14)
-    swap = tensor.permutation_unitary(Permutation((2, 1)), shape)
+    swap = oracles.naive_permutation_unitary((2, 1), 2)
     assert np.allclose(flipped, swap @ b @ swap, atol=1e-14)
