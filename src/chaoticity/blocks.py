@@ -17,9 +17,9 @@ tr(rho_N D(E_{p_1 q_1}, ..)) = (N)_k <q|rho^(k)|p>. A product of matrix
 units shifts a by a fixed amount, so each D is a single band of each
 block, and depends only on the multiset of its units.
 
-BlockPropagator shares dynamics.ExactPropagator's evolve_grid contract but
-takes the one-site rho0; check_block_budget is the memory rule for what it
-holds.
+BlockPropagator shares dynamics.ExactPropagator's evolve_grid contract:
+both take the one-site rho0 and return validated marginals of
+rho0^(ox N)(t). check_block_budget is the memory rule for what it holds.
 """
 
 from __future__ import annotations
@@ -224,18 +224,18 @@ class BlockPropagator:
             out.append((rotated * weights) @ rotated.conj().T)
         return out
 
-    def evolve_grid(self, rho: DensityOperator, times, order: int) -> list[DensityOperator]:
-        """Validated first-`order`-sites marginals of (rho^(ox N))(t) for a one-site rho.
+    def evolve_grid(self, rho0: DensityOperator, times, order: int) -> list[DensityOperator]:
+        """Validated first-`order`-sites marginals of (rho0^(ox N))(t) for a one-site rho0.
 
         Per time, each block's state is phased in the eigenbasis, rotated back
         and read on its bands; one product with the order's coefficients gives
         the 4^order entries.
         """
-        if rho.sites != 1 or rho.d != 2:
-            raise DimensionMismatch(f"expected a one-site d = 2 state, got {rho.shape}")
+        if rho0.sites != 1 or rho0.d != 2:
+            raise DimensionMismatch(f"expected a one-site d = 2 state, got {rho0.shape}")
         if not 1 <= order <= self.max_order:
             raise BadSiteIndex(f"marginal order {order} outside 1..{self.max_order}")
-        states = self._block_states(rho)
+        states = self._block_states(rho0)
         coeff, scatter = self._coefficients[order], self._scatter[order]
         shape = TensorShape(2, order, self.max_total_dim)
         bands = np.empty(self._band_slices[-1], dtype=np.complex128)

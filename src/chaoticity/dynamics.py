@@ -3,33 +3,33 @@
 Every kernel uses the symmetrised pair operator W = V + S V S (S the
 two-site swap, so W_12 = V_12 + V_21), built once by MeanFieldSystem. The
 N-body generator is H_N = sum_j A_j + (1/N) sum_{i < j} W_ij. Two exact
-propagators evolve with it and share the evolve_grid(rho, times, order)
-contract, returning validated marginals:
+propagators evolve the product state rho0^(ox N) with it and share one
+contract: evolve_grid(rho0, times, order) takes the one-site rho0 and
+returns validated marginals.
 
-- blocks.BlockPropagator (d = 2) evolves a product state rho0^(ox N) from
-  the one-site rho0. Both it and H_N are permutation invariant, so they split
-  into spin blocks of size <= N + 1 (Schur-Weyl duality); marginals are read
-  from bands of those blocks, and nothing of size 2^N is formed.
-- ExactPropagator diagonalizes H_N on the whole d^N space. It is the path at
-  d >= 3 and the reference the block path is tested against; evolve returns
-  whole states for one-shot use.
+- blocks.BlockPropagator (d = 2) splits H_N and rho0^(ox N) into spin
+  blocks of size <= N + 1 (Schur-Weyl duality) and never forms 2^N.
+- ExactPropagator diagonalizes H_N on the d^N space: the path at d >= 3 and
+  the block path's reference. Its evolve takes any N-site state.
 
-The N-body checks read the marginals they need from evolve_grid. The
-limiting one-site equation
+The limiting one-site equation
 
     d rho / dt = -i [A + tr_2(W (1 ox rho)), rho]
 
 (equal to -i([A, rho] + tr_2[W, rho ox rho])) is integrated with classical
 fixed-step RK4 under a step cap an order of magnitude below the 1/(4 ||V||)
-stability scale of the flow's Lipschitz constant. The residual checkers
-quantify how well the evolved marginals satisfy the coupled hierarchy of
-equations relating consecutive marginal orders, and epsilon_term measures
-from the (n+1)-site marginal the defect between the N-body hierarchy and its
-limit, which carries the 5 n^2 ||V|| / N ceiling of the propagation estimates.
+stability scale of the flow's Lipschitz constant.
+
+The N-body marginal hierarchy is the limiting one plus a defect eps_n with
+the 5 n^2 ||V|| / N ceiling of the propagation estimates. _hierarchy_terms
+forms both from an (n+1)-site marginal, for epsilon_term and for the
+finite-difference checks of the N-body flow (bbgky_residual) and of the
+limiting flow on rho(t)^(ox n) (tensor_hierarchy_residual).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -46,7 +46,7 @@ from .errors import (
     StepTooLarge,
     TraceNotOne,
 )
-from .states import DensityOperator, validate
+from .states import DensityOperator, product_state, validate
 from .tensor import (
     DEFAULT_MAX_TOTAL_DIM,
     TensorShape,
@@ -125,23 +125,15 @@ def _pair_trace(w: np.ndarray, x: np.ndarray, shape: TensorShape) -> np.ndarray:
 
 
 def build_hamiltonian(
-    sys: MeanFieldSystem,
-    n: int,
-    n_sites: int | None = None,
-    max_total_dim: int = DEFAULT_MAX_TOTAL_DIM,
+    sys: MeanFieldSystem, n_sites: int, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
 ) -> np.ndarray:
-    """sum_{j <= n} A_j + (1/N) sum over pairs i < j <= n of W_ij, N = n_sites.
+    """H_N = sum_j A_j + (1/N) sum over pairs i < j of W_ij, N = n_sites.
 
-    With n_sites = n (the default) this is H_N; with n < n_sites it is the
-    first-n-sites generator H_{n,N} of the marginal flow, whose pair coupling
-    stays 1/N. Every term is scattered into one D x D buffer.
+    Every term is scattered into one D x D buffer.
     """
-    n_sites = n if n_sites is None else n_sites
-    if not 1 <= n <= n_sites:
-        raise ValueError(f"marginal order {n} outside 1..{n_sites}")
-    shape = TensorShape(sys.d, n, max_total_dim)
+    shape = TensorShape(sys.d, n_sites, max_total_dim)
     h = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-    for j in range(1, n + 1):
+    for j in range(1, n_sites + 1):
         _add_on_sites(h, sys.a, (j,), shape)
     _add_pairs(h, sys.w, shape, 1.0 / n_sites)
     return h
@@ -152,6 +144,8 @@ class ExactPropagator:
 
     rho(t) = e^{-itH} rho(0) e^{itH} with e^{-itH} = U e^{-it Lambda} U†;
     the eigendecomposition is computed once and shared across all times.
+    evolve_grid evolves rho0^(ox N) from the one-site rho0, as
+    blocks.BlockPropagator does; evolve takes any N-site state.
     Immutable after construction, so safe to share between threads.
     """
 
@@ -180,20 +174,21 @@ class ExactPropagator:
             raise DimensionMismatch(f"state shape {rho.shape} does not match {self.shape}")
         return validate(self.evolve_matrix(rho.matrix, t), rho.shape)
 
-    def evolve_grid(self, rho: DensityOperator, times, order: int) -> list[DensityOperator]:
-        """Validated first-`order`-sites marginals of rho(t) at many times.
+    def evolve_grid(self, rho0: DensityOperator, times, order: int) -> list[DensityOperator]:
+        """Validated first-`order`-sites marginals of (rho0^(ox N))(t) for a one-site rho0.
 
         Works in the eigenbasis: rho(t) = U (rho~ o p p†) U† with
-        rho~ = U† rho U and p = e^{-it lambda}. With M = U (rho~ o p p†),
+        rho~ = U† rho0^(ox N) U and p = e^{-it lambda}. With M = U (rho~ o p p†),
         tracing out sites order+1..N of M U† is the contraction
         M.reshape(d^k, -1) @ U.reshape(d^k, -1)†, so each time costs one D^3
         product plus a d^k D^2 contraction and the full evolved state is
         never formed: memory stays O(D^2) whatever the grid length.
         """
-        if rho.shape.total_dim != self.shape.total_dim or rho.d != self.shape.d:
-            raise DimensionMismatch(f"state shape {rho.shape} does not match {self.shape}")
+        if rho0.sites != 1 or rho0.d != self.shape.d:
+            raise DimensionMismatch(f"expected a one-site d = {self.shape.d} state, got {rho0.shape}")
         if not 1 <= order <= self.shape.sites:
             raise BadSiteIndex(f"marginal order {order} outside 1..{self.shape.sites}")
+        rho = product_state(rho0, self.shape.sites, self.shape.max_total_dim)
         dk = self.shape.d**order
         u = self.eigenvectors
         u_conj = u.conj()
@@ -318,34 +313,34 @@ class EpsilonTerm(NamedTuple):
     bound: float
 
 
-def _drop_last_site(m: DensityOperator) -> np.ndarray:
-    """rho^(n) from rho^(n+1): the partial trace over site n+1."""
-    return partial_trace(m.matrix, m.shape, (m.sites,))
+def _hierarchy_terms(
+    sys: MeanFieldSystem, m_np1: np.ndarray, shape: TensorShape, n_sites: float
+) -> tuple[np.ndarray, EpsilonTerm]:
+    """(L, eps_n): the limiting right side and the N-body defect at order n.
 
+    m_np1 lives on the n+1 sites of shape; rho^(n) is its partial trace over
+    site n+1 and P = sum_{j <= n} tr_{n+1}[W_{j,n+1}, m_np1]. With N = n_sites,
 
-def epsilon_term(m_np1: DensityOperator, sys: MeanFieldSystem, n_sites: int) -> EpsilonTerm:
-    """Defect between the N-body marginal flow and its limiting form at order n.
+        L     = sum_{j <= n} [A_j, rho^(n)] + P
+        eps_n = (1/N) sum_{i < j <= n} [W_ij, rho^(n)] - (n/N) P
 
-    m_np1 is the (n+1)-site marginal rho_N^(n+1) of an N = n_sites state, so
-    n = m_np1.sites - 1; rho_N^(n) is its partial trace over site n+1.
-
-    eps_n = (1/N) sum_{i < j <= n} [W_ij, rho_N^(n)]
-            - (n/N) sum_{j <= n} tr_{n+1} [W_{j,n+1}, rho_N^(n+1)]
-
-    Its trace norm must stay below 5 n^2 ||V|| / N; a violation signals an
-    implementation bug, not bad input.
+    so L + eps_n = [H_{n,N}, rho^(n)] + ((N - n)/N) P, the right side of the
+    N-body marginal flow, with H_{n,N} the first-n-sites part of H_N. N = inf
+    gives eps_n = 0. A trace norm of eps_n above 5 n^2 ||V|| / N raises
+    BoundViolation: it signals an implementation bug, not bad input.
     """
-    n = m_np1.sites - 1
-    if not 1 <= n <= n_sites - 1:
-        raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
-    if m_np1.d != sys.d:
-        raise DimensionMismatch(f"state d = {m_np1.d}, system d = {sys.d}")
-
-    m_n = _drop_last_site(m_np1)
+    n = shape.sites - 1
+    shape_n = shape.reduced(n)
+    m_n = partial_trace(m_np1, shape, (n + 1,))
+    ones = np.zeros_like(m_n)
+    for j in range(1, n + 1):
+        _add_on_sites(ones, sys.a, (j,), shape_n)
     pairs = np.zeros_like(m_n)
-    _add_pairs(pairs, sys.w, m_np1.shape.reduced(n), 1.0)
+    _add_pairs(pairs, sys.w, shape_n, 1.0)
+    p = _pair_trace(sys.w, m_np1, shape)
+    limit = ones @ m_n - m_n @ ones + p
     eps = (pairs @ m_n - m_n @ pairs) / n_sites
-    eps -= (n / n_sites) * _pair_trace(sys.w, m_np1.matrix, m_np1.shape)
+    eps -= (n / n_sites) * p
 
     norm = linalg.trace_norm(eps)
     bound = 5.0 * n * n * sys.interaction_norm() / n_sites
@@ -353,7 +348,21 @@ def epsilon_term(m_np1: DensityOperator, sys: MeanFieldSystem, n_sites: int) -> 
         raise BoundViolation(
             f"epsilon norm {norm:.6e} exceeds 5 n^2 ||V|| / N = {bound:.6e} at n = {n}"
         )
-    return EpsilonTerm(eps, norm, bound)
+    return limit, EpsilonTerm(eps, norm, bound)
+
+
+def epsilon_term(m_np1: DensityOperator, sys: MeanFieldSystem, n_sites: int) -> EpsilonTerm:
+    """Defect eps_n between the N-body marginal flow and its limit (see _hierarchy_terms).
+
+    m_np1 is the (n+1)-site marginal rho_N^(n+1) of an N = n_sites state, so
+    n = m_np1.sites - 1. Raises BoundViolation when ||eps_n||_1 > 5 n^2 ||V|| / N.
+    """
+    n = m_np1.sites - 1
+    if not 1 <= n <= n_sites - 1:
+        raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
+    if m_np1.d != sys.d:
+        raise DimensionMismatch(f"state d = {m_np1.d}, system d = {sys.d}")
+    return _hierarchy_terms(sys, m_np1.matrix, m_np1.shape, n_sites)[1]
 
 
 @dataclass(frozen=True)
@@ -363,19 +372,6 @@ class HierarchyResidual:
     residual_trace_norm: float
     epsilon_norm: float
     epsilon_bound: float
-
-
-def _marginal_flow_rhs(sys: MeanFieldSystem, m_np1: DensityOperator, n_sites: int) -> np.ndarray:
-    """[H_{n,N}, rho^(n)] + ((N-n)/N) sum_j tr_{n+1}[W_{j,n+1}, rho^(n+1)].
-
-    n = m_np1.sites - 1; rho^(n) is the partial trace of m_np1 over site n+1.
-    """
-    n = m_np1.sites - 1
-    m_n = _drop_last_site(m_np1)
-    h_n = build_hamiltonian(sys, n, n_sites, m_np1.shape.max_total_dim)
-    rhs = h_n @ m_n - m_n @ h_n
-    rhs += ((n_sites - n) / n_sites) * _pair_trace(sys.w, m_np1.matrix, m_np1.shape)
-    return rhs
 
 
 def _window_times(t: float, steps) -> list[float]:
@@ -389,15 +385,16 @@ def _window_residuals(
     """bbgky_residual at (n, t) for each step h in steps, from one window.
 
     window holds the (n+1)-site marginals at _window_times(t, steps) of an
-    N = n_sites evolution. The midpoint marginal, the right side and the
-    epsilon defect at t are computed once for every h.
+    N = n_sites evolution. The right side L + eps_n at t and the epsilon
+    defect come from one _hierarchy_terms call shared by every h.
     """
     mid = window[len(steps)]
-    rhs = _marginal_flow_rhs(sys, mid, n_sites)
-    eps = epsilon_term(mid, sys, n_sites)
+    limit, eps = _hierarchy_terms(sys, mid.matrix, mid.shape, n_sites)
+    rhs = limit + eps.matrix
     out = []
     for i, h in enumerate(steps):
-        lhs = (_drop_last_site(window[-1 - i]) - _drop_last_site(window[i])) / (2.0 * h)
+        up, down = (partial_trace(window[j].matrix, mid.shape, (mid.sites,)) for j in (-1 - i, i))
+        lhs = (up - down) / (2.0 * h)
         out.append(HierarchyResidual(
             n=mid.sites - 1, t=t, residual_trace_norm=linalg.trace_norm(lhs - (-1j) * rhs),
             epsilon_norm=eps.norm, epsilon_bound=eps.bound,
@@ -411,26 +408,22 @@ def bbgky_residual(
     n: int,
     t: float,
     h: float,
-    propagator: ExactPropagator | BlockPropagator | None = None,
+    propagator: ExactPropagator | BlockPropagator,
 ) -> HierarchyResidual:
     """Central-difference check of the coupled marginal-flow equations.
 
     residual = || (rho^(n)(t+h) - rho^(n)(t-h)) / 2h - (-i) RHS(t) ||_1,
-    O(h^2) for the smooth exact flow. The (n+1)-site marginals at t-h, t,
-    t+h come from one evolve_grid call. The epsilon defect at (n, t) rides
-    along in the result. rho0 is what the propagator's evolve_grid takes:
-    the N-site state for an ExactPropagator (built from rho0 when none is
-    given), the one-site rho0 for a BlockPropagator.
+    O(h^2) for the smooth exact flow. The (n+1)-site marginals of
+    rho0^(ox N) at t-h, t, t+h come from one evolve_grid call of the
+    propagator, which takes the one-site rho0. The epsilon defect at (n, t)
+    rides along in the result.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    n_sites = rho0.sites if propagator is None else propagator.n_sites
+    n_sites = propagator.n_sites
     if not 1 <= n <= n_sites - 1:
         raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
-    prop = propagator if propagator is not None else ExactPropagator(
-        sys, n_sites, rho0.shape.max_total_dim
-    )
-    window = prop.evolve_grid(rho0, _window_times(t, (h,)), n + 1)
+    window = propagator.evolve_grid(rho0, _window_times(t, (h,)), n + 1)
     (res,) = _window_residuals(window, sys, n_sites, t, (h,))
     return res
 
@@ -440,11 +433,11 @@ def tensor_hierarchy_residual(
 ) -> float:
     """Central-difference check that rho(t)^(ox n) obeys the limiting hierarchy.
 
-    residual = || (rho(t+h)^n - rho(t-h)^n) / 2h
-                 + i (sum_j [A_j, rho^n] + sum_j tr_{n+1}[W_{j,n+1}, rho^(n+1)]) ||_1
+    residual = || (rho(t+h)^n - rho(t-h)^n) / 2h + i L(rho(t)^(ox (n+1))) ||_1
 
-    expected O(h^2) + O(step^4). Trajectory states are looked up on the
-    stored grid; t-h, t, t+h must all be grid points.
+    with L from _hierarchy_terms at N = inf, expected O(h^2) + O(step^4).
+    Trajectory states are looked up on the stored grid; t-h, t, t+h must
+    all be grid points.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -453,19 +446,13 @@ def tensor_hierarchy_residual(
     r_plus = trajectory.state_at(t + h)
     # the states' own budget bounds the order-(n+1) products formed below
     budget = r_mid.shape.max_total_dim
-    shape_n = r_mid.shape.reduced(n)
-    shape_np1 = r_mid.shape.reduced(n + 1)
-
-    pow_mid_n = tensor_power(r_mid.matrix, n, budget)
     lhs = (tensor_power(r_plus.matrix, n, budget) - tensor_power(r_minus.matrix, n, budget)) / (
         2.0 * h
     )
-    a_sum = np.zeros_like(pow_mid_n)
-    for j in range(1, n + 1):
-        _add_on_sites(a_sum, sys.a, (j,), shape_n)
-    rhs = a_sum @ pow_mid_n - pow_mid_n @ a_sum
-    rhs += _pair_trace(sys.w, tensor_power(r_mid.matrix, n + 1, budget), shape_np1)
-    return linalg.trace_norm(lhs + 1j * rhs)
+    limit, _ = _hierarchy_terms(
+        sys, tensor_power(r_mid.matrix, n + 1, budget), r_mid.shape.reduced(n + 1), math.inf
+    )
+    return linalg.trace_norm(lhs + 1j * limit)
 
 
 def gronwall_envelope(

@@ -33,16 +33,16 @@ from .dynamics import (
 )
 from .errors import BoundViolation, ChaoticityError, ConfigInvalid
 from .metrics import (
+    _e_from_marginals,
+    _gated_marginals,
+    _product_expectation,
     chaos_report,
     corollary_bound,
-    empirical_variance,
-    factorization_error,
     marginal,
 )
 from .states import (
     DensityOperator,
     ProductMixture,
-    product_state,
     random_density,
     random_hermitian,
     validate,
@@ -138,17 +138,15 @@ def _over_N(config: ExperimentConfig, parallel: int, worker):
     return [row for chunk in chunks for row in chunk]
 
 
-def _propagator(config: ExperimentConfig, sys: MeanFieldSystem, rho0: DensityOperator,
-                n_sites: int, max_order: int):
-    """(propagator, the initial state its evolve_grid takes) for rho0^(ox N).
+def _propagator(config: ExperimentConfig, sys: MeanFieldSystem, n_sites: int, max_order: int):
+    """The propagator of rho0^(ox N) under H_N; its evolve_grid takes the one-site rho0.
 
-    At d = 2 the spin-block propagator evolves the one-site rho0; at d >= 3
-    the dense one diagonalizes H_N and evolves the N-site product state.
+    At d = 2 the spin-block propagator; at d >= 3 the dense one, which
+    diagonalizes H_N on the d^N space.
     """
     if sys.d == 2:
-        return BlockPropagator(sys, n_sites, max_order, config.max_total_dim), rho0
-    prop = ExactPropagator(sys, n_sites, config.max_total_dim)
-    return prop, product_state(rho0, n_sites, config.max_total_dim)
+        return BlockPropagator(sys, n_sites, max_order, config.max_total_dim)
+    return ExactPropagator(sys, n_sites, config.max_total_dim)
 
 
 def _run_chaos_sweep(config: ExperimentConfig, parallel: int):
@@ -202,9 +200,9 @@ def _run_propagation(config: ExperimentConfig, parallel: int):
     def worker(n_sites: int):
         # E_n needs order n; epsilon and the envelope need order n + 1 as well
         need = sorted(set(orders) | {n + 1 for n in orders if n + 1 <= n_sites})
-        prop, initial = _propagator(config, sys, rho0, n_sites, need[-1])
+        prop = _propagator(config, sys, n_sites, need[-1])
         # one grid pass at the highest order; lower orders are traced from it
-        top = prop.evolve_grid(initial, grid, need[-1])
+        top = prop.evolve_grid(rho0, grid, need[-1])
         marginals = {n: [marginal(m, n) for m in top] for n in need}
         e_grid = {n: np.array([
             linalg.trace_norm(m.matrix - tensor_power(state.matrix, n, config.max_total_dim))
@@ -249,10 +247,10 @@ def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
         orders = [n for n in config.k_list if n <= n_sites - 1]
         if not orders:
             return []
-        prop, initial = _propagator(config, sys, rho0, n_sites, max(orders) + 1)
+        prop = _propagator(config, sys, n_sites, max(orders) + 1)
         # one grid pass at the highest order over every t's window; lower orders are traced from it
         times = [s for t in config.times for s in _window_times(t, steps)]
-        top = prop.evolve_grid(initial, times, max(orders) + 1)
+        top = prop.evolve_grid(rho0, times, max(orders) + 1)
         rows = []
         for n in orders:
             for j, t in enumerate(config.times):
@@ -322,12 +320,14 @@ def _run_bound_audit(config: ExperimentConfig, parallel: int):
                     subseed(config.seed, NS_OBSERVABLE, n_sites, k, rep)
                 )
                 obs = [_draw_observable(rng, config.d, config.a_norm_cap) for _ in range(k)]
-                c_val = factorization_error(rho_n, rho_bar, obs)
+                marg, m1, m2 = _gated_marginals(rho_n, k)
+                joint, prod = _product_expectation(marg, obs, rho_bar)
+                c_val = abs(joint - prod)
                 e_vals = [
-                    max(empirical_variance(rho_n, rho_bar, a.conj().T), 0.0) for a in obs
+                    max(_e_from_marginals(m1, m2, n_sites, rho_bar, a.conj().T), 0.0)
+                    for a in obs
                 ]
-                b_sq = corollary_bound(rho_bar, obs, e_vals, n_sites, squared=True)
-                b_un = corollary_bound(rho_bar, obs, e_vals, n_sites, squared=False)
+                b_sq, b_un = corollary_bound(rho_bar, obs, e_vals, n_sites)
                 rows.append((
                     n_sites, k, rep, c_val, b_sq, b_un,
                     bool(c_val <= b_sq + 1e-9), b_sq - c_val,

@@ -28,11 +28,13 @@ raised.
 
 The bound is evaluated in its printed squared-factor form and, because the
 underlying Cauchy-Schwarz step suggests unsquared factors were intended, the
-unsquared variant is computed alongside; reports carry both.
+unsquared variant is computed alongside: corollary_bound returns the pair
+(squared, unsquared), and reports carry both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +55,16 @@ BOUND_SLACK = 1e-9
 def marginal(rho_N: State, k: int) -> DensityOperator:
     """First-k-sites marginal: trace out sites k+1..N.
 
-    A ProductMixture answers from its components; a dense state is traced.
+    A ProductMixture answers from its components; a dense state is traced,
+    and at k = N is returned as it is.
     """
     n = rho_N.sites
     if not 1 <= k <= n:
         raise BadSiteIndex(f"marginal order {k} outside 1..{n}")
     if isinstance(rho_N, ProductMixture):
         return rho_N.marginal(k)
+    if k == n:
+        return rho_N  # validated already
     traced = range(k + 1, n + 1)
     m = partial_trace(rho_N.matrix, rho_N.shape, traced)
     return validate(m, rho_N.shape.reduced(k))
@@ -90,6 +95,18 @@ def _require_symmetric(rho_N: State) -> None:
         raise NotSymmetric(
             f"empirical variance needs a symmetric state: max |U_p rho_N U_p† - rho_N| = {worst:.3e}"
         )
+
+
+def _gated_marginals(rho_N: State, k: int):
+    """(rho^(k), rho^(1), rho^(2)) of a symmetric state, each formed once.
+
+    rho^(k) stands in for rho^(1) or rho^(2) at k = 1, 2; rho^(2) is None at N = 1.
+    """
+    marg = marginal(rho_N, k)
+    _require_symmetric(rho_N)
+    m1 = marg if k == 1 else marginal(rho_N, 1)
+    m2 = None if rho_N.sites == 1 else marg if k == 2 else marginal(rho_N, 2)
+    return marg, m1, m2
 
 
 def _e_from_marginals(m1: DensityOperator, m2: DensityOperator | None, n: int,
@@ -125,9 +142,7 @@ def empirical_variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> flo
     n = rho_N.sites
     if rho.sites != 1 or a.shape != (rho_N.d, rho_N.d):
         raise DimensionMismatch("observable and reference state must be one-site objects")
-    _require_symmetric(rho_N)
-    m1 = marginal(rho_N, 1)
-    m2 = marginal(rho_N, 2) if n > 1 else None
+    _, m1, m2 = _gated_marginals(rho_N, 1)
     return _e_from_marginals(m1, m2, n, rho, a)
 
 
@@ -173,14 +188,13 @@ def corollary_bound(
     observables,
     e_values,
     n_sites: int,
-    squared: bool = True,
-) -> float:
-    """Closeness-rate ceiling for the factorization error of k observables.
+) -> tuple[float, float]:
+    """Closeness-rate ceilings (squared, unsquared) for the factorization error of k observables.
 
     e_values[l] must be the empirical variance of the adjoint of
-    observables[l] against the N-site state under test (l = 0..k-1).
-    squared=True evaluates the printed form with squared expectation/norm
-    weights; squared=False the unsquared variant. Callers report both.
+    observables[l] against the N-site state under test (l = 0..k-1). The
+    printed form weights by squared expectations and norms; the unsquared
+    variant by their first powers.
     """
     observables = [np.asarray(a, dtype=np.complex128) for a in observables]
     k = len(observables)
@@ -190,19 +204,15 @@ def corollary_bound(
         raise DimensionMismatch(f"need {k} e-values, got {len(e_values)}")
     norms = [linalg.operator_norm(a) for a in observables]
     exps = [abs(linalg.trace_product(rho.matrix, a)) for a in observables]
-    total = 0.0
-    for l in range(k):
-        w = 1.0
-        for j in range(l):
-            w *= exps[j] ** 2 if squared else exps[j]
-        for j in range(l + 1, k):
-            w *= norms[j] ** 2 if squared else norms[j]
-        total += np.sqrt(max(float(e_values[l]), 0.0)) * w
-    norm_prod = 1.0
-    for nrm in norms:
-        norm_prod *= nrm
-    tail = 2.0 * norm_prod * (1.0 - combinatorial_factor(k, n_sites))
-    return total + tail
+    tail = 2.0 * math.prod(norms) * (1.0 - combinatorial_factor(k, n_sites))
+    bounds = []
+    for power in (2, 1):
+        total = 0.0
+        for l in range(k):
+            w = math.prod(x**power for x in exps[:l] + norms[l + 1:])
+            total += np.sqrt(max(float(e_values[l]), 0.0)) * w
+        bounds.append(total + tail)
+    return bounds[0], bounds[1]
 
 
 def weyl_basis(d: int, count: int | None = None) -> list[np.ndarray]:
@@ -280,11 +290,8 @@ def chaos_report(
         raise DimensionMismatch("labels and observables differ in length")
 
     _check_reference(rho_N, rho)
-    marg = marginal(rho_N, k)
-    _require_symmetric(rho_N)
+    marg, m1, m2 = _gated_marginals(rho_N, k)
     n = rho_N.sites
-    m1 = marg if k == 1 else marginal(rho_N, 1)
-    m2 = None if n == 1 else marg if k == 2 else marginal(rho_N, 2)
     dist = _distance(marg, rho)
 
     e_values = []
@@ -322,8 +329,7 @@ def chaos_report(
         joint, prod = _product_expectation(marg, obs, rho)
         c = abs(joint - prod)
         e_vals = [e_adjoint[i] for i in idx]
-        b_sq = corollary_bound(rho, obs, e_vals, rho_N.sites, squared=True)
-        b_un = corollary_bound(rho, obs, e_vals, rho_N.sites, squared=False)
+        b_sq, b_un = corollary_bound(rho, obs, e_vals, rho_N.sites)
         c_values.append((_tuple_label(labels, idx), c))
         if c > b_sq + BOUND_SLACK:
             all_ok = False

@@ -27,7 +27,7 @@ from chaoticity.experiments import (
     _draw_system,
     subseed,
 )
-from chaoticity.states import product_state, validate
+from chaoticity.states import validate
 from chaoticity.tensor import TensorShape
 
 
@@ -353,8 +353,7 @@ def chaos_sweep_rows_dense(config) -> list[tuple]:
                 tup = [obs[i] for i in idx]
                 c = abs(joint_full(big, tup, d, n) - product_of_means(rho_bar.matrix, tup))
                 e_vals = [e_adj[i] for i in idx]
-                b_sq = metrics.corollary_bound(rho_bar, tup, e_vals, n, squared=True)
-                b_un = metrics.corollary_bound(rho_bar, tup, e_vals, n, squared=False)
+                b_sq, b_un = metrics.corollary_bound(rho_bar, tup, e_vals, n)
                 ok = ok and bool(c <= b_sq + metrics.BOUND_SLACK)
                 if c > worst_c:
                     worst_c, worst_b = c, (b_sq, b_un)
@@ -377,8 +376,7 @@ def bound_audit_rows_dense(config) -> list[tuple]:
                 c = abs(joint_full(big, obs, d, n) - product_of_means(rho_bar.matrix, obs))
                 e_vals = [max(empirical_variance_full(big, rho_bar.matrix, a.conj().T, d, n), 0.0)
                           for a in obs]
-                b_sq = metrics.corollary_bound(rho_bar, obs, e_vals, n, squared=True)
-                b_un = metrics.corollary_bound(rho_bar, obs, e_vals, n, squared=False)
+                b_sq, b_un = metrics.corollary_bound(rho_bar, obs, e_vals, n)
                 rows.append((n, k, rep, c, b_sq, b_un, bool(c <= b_sq + 1e-9), b_sq - c))
     return rows
 
@@ -404,7 +402,7 @@ def propagation_rows_dense(config) -> list[tuple]:
     rows = []
     for n_sites in config.N_list:
         top = min(max(config.k_list) + 1, n_sites)
-        evolved = ExactPropagator(sys, n_sites).evolve_grid(product_state(rho0, n_sites), grid, top)
+        evolved = ExactPropagator(sys, n_sites).evolve_grid(rho0, grid, top)
 
         def errors(order):
             return np.array([
@@ -437,12 +435,11 @@ def bbgky_rows_dense(config) -> list[tuple]:
     rows = []
     for n_sites in config.N_list:
         prop = ExactPropagator(sys, n_sites)
-        rho_n0 = product_state(rho0, n_sites)
         for n in sorted(config.k_list):
             if n > n_sites - 1:
                 continue
             for t in config.times:
-                r1, r2 = (bbgky_residual(rho_n0, sys, n, t, s, prop) for s in (h, h / 2.0))
+                r1, r2 = (bbgky_residual(rho0, sys, n, t, s, prop) for s in (h, h / 2.0))
                 rows.append((n_sites, n, float(t), h, r1.residual_trace_norm,
                              r2.residual_trace_norm,
                              r1.residual_trace_norm / r2.residual_trace_norm,

@@ -124,7 +124,7 @@ def test_criterion_03_rate_bound_on_mixtures():
                 e_vals = [
                     max(empirical_variance(rho_n, bar, a.conj().T), 0.0) for a in obs
                 ]
-                bound = corollary_bound(bar, obs, e_vals, n_sites)
+                bound, _ = corollary_bound(bar, obs, e_vals, n_sites)
                 worst_margin = min(worst_margin, bound - c_val)
                 assert c_val <= bound + 1e-9, (n_sites, k, c_val, bound)
                 trials += 1
@@ -221,7 +221,7 @@ def test_criterion_07_hierarchy_residual():
         sys = MeanFieldSystem(
             2, random_hermitian(2, 3 * seed, 1.0), random_hermitian(4, 3 * seed + 1, 1.0)
         )
-        rho0 = product_state(random_density(2, 3 * seed + 2), 4)
+        rho0 = random_density(2, 3 * seed + 2)
         prop = ExactPropagator(sys, 4)
         for n in (1, 2):
             r1 = bbgky_residual(rho0, sys, n, 0.5, 1e-3, prop)
@@ -281,10 +281,9 @@ def test_criterion_09_gronwall_audit():
         2, random_hermitian(2, 909, 1.0), random_hermitian(4, 910, 1.0)
     )
     rho0 = random_density(2, 911)
-    rho_n0 = product_state(rho0, n_sites)
     traj = integrate_hartree(rho0, sys, 0.0, 0.5, 1e-3, save_every=10)
     prop = ExactPropagator(sys, n_sites)
-    evolved = prop.evolve_grid(rho_n0, traj.times, 2)
+    evolved = prop.evolve_grid(rho0, traj.times, 2)
 
     def err(m, state, order):
         marg = tensor.partial_trace(m.matrix, m.shape, range(order + 1, m.sites + 1))

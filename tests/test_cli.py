@@ -5,11 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chaoticity
 from chaoticity.cli import SUBCOMMANDS, main, render_csv, render_json
 from chaoticity.config import ExperimentConfig
 from chaoticity.experiments import ResultTable, run_experiment
@@ -190,10 +193,14 @@ def test_render_json_round_trip():
 def test_module_entry_point(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL["chaos"], encoding="utf-8")
+    # the child imports the package this suite imports, wherever pytest found it
+    src = str(Path(chaoticity.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "chaoticity", "chaos", "--config", str(cfg)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "# kind: chaos_sweep" in proc.stdout

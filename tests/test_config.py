@@ -142,12 +142,19 @@ def test_validation_rejects_bad_shapes():
 
 
 def test_validation_memory_budget():
-    with pytest.raises(ConfigInvalid):
-        parse_config("kind = chaos_sweep\nN_list = 2, 13\n")  # 2^13 > 4096
-    with pytest.raises(ConfigInvalid):
-        parse_config("kind = chaos_sweep\nd = 3\nN_list = 2, 8\n")  # 3^8 > 4096
-    c = parse_config("kind = chaos_sweep\nd = 3\nN_list = 2, 7\nk_list = 1, 2\n")
-    assert c.d == 3  # 3^7 = 2187 fits
+    # the mixture kinds hold marginals, so the largest one, d^max(k), is bounded
+    for kind in ("chaos_sweep", "bound_audit"):
+        with pytest.raises(ConfigInvalid):
+            parse_config(f"kind = {kind}\nN_list = 13\nk_list = 1, 13\n")  # 2^13 > 4096
+        with pytest.raises(ConfigInvalid):
+            parse_config(f"kind = {kind}\nd = 3\nN_list = 8\nk_list = 8\n")  # 3^8 > 4096
+        c = parse_config(f"kind = {kind}\nd = 3\nN_list = 7\nk_list = 1, 7\n")
+        assert c.d == 3  # 3^7 = 2187 fits
+        c = parse_config(f"kind = {kind}\nd = 3\nN_list = 2, 1000\nk_list = 1, 2\n")
+        assert max(c.N_list) == 1000
+    # the one-site flow has no N bound
+    c = parse_config("kind = hartree_convergence\nd = 3\nN_list = 2, 1000\n")
+    assert max(c.N_list) == 1000
 
 
 def test_validation_block_budget():
@@ -163,8 +170,10 @@ def test_validation_block_budget():
             parse_config(f"kind = {kind}\nN_list = 20\nk_list = 12\n")
         with pytest.raises(ConfigInvalid):  # d = 3 keeps the d^N rule: 3^8 > 4096
             parse_config(f"kind = {kind}\nd = 3\nN_list = 2, 8\nk_list = 1\n")
-    with pytest.raises(ConfigInvalid):  # the other kinds keep it at d = 2
-        parse_config("kind = chaos_sweep\nN_list = 2, 64\n")
+    with pytest.raises(ConfigInvalid):  # d = 3 keeps the d^N rule for them only
+        parse_config("kind = propagation\nd = 3\nN_list = 2, 64\n")
+    c = parse_config("kind = chaos_sweep\nd = 3\nN_list = 2, 64\n")
+    assert max(c.N_list) == 64
 
 
 def test_validation_step_cap():

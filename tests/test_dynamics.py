@@ -13,6 +13,7 @@ from chaoticity.dynamics import (
     ExactPropagator,
     HartreeTrajectory,
     MeanFieldSystem,
+    _hierarchy_terms,
     _window_residuals,
     _window_times,
     bbgky_residual,
@@ -152,36 +153,6 @@ def test_hamiltonian_budget():
         build_hamiltonian(sys, 13)
 
 
-def test_reduced_hamiltonian_full_order():
-    sys = make_system(seed_a=7, seed_v=8)
-    assert np.allclose(
-        build_hamiltonian(sys, 3, 3), build_hamiltonian(sys, 3), atol=1e-13
-    )
-
-
-def test_reduced_hamiltonian_order_one():
-    sys = make_system(seed_a=9, seed_v=10)
-    got = build_hamiltonian(sys, 1, 5)
-    assert np.allclose(got, sys.a, atol=1e-14)
-
-
-def test_reduced_hamiltonian_keeps_full_coupling():
-    # n=2 inside N=4: pair term carries 1/4, not 1/2
-    sys = make_system(seed_a=11, seed_v=12)
-    got = build_hamiltonian(sys, 2, 4)
-    eye = np.eye(2)
-    want = np.kron(sys.a, eye) + np.kron(eye, sys.a) + pair_generator(sys) / 4.0
-    assert np.allclose(got, want, atol=1e-13)
-
-
-def test_reduced_hamiltonian_order_range():
-    sys = make_system()
-    with pytest.raises(ValueError):
-        build_hamiltonian(sys, 0, 3)
-    with pytest.raises(ValueError):
-        build_hamiltonian(sys, 4, 3)
-
-
 # ---------------------------------------------------------------- exact evolution
 
 
@@ -232,11 +203,12 @@ def test_evolve_preserves_symmetry():
 def test_propagator_grid_matches_single_shots():
     sys = make_system(seed_a=27, seed_v=28)
     times = [0.0, 0.1, 0.45, 1.0]
+    rho0 = random_density(2, 29)
     for n_sites in (3, 8):
         prop = ExactPropagator(sys, n_sites)
-        rho = product_state(random_density(2, 29), n_sites)
+        rho = product_state(rho0, n_sites)
         for k in (1, 2, 3):
-            grid = prop.evolve_grid(rho, times, k)
+            grid = prop.evolve_grid(rho0, times, k)
             assert len(grid) == len(times)
             for t, m in zip(times, grid):
                 want = marginal(prop.evolve(rho, t), k)
@@ -246,12 +218,14 @@ def test_propagator_grid_matches_single_shots():
 
 def test_propagator_grid_argument_checks():
     prop = ExactPropagator(make_system(), 3)
-    rho = product_state(random_density(2, 32), 3)
     for order in (0, 4):
         with pytest.raises(BadSiteIndex):
-            prop.evolve_grid(rho, [0.1], order)
+            prop.evolve_grid(random_density(2, 32), [0.1], order)
+    # evolve_grid takes the one-site rho0, as BlockPropagator's does
     with pytest.raises(DimensionMismatch):
-        prop.evolve_grid(product_state(random_density(2, 32), 2), [0.1], 1)
+        prop.evolve_grid(product_state(random_density(2, 32), 3), [0.1], 1)
+    with pytest.raises(DimensionMismatch):
+        prop.evolve_grid(random_density(3, 32), [0.1], 1)
 
 
 def test_propagator_unitary():
@@ -281,7 +255,7 @@ def test_block_grid_matches_dense_grid(n_sites):
         top = min(4, n_sites)
         block = BlockPropagator(sys, n_sites, top)
         # one dense grid at the top order; its lower orders are traced from it
-        dense = ExactPropagator(sys, n_sites).evolve_grid(product_state(rho0, n_sites), times, top)
+        dense = ExactPropagator(sys, n_sites).evolve_grid(rho0, times, top)
         for order in range(1, top + 1):
             got = block.evolve_grid(rho0, times, order)
             assert len(got) == len(times)
@@ -300,7 +274,7 @@ def test_block_grid_on_edge_states(rho0):
     sys = make_system(seed_a=43, seed_v=44)
     rho0 = validate(rho0, TensorShape(2, 1))
     got = BlockPropagator(sys, 5, 3).evolve_grid(rho0, (0.0, 0.6), 3)
-    want = ExactPropagator(sys, 5).evolve_grid(product_state(rho0, 5), (0.0, 0.6), 3)
+    want = ExactPropagator(sys, 5).evolve_grid(rho0, (0.0, 0.6), 3)
     for g, w in zip(got, want):
         assert np.max(np.abs(g.matrix - w.matrix)) <= 1e-12
 
@@ -608,20 +582,40 @@ def test_epsilon_on_marginals_matches_full_state_oracle():
             assert abs(term.norm - oracles.trace_norm_svd(want)) <= 1e-12
 
 
+def test_hierarchy_terms_split_the_marginal_flow():
+    # on a generic (n+1)-site density, L is the limiting right side and
+    # L + eps_n the N-body one, [H_{n,N}, rho^(n)] + ((N-n)/N) P, with the
+    # first-n-sites generator H_{n,N} and P built by digit loops
+    for d, n, n_sites in ((2, 1, 5), (2, 2, 4), (2, 3, 9), (3, 2, 3)):
+        sys = make_system(d=d, seed_a=120 + n, seed_v=130 + n)
+        m = random_density(d ** (n + 1), 140 + n).matrix
+        m_n = oracles.marginal_full(m, d, n + 1, n)
+        ones = sum(oracles.embed_sites_full(sys.a, (j,), d, n) for j in range(1, n + 1))
+        pairs = oracles.symmetrised_pairs_full(
+            sys.v, d, n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        )
+        p = oracles._traced_pair_commutator(sys.v, m, d, n)
+        h_n = ones + pairs / n_sites
+        limit, eps = _hierarchy_terms(sys, m, TensorShape(d, n + 1), n_sites)
+        assert np.max(np.abs(limit - (ones @ m_n - m_n @ ones + p))) <= 1e-12
+        want = h_n @ m_n - m_n @ h_n + ((n_sites - n) / n_sites) * p
+        assert np.max(np.abs(limit + eps.matrix - want)) <= 1e-12
+
+
 # ---------------------------------------------------------------- hierarchy checks
 
 
 def test_bbgky_residual_static_system():
     sys = MeanFieldSystem(2, np.zeros((2, 2)), np.zeros((4, 4)))
-    rho0 = product_state(random_density(2, 77), 3)
-    res = bbgky_residual(rho0, sys, 1, 0.5, 1e-3)
+    rho0 = random_density(2, 77)
+    res = bbgky_residual(rho0, sys, 1, 0.5, 1e-3, ExactPropagator(sys, 3))
     assert res.residual_trace_norm <= 1e-12
     assert res.epsilon_norm <= 1e-12
 
 
 def test_bbgky_residual_second_order_in_h():
     sys = make_system(seed_a=78, seed_v=79)
-    rho0 = product_state(random_density(2, 80), 4)
+    rho0 = random_density(2, 80)
     prop = ExactPropagator(sys, 4)
     r1 = bbgky_residual(rho0, sys, 1, 0.4, 1e-2, propagator=prop)
     r2 = bbgky_residual(rho0, sys, 1, 0.4, 5e-3, propagator=prop)
@@ -630,26 +624,27 @@ def test_bbgky_residual_second_order_in_h():
 
 def test_bbgky_residual_small_at_fine_h():
     sys = make_system(seed_a=81, seed_v=82)
-    rho0 = product_state(random_density(2, 83), 4)
-    res = bbgky_residual(rho0, sys, 1, 0.5, 1e-3)
+    rho0 = random_density(2, 83)
+    res = bbgky_residual(rho0, sys, 1, 0.5, 1e-3, ExactPropagator(sys, 4))
     assert res.residual_trace_norm <= 1e-4
     assert res.epsilon_norm <= res.epsilon_bound + 1e-9
 
 
 def test_bbgky_residual_shared_propagator_consistent():
+    # both propagators take the same one-site rho0 and give the same residual
     sys = make_system(seed_a=84, seed_v=85)
-    rho0 = product_state(random_density(2, 86), 3)
-    prop = ExactPropagator(sys, 3)
-    a = bbgky_residual(rho0, sys, 2, 0.3, 1e-3, propagator=prop)
-    b = bbgky_residual(rho0, sys, 2, 0.3, 1e-3)
+    rho0 = random_density(2, 86)
+    a = bbgky_residual(rho0, sys, 2, 0.3, 1e-3, propagator=ExactPropagator(sys, 3))
+    b = bbgky_residual(rho0, sys, 2, 0.3, 1e-3, propagator=BlockPropagator(sys, 3, 3))
     assert abs(a.residual_trace_norm - b.residual_trace_norm) <= 1e-12
+    assert abs(a.epsilon_norm - b.epsilon_norm) <= 1e-12
 
 
 @pytest.mark.parametrize("n_sites, n", [(3, 1), (3, 2), (6, 2)])
 def test_bbgky_residuals_share_one_grid(n_sites, n):
     # h and h/2 from one evolve_grid call equal two separate one-step calls
     sys = make_system(seed_a=88, seed_v=89)
-    rho0 = product_state(random_density(2, 90), n_sites)
+    rho0 = random_density(2, 90)
     prop = ExactPropagator(sys, n_sites)
     steps = (1e-2, 5e-3)
     window = prop.evolve_grid(rho0, _window_times(0.3, steps), n + 1)
@@ -666,25 +661,29 @@ def test_bbgky_residuals_share_one_grid(n_sites, n):
 
 def test_bbgky_residual_argument_checks():
     sys = make_system()
-    rho0 = product_state(random_density(2, 87), 3)
+    rho0 = random_density(2, 87)
+    prop = ExactPropagator(sys, 3)
     with pytest.raises(ValueError):
-        bbgky_residual(rho0, sys, 3, 0.1, 1e-3)
+        bbgky_residual(rho0, sys, 3, 0.1, 1e-3, prop)
     with pytest.raises(ValueError):
-        bbgky_residual(rho0, sys, 1, 0.1, 0.0)
+        bbgky_residual(rho0, sys, 1, 0.1, 0.0, prop)
+    with pytest.raises(DimensionMismatch):  # the propagator forms rho0^(ox N) itself
+        bbgky_residual(product_state(rho0, 3), sys, 1, 0.1, 1e-3, prop)
 
 
 def test_bbgky_residual_matches_full_state_oracle():
     # one evolve_grid call against three full states and their marginals
     sys = make_system(seed_a=105, seed_v=106)
     for n_sites in (3, 6):
-        rho0 = product_state(random_density(2, 107 + n_sites), n_sites)
+        rho0 = random_density(2, 107 + n_sites)
+        rho_n0 = product_state(rho0, n_sites)
         prop = ExactPropagator(sys, n_sites)
         for n in (1, 2):
             t, h = 0.4, 1e-2
             got = bbgky_residual(rho0, sys, n, t, h, propagator=prop)
-            want = oracles.bbgky_residual_full_state(prop, rho0, sys.a, sys.v, n, t, h)
+            want = oracles.bbgky_residual_full_state(prop, rho_n0, sys.a, sys.v, n, t, h)
             assert abs(got.residual_trace_norm - want) <= 1e-12
-            eps = oracles.epsilon_full_state(prop.evolve(rho0, t).matrix, sys.v, 2, n_sites, n)
+            eps = oracles.epsilon_full_state(prop.evolve(rho_n0, t).matrix, sys.v, 2, n_sites, n)
             assert abs(got.epsilon_norm - oracles.trace_norm_svd(eps)) <= 1e-12
 
 
@@ -761,11 +760,10 @@ def test_gronwall_envelope_dominates_marginal_error():
     sys = make_system(seed_a=94, seed_v=95, v_cap=0.8)
     rho0 = random_density(2, 96)
     n_sites = 6
-    rho_n0 = product_state(rho0, n_sites)
     prop = ExactPropagator(sys, n_sites)
     traj = integrate_hartree(rho0, sys, 0.0, 0.5, 1e-3, save_every=20)
     times = traj.times
-    evolved = prop.evolve_grid(rho_n0, times, 2)
+    evolved = prop.evolve_grid(rho0, times, 2)
 
     def error_norm(m, hartree_state, order):
         marg = tensor.partial_trace(m.matrix, m.shape, range(order + 1, m.sites + 1))

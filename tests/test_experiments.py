@@ -81,6 +81,17 @@ def test_chaos_sweep_single_component():
     assert all(col(table, "bound_satisfied"))
 
 
+def test_chaos_sweep_at_a_thousand_sites():
+    # only the largest marginal, d^max(k), is bounded: no d^N is formed
+    cfg = parse_config("kind = chaos_sweep\nN_list = 10, 1000\nk_list = 1, 2, 3\n")
+    table = run_experiment(cfg)
+    assert "error" not in table.metadata and len(table.rows) == 6
+    assert all(col(table, "bound_satisfied"))
+    # one mixture for every N, so its marginals do not depend on N
+    dist = col(table, "chaos_distance")
+    assert dist[:3] == dist[3:]
+
+
 def test_chaos_sweep_row_order_and_mixture_case():
     cfg = ExperimentConfig(kind="chaos_sweep", N_list=(2, 4), k_list=(1, 2))
     table = run_experiment(cfg)
@@ -416,6 +427,44 @@ def forbid(monkeypatch, fn) -> int:
 
 def refuse_call(*args, **kwargs):
     raise AssertionError("called")
+
+
+def record_shapes(monkeypatch, validate) -> list:
+    """Wrap states.validate in every chaoticity namespace; returns the shape of each call."""
+    shapes = []
+
+    def recording(matrix, shape, *args, **kwargs):
+        shapes.append(shape)
+        return validate(matrix, shape, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "chaoticity" or name.startswith("chaoticity."):
+            for attr, value in list(vars(module).items()):
+                if value is validate:
+                    monkeypatch.setattr(module, attr, recording)
+    return shapes
+
+
+def test_bbgky_validates_each_marginal_once(monkeypatch):
+    # evolve_grid validates the top-order marginals; reading them back at
+    # their own order returns them as they are, not a validated copy
+    shapes = record_shapes(monkeypatch, states.validate)
+    cfg = ExperimentConfig(
+        kind="bbgky_verify", N_list=(3, 4), k_list=(2,), times=(0.2, 0.4), fd_h=1e-2,
+    )
+    table = run_experiment(cfg)
+    assert "error" not in table.metadata and len(table.rows) == 4
+    # one five-point window per (N, t)
+    assert sum(shape.sites == 3 for shape in shapes) == 2 * 2 * 5
+
+
+def test_bound_audit_forms_each_marginal_once(monkeypatch):
+    # one draw per k; rho^(2) is formed once per draw, and is the k-marginal at k = 2
+    shapes = record_shapes(monkeypatch, states.validate)
+    cfg = ExperimentConfig(kind="bound_audit", N_list=(6,), k_list=(1, 2, 3), trials=3)
+    table = run_experiment(cfg)
+    assert "error" not in table.metadata and len(table.rows) == 3
+    assert [sum(shape.sites == k for shape in shapes) for k in (2, 3)] == [3, 1]
 
 
 def test_block_kinds_never_form_the_n_site_state(monkeypatch):

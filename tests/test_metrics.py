@@ -211,8 +211,9 @@ def test_corollary_bound_single_observable():
     rho = random_density(2, 34)
     a = random_hermitian(2, 35)
     e = 0.0123
-    got = corollary_bound(rho, [a], [e], n_sites=7)
+    got, got_un = corollary_bound(rho, [a], [e], n_sites=7)
     assert abs(got - np.sqrt(e)) <= 1e-15
+    assert got_un == got
 
 
 def test_corollary_bound_two_observables_tail_term():
@@ -222,17 +223,16 @@ def test_corollary_bound_two_observables_tail_term():
     n1 = linalg.operator_norm(a1)
     n2 = linalg.operator_norm(a2)
     x1 = abs(np.trace(rho.matrix @ a1))
-    got = corollary_bound(rho, [a1, a2], [0.0, 0.0], n_sites=2)
+    got, _ = corollary_bound(rho, [a1, a2], [0.0, 0.0], n_sites=2)
     # only the sampling defect survives when both e values vanish
     want = 2.0 * n1 * n2 * (1.0 - combinatorial_factor(2, 2))
     assert abs(got - want) <= 1e-14
     # with e values the weights enter squared in the printed form
     e = (0.01, 0.04)
-    got = corollary_bound(rho, [a1, a2], e, n_sites=2)
+    got, got_un = corollary_bound(rho, [a1, a2], e, n_sites=2)
     want += np.sqrt(e[0]) * n2**2 + np.sqrt(e[1]) * x1**2
     assert abs(got - want) <= 1e-13
-    # unsquared variant weights enter linearly
-    got_un = corollary_bound(rho, [a1, a2], e, n_sites=2, squared=False)
+    # the unsquared variant's weights enter linearly
     want_un = (
         2.0 * n1 * n2 * 0.5 + np.sqrt(e[0]) * n2 + np.sqrt(e[1]) * x1
     )
@@ -255,7 +255,7 @@ def test_corollary_inequality_on_mixtures():
             e_vals = [
                 max(empirical_variance(rho_N, rho_bar, a.conj().T), 0.0) for a in obs
             ]
-            bound = corollary_bound(rho_bar, obs, e_vals, rho_N.sites)
+            bound, _ = corollary_bound(rho_bar, obs, e_vals, rho_N.sites)
             assert c <= bound + 1e-9, (trial, k, c, bound)
 
 
