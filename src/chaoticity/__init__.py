@@ -69,7 +69,6 @@ from .metrics import (
     corollary_bound,
     empirical_variance,
     factorization_error,
-    marginal,
     weyl_basis,
 )
 from .blocks import BlockPropagator

@@ -18,7 +18,7 @@ import io
 import json
 import sys
 
-from .config import FORMATS, parse_config, validate_config, ExperimentConfig
+from .config import FORMATS, parse_config, ExperimentConfig
 from .errors import ConfigInvalid, ParseError
 from .experiments import ResultTable, run_experiment
 
@@ -113,7 +113,6 @@ def _load_config(args) -> ExperimentConfig:
         overrides["out"] = args.out
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    validate_config(config)
     return config
 
 

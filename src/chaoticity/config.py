@@ -34,7 +34,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .blocks import check_block_budget
-from .dynamics import DEFAULT_STEP_CAP
+from .dynamics import step_cap
 from .errors import ConfigInvalid, MemoryBudgetExceeded, ParseError
 
 KINDS = ("chaos_sweep", "propagation", "bbgky_verify", "hartree_convergence", "bound_audit")
@@ -237,7 +237,7 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigInvalid(f"times must be strictly ascending, got {c.times}")
     if c.step <= 0:
         raise ConfigInvalid(f"step must be positive, got {c.step}")
-    cap = min(DEFAULT_STEP_CAP, 1.0 / (40.0 * max(c.v_norm_cap, 1.0)))
+    cap = step_cap(c.v_norm_cap)
     if c.step > cap * (1.0 + 1e-12):
         raise ConfigInvalid(
             f"step = {c.step} exceeds the cap {cap:.6g} implied by v_norm_cap = {c.v_norm_cap}"

@@ -96,9 +96,9 @@ class MeanFieldSystem:
         return linalg.operator_norm(self.v)
 
 
-def step_cap(sys: MeanFieldSystem) -> float:
-    """Largest admissible RK4 step: 10x margin under the 1/(4||V||) scale."""
-    return min(DEFAULT_STEP_CAP, 1.0 / (40.0 * max(sys.interaction_norm(), 1.0)))
+def step_cap(v_norm: float) -> float:
+    """Largest admissible RK4 step for ||V|| = v_norm: 10x margin under the 1/(4||V||) scale."""
+    return min(DEFAULT_STEP_CAP, 1.0 / (40.0 * max(v_norm, 1.0)))
 
 
 def _add_pairs(out: np.ndarray, w: np.ndarray, shape: TensorShape, scale: float) -> None:
@@ -214,8 +214,6 @@ class HartreeTrajectory:
 
     times: np.ndarray
     states: tuple[DensityOperator, ...]
-    step_size: float
-    method: str = "rk4"
 
     def state_at(self, t: float, tol: float = 1e-9) -> DensityOperator:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -272,7 +270,7 @@ def integrate_hartree(
         raise ValueError(f"t1 = {t1} precedes t0 = {t0}")
     if save_every < 1:
         raise ValueError(f"save_every must be >= 1, got {save_every}")
-    cap = step_cap(sys)
+    cap = step_cap(sys.interaction_norm())
     if step > cap * (1.0 + 1e-12):
         raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} = min(1/40, 1/(40 max(||V||, 1)))")
 
@@ -304,7 +302,7 @@ def integrate_hartree(
         if k % save_every == 0 or t == t1:
             times.append(t)
             states.append(checked(m, t))
-    return HartreeTrajectory(np.array(times, dtype=float), tuple(states), float(step))
+    return HartreeTrajectory(np.array(times, dtype=float), tuple(states))
 
 
 class EpsilonTerm(NamedTuple):

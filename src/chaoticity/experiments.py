@@ -32,14 +32,7 @@ from .dynamics import (
     integrate_hartree,
 )
 from .errors import BoundViolation, ChaoticityError, ConfigInvalid
-from .metrics import (
-    _e_from_marginals,
-    _gated_marginals,
-    _product_expectation,
-    chaos_report,
-    corollary_bound,
-    marginal,
-)
+from .metrics import chaos_report, corollary_bound, empirical_variance, factorization_error
 from .states import (
     DensityOperator,
     ProductMixture,
@@ -203,7 +196,7 @@ def _run_propagation(config: ExperimentConfig, parallel: int):
         prop = _propagator(config, sys, n_sites, need[-1])
         # one grid pass at the highest order; lower orders are traced from it
         top = prop.evolve_grid(rho0, grid, need[-1])
-        marginals = {n: [marginal(m, n) for m in top] for n in need}
+        marginals = {n: [m.marginal(n) for m in top] for n in need}
         e_grid = {n: np.array([
             linalg.trace_norm(m.matrix - tensor_power(state.matrix, n, config.max_total_dim))
             for m, state in zip(marginals[n], states)
@@ -254,7 +247,7 @@ def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
         rows = []
         for n in orders:
             for j, t in enumerate(config.times):
-                window = [marginal(m, n + 1) for m in top[j * width:(j + 1) * width]]
+                window = [m.marginal(n + 1) for m in top[j * width:(j + 1) * width]]
                 r1, r2 = _window_residuals(window, sys, n_sites, t, steps)
                 ratio = (
                     r1.residual_trace_norm / r2.residual_trace_norm
@@ -320,13 +313,8 @@ def _run_bound_audit(config: ExperimentConfig, parallel: int):
                     subseed(config.seed, NS_OBSERVABLE, n_sites, k, rep)
                 )
                 obs = [_draw_observable(rng, config.d, config.a_norm_cap) for _ in range(k)]
-                marg, m1, m2 = _gated_marginals(rho_n, k)
-                joint, prod = _product_expectation(marg, obs, rho_bar)
-                c_val = abs(joint - prod)
-                e_vals = [
-                    max(_e_from_marginals(m1, m2, n_sites, rho_bar, a.conj().T), 0.0)
-                    for a in obs
-                ]
+                c_val = factorization_error(rho_n, rho_bar, obs)
+                e_vals = [max(empirical_variance(rho_n, rho_bar, a.conj().T), 0.0) for a in obs]
                 b_sq, b_un = corollary_bound(rho_bar, obs, e_vals, n_sites)
                 rows.append((
                     n_sites, k, rep, c_val, b_sq, b_un,

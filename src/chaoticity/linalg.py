@@ -86,23 +86,19 @@ def herm_eigen(m, tol: float = HERMITICITY_TOL) -> HermitianEigen:
     return HermitianEigen(w, v)
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
+def _moduli(a: np.ndarray) -> np.ndarray:
+    """Singular values of a: |eigenvalues| for Hermitian input, the SVD otherwise."""
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        if is_hermitian(a):
+            return np.abs(np.linalg.eigvalsh(a))
+        return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"svd failed: {exc}") from exc
+        raise ConvergenceFailure(f"singular values failed: {exc}") from exc
 
 
 def trace_norm(m) -> float:
     """Sum of singular values; for Hermitian input the sum of |eigenvalues|."""
-    a = as_matrix(m)
-    if is_hermitian(a):
-        try:
-            w = np.linalg.eigvalsh(a)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"eigvalsh failed: {exc}") from exc
-        return float(np.abs(w).sum())
-    return float(_singular_values(a).sum())
+    return float(_moduli(as_matrix(m)).sum())
 
 
 def operator_norm(m) -> float:
@@ -110,11 +106,4 @@ def operator_norm(m) -> float:
     a = as_matrix(m)
     if a.shape[0] == 0:
         return 0.0
-    if is_hermitian(a):
-        try:
-            w = np.linalg.eigvalsh(a)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"eigvalsh failed: {exc}") from exc
-        return float(np.abs(w).max())
-    return float(_singular_values(a).max())
-
+    return float(_moduli(a).max())

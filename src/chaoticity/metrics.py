@@ -13,18 +13,19 @@ of the same question, each exact (no sampling):
                     a combinatorial sampling defect 2 prod ||A_i|| (1 - prod_m
                     (1 - m/N)); C_{k,N} stays below it on symmetric states.
 
-Every metric reads only marginals of rho_N, and marginal() is the one place
-that tells the two state kinds apart: a dense DensityOperator is traced, a
-ProductMixture sum_m w_m sigma_m^(ox N) answers sum_m w_m sigma_m^(ox k)
-from its components, so no d^N matrix is formed for it. Each marginal is
-validated. On a symmetric state e_N needs only the first two:
+Every metric reads rho_N only through the states.State protocol: its
+validated marginals rho_N.marginal(k), which the state forms once and keeps,
+and its symmetry_defect. No metric asks which kind of state it holds, so a
+ProductMixture, whose marginals come from its components without d^N, and
+any other object answering the protocol pass as a dense DensityOperator
+does. On a symmetric state e_N needs only the first two marginals:
 
     e_N(A) = tr(rho^(1) B†B) / N + (1 - 1/N) tr(rho^(2) (B† ox B)),
     B = A - tr(A rho) 1,
 
-so empirical_variance requires a symmetric rho_N: a ProductMixture is one
-by construction, a dense state must pass is_symmetric or NotSymmetric is
-raised.
+so empirical_variance requires a symmetric rho_N: a state that fails
+is_symmetric raises NotSymmetric (a ProductMixture is symmetric by
+construction).
 
 The bound is evaluated in its printed squared-factor form and, because the
 underlying Cauchy-Schwarz step suggests unsquared factors were intended, the
@@ -34,6 +35,7 @@ unsquared variant is computed alongside: corollary_bound returns the pair
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,33 +43,13 @@ import numpy as np
 
 from . import linalg
 from .errors import BadSiteIndex, BoundViolation, DimensionMismatch, NotSymmetric
-from .states import DensityOperator, ProductMixture, is_symmetric, validate
-from .tensor import kron, kron_all, partial_trace, tensor_power
-
-State = DensityOperator | ProductMixture
+from .states import DensityOperator, State, is_symmetric
+from .tensor import kron, kron_all, tensor_power
 
 # e values in [-E_CLAMP, 0) are reported as 0 (flagged); below -E_ERROR is a bug.
 E_CLAMP = 1e-10
 E_ERROR = 1e-8
 BOUND_SLACK = 1e-9
-
-
-def marginal(rho_N: State, k: int) -> DensityOperator:
-    """First-k-sites marginal: trace out sites k+1..N.
-
-    A ProductMixture answers from its components; a dense state is traced,
-    and at k = N is returned as it is.
-    """
-    n = rho_N.sites
-    if not 1 <= k <= n:
-        raise BadSiteIndex(f"marginal order {k} outside 1..{n}")
-    if isinstance(rho_N, ProductMixture):
-        return rho_N.marginal(k)
-    if k == n:
-        return rho_N  # validated already
-    traced = range(k + 1, n + 1)
-    m = partial_trace(rho_N.matrix, rho_N.shape, traced)
-    return validate(m, rho_N.shape.reduced(k))
 
 
 def _check_reference(rho_N: State, rho: DensityOperator) -> None:
@@ -86,7 +68,7 @@ def _distance(marg: DensityOperator, rho: DensityOperator) -> float:
 def chaos_distance(rho_N: State, rho: DensityOperator, k: int) -> float:
     """tr |rho_N^(k) - rho^(ox k)|."""
     _check_reference(rho_N, rho)
-    return _distance(marginal(rho_N, k), rho)
+    return _distance(rho_N.marginal(k), rho)
 
 
 def _require_symmetric(rho_N: State) -> None:
@@ -97,26 +79,15 @@ def _require_symmetric(rho_N: State) -> None:
         )
 
 
-def _gated_marginals(rho_N: State, k: int):
-    """(rho^(k), rho^(1), rho^(2)) of a symmetric state, each formed once.
-
-    rho^(k) stands in for rho^(1) or rho^(2) at k = 1, 2; rho^(2) is None at N = 1.
-    """
-    marg = marginal(rho_N, k)
-    _require_symmetric(rho_N)
-    m1 = marg if k == 1 else marginal(rho_N, 1)
-    m2 = None if rho_N.sites == 1 else marg if k == 2 else marginal(rho_N, 2)
-    return marg, m1, m2
-
-
-def _e_from_marginals(m1: DensityOperator, m2: DensityOperator | None, n: int,
-                      rho: DensityOperator, a: np.ndarray) -> float:
-    """e_N(A) of a symmetric N-site state from its marginals m1 and m2 (None at N = 1)."""
+def _variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> float:
+    """e_N(A) of a symmetric state from its first two marginals (see empirical_variance)."""
+    n = rho_N.sites
     c = linalg.trace_product(a, rho.matrix)
     b = a - c * np.eye(rho.d)
     b_dag = b.conj().T
-    val = linalg.trace_product(b_dag @ b, m1.matrix) / n
+    val = linalg.trace_product(b_dag @ b, rho_N.marginal(1).matrix) / n
     if n > 1:
+        m2 = rho_N.marginal(2)
         val += (1.0 - 1.0 / n) * linalg.trace_product(
             kron(b_dag, b, m2.shape.max_total_dim), m2.matrix
         )
@@ -139,11 +110,10 @@ def empirical_variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> flo
     real part below -1e-8 means a kernel bug.
     """
     a = np.asarray(a, dtype=np.complex128)
-    n = rho_N.sites
     if rho.sites != 1 or a.shape != (rho_N.d, rho_N.d):
         raise DimensionMismatch("observable and reference state must be one-site objects")
-    _, m1, m2 = _gated_marginals(rho_N, 1)
-    return _e_from_marginals(m1, m2, n, rho, a)
+    _require_symmetric(rho_N)
+    return _variance(rho_N, rho, a)
 
 
 def _product_expectation(marg_k: DensityOperator, observables, rho: DensityOperator) -> tuple[complex, complex]:
@@ -170,8 +140,7 @@ def factorization_error(rho_N: State, rho: DensityOperator, observables) -> floa
         raise ValueError("need at least one observable")
     if k > rho_N.sites:
         raise BadSiteIndex(f"k = {k} exceeds N = {rho_N.sites}")
-    marg = marginal(rho_N, k)
-    joint, prod = _product_expectation(marg, observables, rho)
+    joint, prod = _product_expectation(rho_N.marginal(k), observables, rho)
     return abs(joint - prod)
 
 
@@ -235,9 +204,8 @@ def weyl_basis(d: int, count: int | None = None) -> list[np.ndarray]:
     return basis[:count] if count is not None else basis
 
 
-def weyl_labels(d: int, count: int | None = None) -> list[str]:
-    labels = [f"W({a},{b})" for a in range(d) for b in range(d)]
-    return labels[:count] if count is not None else labels
+def weyl_labels(d: int) -> list[str]:
+    return [f"W({a},{b})" for a in range(d) for b in range(d)]
 
 
 @dataclass(frozen=True)
@@ -265,23 +233,22 @@ def chaos_report(
     k: int,
     observables=None,
     labels=None,
-    max_observables: int | None = None,
     max_tuples: int = 8,
 ) -> ChaosReport:
     """Aggregate the metrics for one k against an observable set.
 
-    Defaults to the Weyl basis (truncated by max_observables). Factorization
-    errors are computed for k-tuples drawn from the set in lexicographic
-    order, truncated to max_tuples; each tuple's error is compared with its
-    own rate bound, and bound_satisfied requires every tested tuple to pass.
-    The reported corollary_bound fields belong to the tuple with the largest
+    Defaults to the full Weyl basis. Factorization errors are computed for
+    k-tuples drawn from the set in lexicographic order, truncated to
+    max_tuples; each tuple's error is compared with its own rate bound, and
+    bound_satisfied requires every tested tuple to pass. The reported
+    corollary_bound fields belong to the tuple with the largest
     factorization error. rho_N passes one symmetry gate, as in
-    empirical_variance, and its 1-, 2- and k-site marginals are formed once.
+    empirical_variance, and every e_N reads the marginals the state keeps.
     """
     d = rho_N.d
     if observables is None:
-        observables = weyl_basis(d, max_observables)
-        labels = weyl_labels(d, max_observables)
+        observables = weyl_basis(d)
+        labels = weyl_labels(d)
     else:
         observables = [np.asarray(a, dtype=np.complex128) for a in observables]
         if labels is None:
@@ -290,15 +257,15 @@ def chaos_report(
         raise DimensionMismatch("labels and observables differ in length")
 
     _check_reference(rho_N, rho)
-    marg, m1, m2 = _gated_marginals(rho_N, k)
-    n = rho_N.sites
+    marg = rho_N.marginal(k)
+    _require_symmetric(rho_N)
     dist = _distance(marg, rho)
 
     e_values = []
     e_adjoint = []
     clamped = []
     for lbl, a in zip(labels, observables):
-        raw = _e_from_marginals(m1, m2, n, rho, a)
+        raw = _variance(rho_N, rho, a)
         val = raw
         if raw < 0.0:
             clamped.append(lbl)
@@ -308,17 +275,11 @@ def chaos_report(
         if linalg.is_hermitian(a):
             e_adjoint.append(max(raw, 0.0))
         else:
-            e_adjoint.append(max(_e_from_marginals(m1, m2, n, rho, a.conj().T), 0.0))
+            e_adjoint.append(max(_variance(rho_N, rho, a.conj().T), 0.0))
 
-    m = len(observables)
-    index_tuples = []
-    for flat in range(min(max_tuples, m**k)):
-        idx = []
-        rem = flat
-        for _ in range(k):
-            idx.append(rem % m)
-            rem //= m
-        index_tuples.append(tuple(reversed(idx)))
+    index_tuples = itertools.islice(
+        itertools.product(range(len(observables)), repeat=k), max_tuples
+    )
 
     c_values = []
     worst_c = -1.0

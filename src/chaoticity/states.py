@@ -6,16 +6,21 @@ validate() is the single gate deciding what counts as a density operator
 repairs its input. Random generators take explicit seeds so experiment
 shards stay reproducible.
 
-Two kinds of N-site state exist. DensityOperator holds the dense d^N x d^N
-matrix: product_state builds rho^(ox N), and any other dense state is built
-by the caller and passed through validate. ProductMixture holds an
-exchangeable mixture sum_m w_m sigma_m^(ox N) by its weights and one-site
-components and answers marginal(k) without ever forming d^N.
+Every N-site state answers one protocol, State: sites, d, marginal(k) and
+symmetry_defect(full_group). The metrics read states only through it, so
+they never ask which kind of state they hold. Two kinds exist.
+DensityOperator holds the dense d^N x d^N matrix: product_state builds
+rho^(ox N), and any other dense state is built by the caller and passed
+through validate. ProductMixture holds an exchangeable mixture
+sum_m w_m sigma_m^(ox N) by its weights and one-site components and answers
+marginal(k) without ever forming d^N. States are immutable, so each kind
+forms and validates a given marginal order once per object and keeps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from .tensor import (
     Permutation,
     TensorShape,
     conjugate_by_permutation,
+    partial_trace,
     tensor_power,
 )
 
@@ -47,12 +53,38 @@ SYMMETRIZE_MAX_SITES = 6
 FULL_GROUP_MAX_SITES = 5
 
 
+class State(Protocol):
+    """What every metric reads of an N-site state."""
+
+    @property
+    def sites(self) -> int: ...
+
+    @property
+    def d(self) -> int: ...
+
+    def marginal(self, k: int) -> DensityOperator:
+        """The validated first-k-sites marginal; BadSiteIndex outside 1..N."""
+
+    def symmetry_defect(self, full_group: bool = False) -> float:
+        """Largest |U_p rho U_p† - rho| over the checked permutations p."""
+
+
+def _kept_marginal(state, k: int, form) -> DensityOperator:
+    """form(k), computed on the first request for order k and kept on the state."""
+    if not 1 <= k <= state.sites:
+        raise BadSiteIndex(f"marginal order {k} outside 1..{state.sites}")
+    if k not in state._marginals:  # threads racing here only form the same marginal twice
+        state._marginals[k] = form(k)
+    return state._marginals[k]
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A validated density matrix together with its tensor shape."""
 
     matrix: np.ndarray
     shape: TensorShape
+    _marginals: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def sites(self) -> int:
@@ -61,6 +93,39 @@ class DensityOperator:
     @property
     def d(self) -> int:
         return self.shape.d
+
+    def marginal(self, k: int) -> DensityOperator:
+        """Sites k+1..N traced out and validated; at k = N the state itself."""
+        if k == self.sites:
+            return self  # validated already
+        return _kept_marginal(self, k, self._trace_to)
+
+    def _trace_to(self, k: int) -> DensityOperator:
+        traced = partial_trace(self.matrix, self.shape, range(k + 1, self.sites + 1))
+        return validate(traced, self.shape.reduced(k))
+
+    def symmetry_defect(self, full_group: bool = False) -> float:
+        """Largest |U_p rho U_p† - rho| over the adjacent transpositions p.
+
+        Adjacent transpositions generate the full permutation group, and an
+        operator commuting with every generator commutes with every product
+        of generators, so they decide symmetry. full_group=True enumerates
+        all N! permutations instead (N <= 5).
+        """
+        n = self.sites
+        if n == 1:
+            return 0.0
+        if full_group:
+            if n > FULL_GROUP_MAX_SITES:
+                raise PermutationBudgetExceeded(
+                    f"full-group check capped at N <= {FULL_GROUP_MAX_SITES}, got {n}"
+                )
+            perms = Permutation.all(n)
+        else:
+            perms = (Permutation.transposition(n, i, i + 1) for i in range(1, n))
+        # [U_p, M] = 0 exactly when U_{p^{-1}} M U_p = M
+        return max(float(np.abs(conjugate_by_permutation(self.matrix, p, self.shape)
+                                - self.matrix).max()) for p in perms)
 
 
 def validate(matrix, shape: TensorShape, tol: float = DENSITY_TOL) -> DensityOperator:
@@ -110,34 +175,13 @@ def product_state(rho: DensityOperator, n: int, max_total_dim: int | None = None
     return DensityOperator(m, shape)
 
 
-def is_symmetric(
-    rho: DensityOperator | ProductMixture, tol: float = 1e-10, full_group: bool = False
-) -> tuple[bool, float]:
+def is_symmetric(rho: State, tol: float = 1e-10, full_group: bool = False) -> tuple[bool, float]:
     """Commutation test with permutation unitaries; returns (ok, worst).
 
-    Adjacent transpositions generate the full permutation group, and an
-    operator commuting with every generator commutes with every product of
-    generators, so the default checks the N-1 adjacent swaps only.
-    full_group=True enumerates all N! permutations (N <= 5). A
-    ProductMixture is symmetric by construction.
+    worst is rho.symmetry_defect(full_group): over the N-1 adjacent swaps by
+    default, over all N! permutations (N <= 5) with full_group=True.
     """
-    n = rho.sites
-    if n == 1 or isinstance(rho, ProductMixture):
-        return True, 0.0
-    if full_group:
-        if n > FULL_GROUP_MAX_SITES:
-            raise PermutationBudgetExceeded(
-                f"full-group check capped at N <= {FULL_GROUP_MAX_SITES}, got {n}"
-            )
-        perms = Permutation.all(n)
-    else:
-        perms = (Permutation.transposition(n, i, i + 1) for i in range(1, n))
-    m = rho.matrix
-    worst = 0.0
-    for p in perms:
-        # [U_p, M] = 0 exactly when U_{p^{-1}} M U_p = M
-        violation = float(np.abs(conjugate_by_permutation(m, p, rho.shape) - m).max())
-        worst = max(worst, violation)
+    worst = rho.symmetry_defect(full_group)
     return worst <= tol, worst
 
 
@@ -169,13 +213,15 @@ class ProductMixture:
     densities, see product_state), and every marginal is still validated.
     At least one weight is required, none negative, summing to one
     (WeightsInvalid otherwise); there is one component per weight, each a
-    one-site density of the same d (DimensionMismatch otherwise).
+    one-site density of the same d (DimensionMismatch otherwise). It is
+    symmetric by construction: symmetry_defect is 0 for any full_group.
     """
 
     weights: tuple[float, ...]
     components: tuple[DensityOperator, ...]
     n_sites: int
     max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
+    _marginals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=float)
@@ -205,13 +251,17 @@ class ProductMixture:
 
     def marginal(self, k: int) -> DensityOperator:
         """validate(sum_m w_m sigma_m^(ox k)), the first-k-sites marginal."""
-        if not 1 <= k <= self.n_sites:
-            raise BadSiteIndex(f"marginal order {k} outside 1..{self.n_sites}")
+        return _kept_marginal(self, k, self._mix)
+
+    def _mix(self, k: int) -> DensityOperator:
         shape = TensorShape(self.d, k, self.max_total_dim)
         acc = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
         for w, s in zip(self.weights, self.components):
             acc += w * tensor_power(s.matrix, k, self.max_total_dim)
         return validate(acc, shape)
+
+    def symmetry_defect(self, full_group: bool = False) -> float:
+        return 0.0
 
 
 def random_density(d: int, seed) -> DensityOperator:

@@ -417,7 +417,7 @@ def propagation_rows_dense(config) -> list[tuple]:
                    if config.gronwall and n < n_sites else None)
             for t in config.times:
                 i = int(np.argmin(np.abs(grid - t)))
-                eps = (epsilon_term(metrics.marginal(evolved[i], n + 1), sys, n_sites)
+                eps = (epsilon_term(evolved[i].marginal(n + 1), sys, n_sites)
                        if n < n_sites else None)
                 bound = None if env is None else float(env[i])
                 rows.append((

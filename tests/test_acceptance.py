@@ -30,7 +30,6 @@ from chaoticity.metrics import (
     corollary_bound,
     empirical_variance,
     factorization_error,
-    marginal,
 )
 from chaoticity.states import (
     ProductMixture,
@@ -153,7 +152,7 @@ def test_criterion_04_epsilon_bound_on_evolved_states():
             t = float(rng.uniform(0.2, 1.0))
             (evolved,) = BlockPropagator(sys, n_sites, 4).evolve_grid(rho0, (t,), 4)
             for n in (1, 2, 3):
-                term = epsilon_term(marginal(evolved, n + 1), sys, n_sites)  # raises BoundViolation
+                term = epsilon_term(evolved.marginal(n + 1), sys, n_sites)  # raises BoundViolation
                 assert term.norm <= term.bound + 1e-9
                 if term.bound > 0:
                     worst_ratio = max(worst_ratio, term.norm / term.bound)

@@ -34,7 +34,6 @@ from chaoticity.errors import (
     NotHermitian,
     StepTooLarge,
 )
-from chaoticity.metrics import marginal
 from chaoticity.states import (
     is_symmetric,
     product_state,
@@ -96,9 +95,9 @@ def test_interaction_norm():
 
 def test_step_cap_values():
     sys_small = MeanFieldSystem(2, np.zeros((2, 2)), 0.5 * np.eye(4))
-    assert step_cap(sys_small) == DEFAULT_STEP_CAP  # ||V|| <= 1 leaves the cap
+    assert step_cap(sys_small.interaction_norm()) == DEFAULT_STEP_CAP  # ||V|| <= 1 leaves the cap
     sys_big = MeanFieldSystem(2, np.zeros((2, 2)), 2.0 * np.eye(4))
-    assert abs(step_cap(sys_big) - 1.0 / 80.0) <= 1e-15
+    assert abs(step_cap(sys_big.interaction_norm()) - 1.0 / 80.0) <= 1e-15
 
 
 # ---------------------------------------------------------------- hamiltonians
@@ -211,7 +210,7 @@ def test_propagator_grid_matches_single_shots():
             grid = prop.evolve_grid(rho0, times, k)
             assert len(grid) == len(times)
             for t, m in zip(times, grid):
-                want = marginal(prop.evolve(rho, t), k)
+                want = prop.evolve(rho, t).marginal(k)
                 assert m.shape == want.shape
                 assert np.max(np.abs(m.matrix - want.matrix)) <= 1e-12
 
@@ -260,7 +259,7 @@ def test_block_grid_matches_dense_grid(n_sites):
             got = block.evolve_grid(rho0, times, order)
             assert len(got) == len(times)
             for g, w in zip(got, dense):
-                want = marginal(w, order)
+                want = w.marginal(order)
                 assert g.shape == want.shape
                 assert np.max(np.abs(g.matrix - want.matrix)) <= 1e-12
 
@@ -290,7 +289,7 @@ def test_block_state_at_large_n():
     (m3,) = prop.evolve_grid(rho0, (0.0,), 3)
     for k in (1, 2, 3):
         want = tensor.tensor_power(rho0.matrix, k)
-        assert np.max(np.abs(marginal(m3, k).matrix - want)) <= 1e-12
+        assert np.max(np.abs(m3.marginal(k).matrix - want)) <= 1e-12
 
 
 def test_block_budget_counts_held_entries():
@@ -512,7 +511,7 @@ def test_epsilon_vanishes_without_interaction():
     a = random_hermitian(2, 67)
     sys = MeanFieldSystem(2, a, np.zeros((4, 4)))
     rho_n = product_state(random_density(2, 68), 4)
-    term = epsilon_term(marginal(rho_n, 3), sys, 4)
+    term = epsilon_term(rho_n.marginal(3), sys, 4)
     assert term.norm <= 1e-12
     assert term.bound == 0.0
 
@@ -521,8 +520,8 @@ def test_epsilon_order_one_collapses():
     # at n=1 the intra-block sum is empty, leaving only the traced bracket
     sys = make_system(seed_a=69, seed_v=70)
     rho_n = product_state(random_density(2, 71), 4)
-    term = epsilon_term(marginal(rho_n, 2), sys, 4)
-    m2 = marginal(rho_n, 2).matrix
+    term = epsilon_term(rho_n.marginal(2), sys, 4)
+    m2 = rho_n.marginal(2).matrix
     w = pair_generator(sys)
     want = -tensor.partial_trace(w @ m2 - m2 @ w, TensorShape(2, 2), (2,)) / 4.0
     assert np.max(np.abs(term.matrix - want)) <= 1e-13
@@ -532,7 +531,7 @@ def test_epsilon_order_one_collapses():
 def test_epsilon_bound_formula():
     sys = make_system(seed_a=72, seed_v=73, v_cap=0.8)
     rho_n = product_state(random_density(2, 74), 6)
-    term = epsilon_term(marginal(rho_n, 3), sys, 6)
+    term = epsilon_term(rho_n.marginal(3), sys, 6)
     v_norm = sys.interaction_norm()
     assert abs(term.bound - 5.0 * 4.0 * v_norm / 6.0) <= 1e-12
     assert term.norm <= term.bound + 1e-9
@@ -548,7 +547,7 @@ def test_epsilon_stays_bounded_on_evolved_states():
         rho0 = product_state(random_density(2, int(rng.integers(1 << 30))), 5)
         evolved = ExactPropagator(sys, rho0.sites).evolve(rho0, float(rng.uniform(0.1, 1.0)))
         for n in (1, 2, 3):
-            term = epsilon_term(marginal(evolved, n + 1), sys, 5)  # raises BoundViolation
+            term = epsilon_term(evolved.marginal(n + 1), sys, 5)  # raises BoundViolation
             assert term.norm <= term.bound + 1e-9
 
 
@@ -556,7 +555,7 @@ def test_epsilon_order_range():
     sys = make_system()
     rho_n = product_state(random_density(2, 76), 3)
     with pytest.raises(ValueError):
-        epsilon_term(marginal(rho_n, 1), sys, 3)  # n = 0
+        epsilon_term(rho_n.marginal(1), sys, 3)  # n = 0
     with pytest.raises(ValueError):
         epsilon_term(product_state(random_density(2, 76), 4), sys, 3)  # n = 3 > N - 1
 
@@ -576,7 +575,7 @@ def test_epsilon_on_marginals_matches_full_state_oracle():
     evolved = prop.evolve(product_state(random_density(2, 104), 6), 0.7)
     for state in (generic, evolved):
         for n in range(1, state.sites):
-            term = epsilon_term(marginal(state, n + 1), sys, state.sites)
+            term = epsilon_term(state.marginal(n + 1), sys, state.sites)
             want = oracles.epsilon_full_state(state.matrix, sys.v, 2, state.sites, n)
             assert np.max(np.abs(term.matrix - want)) <= 1e-12
             assert abs(term.norm - oracles.trace_norm_svd(want)) <= 1e-12
@@ -700,7 +699,7 @@ def test_tensor_hierarchy_free_flow():
     for s in times:
         e = (u * np.exp(-1j * s * lam)) @ u.conj().T
         states.append(validate(e @ rho0.matrix @ e.conj().T, rho0.shape))
-    traj = HartreeTrajectory(np.array(times), tuple(states), h)
+    traj = HartreeTrajectory(np.array(times), tuple(states))
     assert tensor_hierarchy_residual(traj, sys, 1, t, h) <= 1e-8
 
 
@@ -720,7 +719,7 @@ def test_tensor_hierarchy_respects_state_budget():
     shape = TensorShape(2, 1, max_total_dim=8)
     rho0 = random_density(2, 94)
     states = tuple(validate(rho0.matrix, shape) for _ in range(3))
-    traj = HartreeTrajectory(np.array([0.0, 1e-3, 2e-3]), states, 1e-3)
+    traj = HartreeTrajectory(np.array([0.0, 1e-3, 2e-3]), states)
     assert tensor_hierarchy_residual(traj, sys, 2, 1e-3, 1e-3) >= 0.0
     with pytest.raises(MemoryBudgetExceeded):
         tensor_hierarchy_residual(traj, sys, 3, 1e-3, 1e-3)

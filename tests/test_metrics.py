@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from chaoticity.metrics import (
     corollary_bound,
     empirical_variance,
     factorization_error,
-    marginal,
     weyl_basis,
     weyl_labels,
 )
@@ -44,29 +45,29 @@ def test_marginal_of_product_factorizes():
     rho = random_density(2, 0)
     big = product_state(rho, 5)
     for k in (1, 2, 3, 4):
-        got = marginal(big, k)
+        got = big.marginal(k)
         assert np.allclose(got.matrix, tensor.tensor_power(rho.matrix, k), atol=1e-12)
 
 
 def test_marginal_full_order_is_identity_map():
     rho_N, _ = mixture(2, 3, (1, 2), (0.5, 0.5))
-    got = marginal(rho_N, 3)
+    got = rho_N.marginal(3)
     assert np.allclose(got.matrix, rho_N.matrix, atol=1e-14)
 
 
 def test_marginal_tower_property():
     rho_N, _ = mixture(2, 4, (3, 4), (0.3, 0.7))
-    two_step = marginal(marginal(rho_N, 3), 2)
-    direct = marginal(rho_N, 2)
+    two_step = rho_N.marginal(3).marginal(2)
+    direct = rho_N.marginal(2)
     assert np.max(np.abs(two_step.matrix - direct.matrix)) <= 1e-13
 
 
 def test_marginal_order_out_of_range():
     rho_N, _ = mixture(2, 3, (5, 6), (0.5, 0.5))
     with pytest.raises(BadSiteIndex):
-        marginal(rho_N, 4)
+        rho_N.marginal(4)
     with pytest.raises(BadSiteIndex):
-        marginal(rho_N, 0)
+        rho_N.marginal(0)
 
 
 # ---------------------------------------------------------------- chaos distance
@@ -355,7 +356,7 @@ def test_product_mixture_matches_dense_mixture(d, n):
     for k in range(1, min(3, n) + 1):
         want_marg = oracles.marginal_full(big, d, n, k)
         assert np.abs(mix.marginal(k).matrix - want_marg).max() <= 1e-12
-        assert np.abs(marginal(mix, k).matrix - want_marg).max() <= 1e-12
+        assert np.abs(dense.marginal(k).matrix - want_marg).max() <= 1e-12
         want_dist = oracles.trace_norm_svd(want_marg - oracles.naive_kron_chain([ref.matrix] * k))
         assert abs(chaos_distance(mix, ref, k) - want_dist) <= 1e-12
         obs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(k)]
@@ -429,7 +430,24 @@ def test_metric_budget_comes_from_the_marginal():
     rep = chaos_report(wide, rho_bar, 2)
     assert rep.N == 20 and rep.bound_satisfied
     with pytest.raises(MemoryBudgetExceeded):
-        marginal(wide, 7)
+        wide.marginal(7)
+
+
+def test_metrics_read_only_the_state_protocol():
+    # an object answering sites, d, marginal and symmetry_defect is measured
+    # exactly as the ProductMixture it wraps: no metric asks for the kind
+    mix, _, rho_bar = iid_mixture(2, 5, 84)
+    ref = random_density(2, 85)
+    duck = SimpleNamespace(sites=mix.sites, d=mix.d, marginal=mix.marginal,
+                           symmetry_defect=mix.symmetry_defect)
+    a = np.array([[0.3, 1.0], [0.2j, -0.5]])
+    for k in (1, 2, 3):
+        assert chaos_report(duck, ref, k) == chaos_report(mix, ref, k)
+    assert empirical_variance(duck, rho_bar, a) == empirical_variance(mix, rho_bar, a)
+    skewed = SimpleNamespace(sites=mix.sites, d=mix.d, marginal=mix.marginal,
+                             symmetry_defect=lambda full_group=False: 1.0)
+    with pytest.raises(NotSymmetric):
+        empirical_variance(skewed, rho_bar, a)
 
 
 # ---------------------------------------------------------------- trend
@@ -449,6 +467,6 @@ def test_chaoticity_improves_with_n_under_evolution():
     dists = []
     for n in (2, 4, 6):
         rho_n = ExactPropagator(sys, n).evolve(product_state(rho0, n), t)
-        bar = marginal(rho_n, 1)
+        bar = rho_n.marginal(1)
         dists.append(dist_fn(rho_n, bar, min(2, n)))
     assert dists[2] < dists[0]

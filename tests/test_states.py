@@ -246,6 +246,36 @@ def test_product_mixture_holds_its_parts():
         ProductMixture([1.0], [rho], 0)
 
 
+def count_validations(monkeypatch) -> list:
+    """Shapes of every states.validate call from here on."""
+    shapes = []
+    original = states.validate
+
+    def counting(matrix, shape, *args, **kwargs):
+        shapes.append(shape)
+        return original(matrix, shape, *args, **kwargs)
+
+    monkeypatch.setattr(states, "validate", counting)
+    return shapes
+
+
+def test_each_state_kind_validates_a_marginal_once(monkeypatch):
+    rho, sigma = random_density(2, 92), random_density(2, 93)
+    kinds = (product_state(rho, 4), ProductMixture([0.4, 0.6], [rho, sigma], 4))
+    shapes = count_validations(monkeypatch)
+    for state in kinds:
+        for k in (2, 1, 3, 2, 1, 3):
+            assert state.marginal(k) is state.marginal(k)
+    assert sorted(s.sites for s in shapes) == [1, 1, 2, 2, 3, 3]
+
+
+def test_dense_state_is_its_own_full_marginal(monkeypatch):
+    rho_n = product_state(random_density(3, 94), 3)
+    shapes = count_validations(monkeypatch)
+    assert rho_n.marginal(3) is rho_n
+    assert shapes == []
+
+
 BAD_MIXTURES = [
     # (weights, component seeds and site counts, n_sites, error)
     ([0.4, 0.4], [(2, 1), (2, 1)], WeightsInvalid),
