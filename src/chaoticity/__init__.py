@@ -9,8 +9,9 @@ bound the theory provides: factorization rates, hierarchy defects, and
 the propagation-of-chaos inequality chain.
 
 Layering: linalg (dense Hermitian primitives) -> tensor (sites, kron,
-partial trace, permutation conjugation) -> states (density operators,
-symmetric mixtures) -> metrics (chaos distance, empirical variance, rate bounds)
+partial trace, conjugation by a site permutation given as its image tuple)
+-> states (density operators, symmetric mixtures)
+-> metrics (chaos distance, empirical variance, rate bounds)
 -> dynamics (exact evolution, the nonlinear flow, hierarchy residuals)
 -> blocks (exact evolution at d = 2 in the spin blocks)
 -> config/experiments/cli (reproducible experiment harness).
@@ -43,11 +44,9 @@ from .linalg import (
     trace_product,
 )
 from .tensor import (
-    Permutation,
     TensorShape,
     conjugate_by_permutation,
     kron,
-    kron_all,
     partial_trace,
     tensor_power,
 )

@@ -23,6 +23,7 @@ from . import linalg
 from .config import ExperimentConfig, config_hash, validate_config
 from .blocks import BlockPropagator
 from .dynamics import (
+    TRAJECTORY_TOL,
     ExactPropagator,
     MeanFieldSystem,
     _window_residuals,
@@ -176,7 +177,7 @@ def _run_propagation(config: ExperimentConfig, parallel: int):
     sys = _draw_system(config)
     rho0 = _draw_initial(config)
     t_end = max(config.times)
-    drift_tol = config.tol_value("drift", 1e-7)
+    drift_tol = config.tol_value("drift", TRAJECTORY_TOL)
     trajectory = integrate_hartree(
         rho0, sys, 0.0, t_end, config.step, config.save_every, drift_tol
     )
@@ -275,7 +276,7 @@ def _run_hartree_convergence(config: ExperimentConfig, parallel: int):
     sys = _draw_system(config)
     rho0 = _draw_initial(config)
     t_end = max(config.times)
-    drift_tol = config.tol_value("drift", 1e-7)
+    drift_tol = config.tol_value("drift", TRAJECTORY_TOL)
     endpoints = []
     steps = [config.step / (2**lvl) for lvl in range(3)]
     for s in steps:

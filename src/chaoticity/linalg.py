@@ -51,11 +51,9 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
 
 def require_hermitian(m, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
     a = as_matrix(m)
-    scale = max(1.0, float(np.abs(a).max()))
-    defect = hermiticity_defect(a)
-    if defect > tol * scale:
+    if not is_hermitian(a, tol):
         raise NotHermitian(
-            f"{what} is not Hermitian: max |M - M†| = {defect:.3e} "
+            f"{what} is not Hermitian: max |M - M†| = {hermiticity_defect(a):.3e} "
             f"exceeds {tol:.1e} (relative)"
         )
     return a

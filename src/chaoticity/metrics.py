@@ -44,7 +44,7 @@ import numpy as np
 from . import linalg
 from .errors import BadSiteIndex, BoundViolation, DimensionMismatch, NotSymmetric
 from .states import DensityOperator, State, is_symmetric
-from .tensor import kron, kron_all, tensor_power
+from .tensor import kron, tensor_power
 
 # e values in [-E_CLAMP, 0) are reported as 0 (flagged); below -E_ERROR is a bug.
 E_CLAMP = 1e-10
@@ -89,7 +89,7 @@ def _variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> float:
     if n > 1:
         m2 = rho_N.marginal(2)
         val += (1.0 - 1.0 / n) * linalg.trace_product(
-            kron(b_dag, b, m2.shape.max_total_dim), m2.matrix
+            kron(b_dag, b, max_dim=m2.shape.max_total_dim), m2.matrix
         )
     if val.real < -E_ERROR:
         raise BoundViolation(f"empirical variance {val.real:.3e} < -{E_ERROR:.1e}")
@@ -118,8 +118,8 @@ def empirical_variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> flo
 
 def _product_expectation(marg_k: DensityOperator, observables, rho: DensityOperator) -> tuple[complex, complex]:
     """(joint expectation against the k-marginal, product of one-site ones)."""
-    joint_obs = kron_all([np.asarray(a, dtype=np.complex128) for a in observables],
-                         marg_k.shape.max_total_dim)
+    joint_obs = kron(*[np.asarray(a, dtype=np.complex128) for a in observables],
+                     max_dim=marg_k.shape.max_total_dim)
     joint = linalg.trace_product(joint_obs, marg_k.matrix)
     prod = 1.0 + 0.0j
     for a in observables:
@@ -184,11 +184,10 @@ def corollary_bound(
     return bounds[0], bounds[1]
 
 
-def weyl_basis(d: int, count: int | None = None) -> list[np.ndarray]:
+def weyl_basis(d: int) -> list[np.ndarray]:
     """Shift/clock unitaries X^a Z^b in lexicographic (a, b) order.
 
     d*d unitaries spanning the operator space; the identity comes first.
-    count truncates the list.
     """
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
@@ -201,7 +200,7 @@ def weyl_basis(d: int, count: int | None = None) -> list[np.ndarray]:
             basis.append(xa @ zb)
             zb = zb @ clock
         xa = xa @ shift
-    return basis[:count] if count is not None else basis
+    return basis
 
 
 def weyl_labels(d: int) -> list[str]:

@@ -19,6 +19,8 @@ forms and validates a given marginal order once per object and keeps it.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -36,7 +38,6 @@ from .errors import (
 )
 from .tensor import (
     DEFAULT_MAX_TOTAL_DIM,
-    Permutation,
     TensorShape,
     conjugate_by_permutation,
     partial_trace,
@@ -120,12 +121,13 @@ class DensityOperator:
                 raise PermutationBudgetExceeded(
                     f"full-group check capped at N <= {FULL_GROUP_MAX_SITES}, got {n}"
                 )
-            perms = Permutation.all(n)
+            images = itertools.permutations(range(1, n + 1))
         else:
-            perms = (Permutation.transposition(n, i, i + 1) for i in range(1, n))
+            images = (tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1))
+                      for i in range(1, n))
         # [U_p, M] = 0 exactly when U_{p^{-1}} M U_p = M
-        return max(float(np.abs(conjugate_by_permutation(self.matrix, p, self.shape)
-                                - self.matrix).max()) for p in perms)
+        return max(float(np.abs(conjugate_by_permutation(self.matrix, image, self.shape)
+                                - self.matrix).max()) for image in images)
 
 
 def validate(matrix, shape: TensorShape, tol: float = DENSITY_TOL) -> DensityOperator:
@@ -193,12 +195,10 @@ def symmetrize(rho: DensityOperator) -> DensityOperator:
             f"exact symmetrization capped at N <= {SYMMETRIZE_MAX_SITES}, got {n}"
         )
     acc = np.zeros_like(rho.matrix)
-    count = 0
-    for p in Permutation.all(n):
+    for image in itertools.permutations(range(1, n + 1)):
         # summing over the whole group makes conjugating by U_p or U_p† immaterial
-        acc += conjugate_by_permutation(rho.matrix, p, rho.shape)
-        count += 1
-    acc /= count
+        acc += conjugate_by_permutation(rho.matrix, image, rho.shape)
+    acc /= math.factorial(n)
     return validate(acc, rho.shape)
 
 

@@ -11,15 +11,18 @@ sites is added at the d^m * d^m * d^(N-m) entries it touches, whose flat
 index is the offset of the target-site digits plus the offset of the
 remaining digits. No kron with identities and no permutation copy is formed.
 
-Permutation convention: the unitary U_p maps x_1 ox ... ox x_N to the product
-whose j-th factor is x_{p^{-1}(j)}, i.e. the content of site s moves to site
-p(s). conjugate_by_permutation forms U_{p^{-1}} M U_p by re-indexing, without
+Site permutations: a permutation p of the sites is its 1-based image
+tuple, image[s-1] = p(s). The unitary U_p maps x_1 ox ... ox x_N to the
+product whose j-th factor is x_{p^{-1}(j)}, i.e. the content of site s moves
+to site p(s). conjugate_by_permutation forms U_{p^{-1}} M U_p by reordering
+the axes of M's rank-2N tensor, the reshape partial_trace also uses, without
 building U_p.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,97 +64,52 @@ class TensorShape:
         return TensorShape(self.d, sites, self.max_total_dim)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of {1..N}; image[i-1] is where site i's content goes."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {self.image}")
-
-    @property
-    def sites(self) -> int:
-        return len(self.image)
-
-    def __call__(self, site: int) -> int:
-        return self.image[site - 1]
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        _check_site(i, n)
-        _check_site(j, n)
-        image = list(range(1, n + 1))
-        image[i - 1], image[j - 1] = j, i
-        return cls(tuple(image))
-
-    @classmethod
-    def all(cls, n: int):
-        """All N! permutations, in lexicographic image order."""
-        for image in itertools.permutations(range(1, n + 1)):
-            yield cls(image)
-
-
 def _check_site(site: int, n: int):
     if not 1 <= site <= n:
         raise BadSiteIndex(f"site {site} outside 1..{n}")
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = DEFAULT_MAX_TOTAL_DIM) -> np.ndarray:
-    """Kronecker product with the total-dimension budget enforced."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[0] * b.shape[0] > max_dim:
-        raise MemoryBudgetExceeded(
-            f"kron result dimension {a.shape[0] * b.shape[0]} exceeds budget {max_dim}"
-        )
-    return np.kron(a, b)
+def kron(*factors: np.ndarray, max_dim: int = DEFAULT_MAX_TOTAL_DIM) -> np.ndarray:
+    """Kronecker product of one or more factors, left to right.
 
-
-def kron_all(matrices, max_dim: int = DEFAULT_MAX_TOTAL_DIM) -> np.ndarray:
-    """Kronecker product of a nonempty sequence, left to right."""
-    out = None
-    for m in matrices:
-        out = np.asarray(m) if out is None else kron(out, m, max_dim)
-    if out is None:
-        raise ValueError("kron_all needs at least one matrix")
-    return out
+    The product dimension is checked against the budget before anything is
+    formed.
+    """
+    if not factors:
+        raise ValueError("kron needs at least one factor")
+    dim = math.prod(map(len, factors))
+    if dim > max_dim:
+        raise MemoryBudgetExceeded(f"kron result dimension {dim} exceeds budget {max_dim}")
+    return functools.reduce(np.kron, factors[1:], np.asarray(factors[0]))
 
 
 def tensor_power(m: np.ndarray, n: int, max_dim: int = DEFAULT_MAX_TOTAL_DIM) -> np.ndarray:
     """m ox m ox ... (n factors)."""
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
-    return kron_all([m] * n, max_dim)
+    return kron(*[m] * n, max_dim=max_dim)
 
 
-def _basis_map(p: Permutation, shape: TensorShape) -> np.ndarray:
-    """Index array b with U_p e_x = e_{b[x]} on the product basis."""
-    if p.sites != shape.sites:
-        raise DimensionMismatch(
-            f"permutation on {p.sites} sites does not match shape with {shape.sites}"
-        )
-    dims = (shape.d,) * shape.sites
-    digits = np.stack(np.unravel_index(np.arange(shape.total_dim), dims))
-    moved = np.empty_like(digits)
-    for k in range(shape.sites):
-        # content of site k+1 lands on site p(k+1)
-        moved[p.image[k] - 1] = digits[k]
-    return np.ravel_multi_index(tuple(moved), dims)
+def conjugate_by_permutation(m: np.ndarray, image, shape: TensorShape) -> np.ndarray:
+    """U_{p^{-1}} M U_p for the permutation p with p(s) = image[s-1].
 
-
-def conjugate_by_permutation(m: np.ndarray, p: Permutation, shape: TensorShape) -> np.ndarray:
-    """U_{p^{-1}} M U_p, computed by basis re-indexing (no matmuls).
-
-    Entrywise this is M[b[a], b[c]] with b the basis map of p.
+    As a rank-2N tensor, the result's row and column legs of site s are
+    M's legs of site p(s), so it is one transpose of the legs (no matmuls).
+    At the identity the result is a view of m.
     """
     m = np.asarray(m)
+    n = shape.sites
     if m.shape != (shape.total_dim, shape.total_dim):
         raise DimensionMismatch(f"matrix shape {m.shape} does not match {shape}")
-    b = _basis_map(p, shape)
-    return m[np.ix_(b, b)]
+    if len(image) != n:
+        raise DimensionMismatch(
+            f"permutation on {len(image)} sites does not match shape with {n}"
+        )
+    if sorted(image) != list(range(1, n + 1)):
+        raise ValueError(f"not a bijection of 1..{n}: {tuple(image)}")
+    ax = [s - 1 for s in image]
+    t = m.reshape((shape.d,) * (2 * n))
+    return t.transpose(ax + [n + a for a in ax]).reshape(m.shape)
 
 
 def partial_trace(m: np.ndarray, shape: TensorShape, traced_sites) -> np.ndarray:

@@ -13,6 +13,7 @@ import numpy as np
 
 from chaoticity import metrics
 from chaoticity.dynamics import (
+    TRAJECTORY_TOL,
     ExactPropagator,
     bbgky_residual,
     epsilon_term,
@@ -391,7 +392,7 @@ def propagation_rows_dense(config) -> list[tuple]:
     """propagation rows from ExactPropagator.evolve_grid on rho0^(ox N)."""
     sys, rho0 = _draw_system(config), _draw_initial(config)
     traj = integrate_hartree(rho0, sys, 0.0, max(config.times), config.step,
-                             config.save_every, config.tol_value("drift", 1e-7))
+                             config.save_every, config.tol_value("drift", TRAJECTORY_TOL))
     if config.gronwall:
         grid, states = traj.times, traj.states
     else:

@@ -184,6 +184,8 @@ def test_validation_step_cap():
         parse_config("kind = propagation\nv_norm_cap = 2\nstep = 0.02\ntimes = 0.5\n")
     c = parse_config("kind = propagation\nstep = 0.025\nsave_every = 4\ntimes = 0.5\n")
     assert c.step == 0.025
+    # kinds that run no RK4 are not held to the cap
+    parse_config("kind = chaos_sweep\nstep = 0.05\n")
 
 
 def test_validation_propagation_save_grid():

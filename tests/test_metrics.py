@@ -287,7 +287,6 @@ def test_weyl_basis_properties():
         assert np.allclose(basis[0], np.eye(d), atol=1e-15)
         for u in basis:
             assert np.allclose(u @ u.conj().T, np.eye(d), atol=1e-12)
-    assert len(weyl_basis(3, count=4)) == 4
     assert weyl_labels(2) == ["W(0,0)", "W(0,1)", "W(1,0)", "W(1,1)"]
 
 

@@ -3,13 +3,15 @@ _add_on_sites scatter that places every site operator."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from chaoticity import linalg, tensor
 from chaoticity.errors import BadSiteIndex, DimensionMismatch, MemoryBudgetExceeded
 from chaoticity.states import random_density
-from chaoticity.tensor import Permutation, TensorShape
+from chaoticity.tensor import TensorShape
 
 import oracles
 
@@ -26,18 +28,18 @@ def embed(b, sites, shape, scale=1.0):
     return out
 
 
-def inverse_image(p):
+def inverse_image(image):
     """Image of p^{-1}: the site whose content p moves to s, for s = 1..N."""
-    inv = [0] * p.sites
-    for site, target in enumerate(p.image, start=1):
+    inv = [0] * len(image)
+    for site, target in enumerate(image, start=1):
         inv[target - 1] = site
     return tuple(inv)
 
 
-def naive_unitaries(p, d):
+def naive_unitaries(image, d):
     """(U_p, U_{p^{-1}}) from the digit-loop oracle."""
-    return (oracles.naive_permutation_unitary(p.image, d),
-            oracles.naive_permutation_unitary(inverse_image(p), d))
+    return (oracles.naive_permutation_unitary(image, d),
+            oracles.naive_permutation_unitary(inverse_image(image), d))
 
 
 # ---------------------------------------------------------------- shapes
@@ -62,27 +64,23 @@ def test_shape_total_dim_and_reduced():
 
 
 def test_permutation_rejects_non_bijection():
+    shape = TensorShape(2, 3)
+    m = rand_complex(8, 8)
     with pytest.raises(ValueError):
-        Permutation((1, 1, 3))
+        tensor.conjugate_by_permutation(m, (1, 1, 3), shape)
+    with pytest.raises(DimensionMismatch):
+        tensor.conjugate_by_permutation(m, (2, 1), shape)
 
 
 def test_permutation_compose_inverse_identity():
     # conjugating by p and then by p^{-1} is the identity map
-    p = Permutation((2, 3, 1))
-    q = Permutation(inverse_image(p))
-    assert q.image == (3, 1, 2)
+    p = (2, 3, 1)
+    q = inverse_image(p)
+    assert q == (3, 1, 2)
     shape = TensorShape(2, 3)
     m = rand_complex(8, 8)
     there = tensor.conjugate_by_permutation(m, p, shape)
     assert np.array_equal(tensor.conjugate_by_permutation(there, q, shape), m)
-    assert Permutation.transposition(3, 1, 3).image == (3, 2, 1)
-
-
-def test_permutation_all_enumerates_group():
-    perms = list(Permutation.all(3))
-    assert len(perms) == 6
-    assert len({p.image for p in perms}) == 6
-    assert perms[0].image == (1, 2, 3)
 
 
 # ---------------------------------------------------------------- kron
@@ -109,11 +107,17 @@ def test_kron_matches_index_oracle():
     a = rand_complex(2, 2)
     b = rand_complex(3, 3)
     assert np.allclose(tensor.kron(a, b), oracles.naive_kron(a, b), atol=1e-14)
+    c = rand_complex(2, 5)
+    assert np.allclose(tensor.kron(a, b, c), oracles.naive_kron_chain([a, b, c]), atol=1e-13)
 
 
 def test_kron_budget():
     with pytest.raises(MemoryBudgetExceeded):
         tensor.kron(np.eye(64, dtype=complex), np.eye(65, dtype=complex))
+    with pytest.raises(MemoryBudgetExceeded):
+        tensor.kron(np.eye(4), np.eye(4), np.eye(4), max_dim=63)
+    with pytest.raises(ValueError):
+        tensor.kron()
 
 
 def test_tensor_power():
@@ -131,13 +135,13 @@ def test_tensor_power():
 def test_permutation_unitary_identity():
     shape = TensorShape(2, 3)
     m = rand_complex(8, 100)
-    assert np.array_equal(tensor.conjugate_by_permutation(m, Permutation((1, 2, 3)), shape), m)
+    assert np.array_equal(tensor.conjugate_by_permutation(m, (1, 2, 3), shape), m)
 
 
 def test_permutation_unitary_swap_example():
     # the swap on d=2, N=2 exchanges e0 ox e1 (index 1) and e1 ox e0 (index 2)
     shape = TensorShape(2, 2)
-    swap = Permutation((2, 1))
+    swap = (2, 1)
     m = np.zeros((4, 4), dtype=complex)
     m[1, 2] = 1.0
     m[0, 0] = m[3, 1] = 2.0
@@ -150,7 +154,7 @@ def test_permutation_unitary_swap_example():
 
 def test_permutation_unitary_three_cycle_order():
     shape = TensorShape(2, 3)
-    cycle = Permutation((2, 3, 1))
+    cycle = (2, 3, 1)
     m = rand_complex(8, 101)
     moved = m
     for turn in range(3):
@@ -161,7 +165,7 @@ def test_permutation_unitary_three_cycle_order():
 def test_permutation_unitary_matches_naive():
     shape = TensorShape(3, 3)
     m = rand_complex(27, 102)
-    for p in Permutation.all(3):
+    for p in itertools.permutations((1, 2, 3)):
         u, u_inv = naive_unitaries(p, 3)
         got = tensor.conjugate_by_permutation(m, p, shape)
         assert np.allclose(got, u_inv @ m @ u, atol=1e-13)
@@ -172,11 +176,11 @@ def test_permutation_unitary_composition_law():
     shape = TensorShape(2, 4)
     m = rand_complex(16, 103)
     rng = np.random.default_rng(7)
-    perms = list(Permutation.all(4))
+    perms = list(itertools.permutations((1, 2, 3, 4)))
     for _ in range(6):
         p = perms[rng.integers(len(perms))]
         q = perms[rng.integers(len(perms))]
-        q_after_p = Permutation(tuple(q.image[p.image[s] - 1] for s in range(4)))
+        q_after_p = tuple(q[p[s] - 1] for s in range(4))
         two_steps = tensor.conjugate_by_permutation(
             tensor.conjugate_by_permutation(m, q, shape), p, shape
         )
@@ -187,7 +191,7 @@ def test_permutation_unitary_is_unitary():
     # a unitary similarity fixes 1 and respects products
     shape = TensorShape(2, 3)
     a, b = rand_complex(8, 104), rand_complex(8, 105)
-    for p in Permutation.all(3):
+    for p in itertools.permutations((1, 2, 3)):
         assert np.array_equal(tensor.conjugate_by_permutation(np.eye(8), p, shape), np.eye(8))
         prod = tensor.conjugate_by_permutation(a, p, shape) @ tensor.conjugate_by_permutation(
             b, p, shape
@@ -195,11 +199,12 @@ def test_permutation_unitary_is_unitary():
         assert np.allclose(prod, tensor.conjugate_by_permutation(a @ b, p, shape), atol=1e-12)
 
 
-def test_conjugate_by_permutation_matches_explicit():
-    shape = TensorShape(2, 3)
-    m = rand_complex(8, 9)
-    for p in Permutation.all(3):
-        u, u_inv = naive_unitaries(p, 2)
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (2, 4)])
+def test_conjugate_by_permutation_matches_explicit(d, n):
+    shape = TensorShape(d, n)
+    m = rand_complex(shape.total_dim, 9)
+    for p in itertools.permutations(range(1, n + 1)):
+        u, u_inv = naive_unitaries(p, d)
         got = tensor.conjugate_by_permutation(m, p, shape)
         assert np.allclose(got, u_inv @ m @ u, atol=1e-13)
 
@@ -365,9 +370,9 @@ def test_embed_two_body_permutation_independence():
     v = rand_complex(4, 71)
     shape = TensorShape(2, 4)
     got = embed(v, (2, 3), shape)
-    base = tensor.kron(v, np.eye(4, dtype=complex), shape.total_dim)
+    base = tensor.kron(v, np.eye(4, dtype=complex), max_dim=shape.total_dim)
     for image in [(3, 1, 2, 4), (4, 1, 2, 3)]:
-        u, u_inv = naive_unitaries(Permutation(image), 2)  # p(2)=1, p(3)=2 both times
+        u, u_inv = naive_unitaries(image, 2)  # p(2)=1, p(3)=2 both times
         assert np.allclose(got, u_inv @ base @ u, atol=1e-13)
 
 
@@ -375,7 +380,7 @@ def test_embed_two_body_covariance():
     # U_sigma^-1 V_ij U_sigma = V_{sigma^-1(i) sigma^-1(j)}
     v = rand_complex(4, 72)
     shape = TensorShape(2, 3)
-    for sigma in Permutation.all(3):
+    for sigma in itertools.permutations((1, 2, 3)):
         sinv = inverse_image(sigma)
         for (i, j) in [(1, 2), (1, 3), (2, 3), (3, 1)]:
             got = tensor.conjugate_by_permutation(embed(v, (i, j), shape), sigma, shape)
@@ -438,7 +443,7 @@ def test_conjugation_fixes_tensor_powers():
     rho = random_density(2, 95)
     m = tensor.tensor_power(rho.matrix, 3)
     shape = TensorShape(2, 3)
-    for p in Permutation.all(3):
+    for p in itertools.permutations((1, 2, 3)):
         moved = tensor.conjugate_by_permutation(m, p, shape)
         assert np.max(np.abs(moved - m)) <= 1e-12
 
