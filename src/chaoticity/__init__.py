@@ -41,7 +41,6 @@ from .linalg import (
     is_hermitian,
     operator_norm,
     trace_norm,
-    trace_product,
 )
 from .tensor import (
     TensorShape,
@@ -57,7 +56,6 @@ from .states import (
     product_state,
     random_density,
     random_hermitian,
-    symmetrize,
     validate,
 )
 from .metrics import (

@@ -59,16 +59,6 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL, what: str = "matrix") -> 
     return a
 
 
-def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """tr(A B) without forming the product."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
-        raise DimensionMismatch(f"trace_product: shapes {a.shape} and {b.shape}")
-    # tr(AB) = sum_ij A[i,j] B[j,i]
-    return complex(np.sum(a * b.T))
-
-
 def herm_eigen(m, tol: float = HERMITICITY_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix.
 

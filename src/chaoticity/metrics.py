@@ -27,6 +27,12 @@ so empirical_variance requires a symmetric rho_N: a state that fails
 is_symmetric raises NotSymmetric (a ProductMixture is symmetric by
 construction).
 
+Every product expectation tr((F_1 ox ... ox F_k) M) -- the one-site
+tr(A rho), both e_N terms, the joint of C_{k,N} -- is one contraction of the
+k-site matrix M, read as a rank-2k tensor, against k stacks of one-site
+factors, so a whole stack of observables or tuples costs one einsum and no
+Kronecker product of observables is ever formed.
+
 The bound is evaluated in its printed squared-factor form and, because the
 underlying Cauchy-Schwarz step suggests unsquared factors were intended, the
 unsquared variant is computed alongside: corollary_bound returns the pair
@@ -36,7 +42,6 @@ unsquared variant is computed alongside: corollary_bound returns the pair
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +49,38 @@ import numpy as np
 from . import linalg
 from .errors import BadSiteIndex, BoundViolation, DimensionMismatch, NotSymmetric
 from .states import DensityOperator, State, is_symmetric
-from .tensor import kron, tensor_power
+from .tensor import tensor_power
 
 # e values in [-E_CLAMP, 0) are reported as 0 (flagged); below -E_ERROR is a bug.
 E_CLAMP = 1e-10
 E_ERROR = 1e-8
 BOUND_SLACK = 1e-9
+
+
+def _contract(m: np.ndarray, d: int, factors) -> np.ndarray:
+    """tr((F_1[t] ox ... ox F_k[t]) M) for every t.
+
+    M is a d^k x d^k matrix and factors holds k stacks of shape (T, d, d).
+    With M read as M[j_1..j_k, i_1..i_k], the trace is the sum of
+    F_1[t, i_1, j_1] ... F_k[t, i_k, j_k] M[j_1..j_k, i_1..i_k]: one einsum.
+    """
+    k = len(factors)
+    operands = []
+    for s, f in enumerate(factors):
+        operands += [f, [0, 1 + s, 1 + k + s]]
+    legs = [*range(1 + k, 1 + 2 * k), *range(1, 1 + k)]
+    return np.einsum(*operands, np.reshape(m, (d,) * (2 * k)), legs, [0])
+
+
+def _observable_stack(observables, d: int) -> np.ndarray:
+    """The observables as one complex (m, d, d) stack; DimensionMismatch unless each is d x d."""
+    stack = [np.asarray(a, dtype=np.complex128) for a in observables]
+    if not stack:
+        raise ValueError("need at least one observable")
+    for a in stack:
+        if a.shape != (d, d):
+            raise DimensionMismatch(f"observable of shape {a.shape} on sites of dimension {d}")
+    return np.stack(stack)
 
 
 def _check_reference(rho_N: State, rho: DensityOperator) -> None:
@@ -79,21 +110,17 @@ def _require_symmetric(rho_N: State) -> None:
         )
 
 
-def _variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> float:
-    """e_N(A) of a symmetric state from its first two marginals (see empirical_variance)."""
-    n = rho_N.sites
-    c = linalg.trace_product(a, rho.matrix)
-    b = a - c * np.eye(rho.d)
-    b_dag = b.conj().T
-    val = linalg.trace_product(b_dag @ b, rho_N.marginal(1).matrix) / n
+def _variances(rho_N: State, rho: DensityOperator, stack: np.ndarray) -> np.ndarray:
+    """e_N of every observable in stack on a symmetric state (see empirical_variance)."""
+    n, d = rho_N.sites, rho_N.d
+    b = stack - _contract(rho.matrix, d, [stack])[:, None, None] * np.eye(d)
+    b_dag = b.conj().transpose(0, 2, 1)
+    val = _contract(rho_N.marginal(1).matrix, d, [b_dag @ b]) / n
     if n > 1:
-        m2 = rho_N.marginal(2)
-        val += (1.0 - 1.0 / n) * linalg.trace_product(
-            kron(b_dag, b, max_dim=m2.shape.max_total_dim), m2.matrix
-        )
-    if val.real < -E_ERROR:
-        raise BoundViolation(f"empirical variance {val.real:.3e} < -{E_ERROR:.1e}")
-    return float(val.real)
+        val += (1.0 - 1.0 / n) * _contract(rho_N.marginal(2).matrix, d, [b_dag, b])
+    if val.real.min() < -E_ERROR:
+        raise BoundViolation(f"empirical variance {val.real.min():.3e} < -{E_ERROR:.1e}")
+    return val.real
 
 
 def empirical_variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> float:
@@ -109,22 +136,10 @@ def empirical_variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> flo
     is_symmetric raises NotSymmetric. The value is real up to roundoff; a
     real part below -1e-8 means a kernel bug.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if rho.sites != 1 or a.shape != (rho_N.d, rho_N.d):
-        raise DimensionMismatch("observable and reference state must be one-site objects")
+    _check_reference(rho_N, rho)
+    stack = _observable_stack([a], rho_N.d)
     _require_symmetric(rho_N)
-    return _variance(rho_N, rho, a)
-
-
-def _product_expectation(marg_k: DensityOperator, observables, rho: DensityOperator) -> tuple[complex, complex]:
-    """(joint expectation against the k-marginal, product of one-site ones)."""
-    joint_obs = kron(*[np.asarray(a, dtype=np.complex128) for a in observables],
-                     max_dim=marg_k.shape.max_total_dim)
-    joint = linalg.trace_product(joint_obs, marg_k.matrix)
-    prod = 1.0 + 0.0j
-    for a in observables:
-        prod *= linalg.trace_product(np.asarray(a, dtype=np.complex128), rho.matrix)
-    return joint, prod
+    return float(_variances(rho_N, rho, stack)[0])
 
 
 def factorization_error(rho_N: State, rho: DensityOperator, observables) -> float:
@@ -136,12 +151,12 @@ def factorization_error(rho_N: State, rho: DensityOperator, observables) -> floa
     """
     observables = list(observables)
     k = len(observables)
-    if k < 1:
-        raise ValueError("need at least one observable")
     if k > rho_N.sites:
         raise BadSiteIndex(f"k = {k} exceeds N = {rho_N.sites}")
-    joint, prod = _product_expectation(rho_N.marginal(k), observables, rho)
-    return abs(joint - prod)
+    _check_reference(rho_N, rho)
+    stack = _observable_stack(observables, rho_N.d)
+    joint = _contract(rho_N.marginal(k).matrix, rho_N.d, [a[None] for a in stack])[0]
+    return float(abs(joint - np.prod(_contract(rho.matrix, rho.d, [stack]))))
 
 
 def combinatorial_factor(k: int, n_sites: int) -> float:
@@ -150,6 +165,27 @@ def combinatorial_factor(k: int, n_sites: int) -> float:
     for m in range(k):
         out *= 1.0 - m / n_sites
     return out
+
+
+def _rate_bounds(norms, exps, e_values, idx: np.ndarray, n_sites: int):
+    """(squared, unsquared) rate bounds of every tuple idx[t] = (i_1..i_k).
+
+    norms[i], exps[i] = |tr(rho A_i)| and e_values[i] belong to observable i;
+    the bound of a tuple is sum_l sqrt(e_{i_l}) prod_{j<l} exps_{i_j}^p
+    prod_{j>l} norms_{i_j}^p + 2 prod_j norms_{i_j} (1 - combinatorial_factor),
+    for p = 2 (printed form) and p = 1.
+    """
+    t, k = idx.shape
+    root_e = np.sqrt(np.maximum(e_values, 0.0))[idx]
+    tail = 2.0 * np.prod(norms[idx], axis=1) * (1.0 - combinatorial_factor(k, n_sites))
+    ones = np.ones((t, 1))
+    bounds = []
+    for power in (2, 1):
+        x, y = exps[idx] ** power, norms[idx] ** power
+        before = np.cumprod(np.hstack([ones, x[:, :-1]]), axis=1)
+        after = np.cumprod(np.hstack([ones, y[:, :0:-1]]), axis=1)[:, ::-1]
+        bounds.append((root_e * before * after).sum(axis=1) + tail)
+    return bounds[0], bounds[1]
 
 
 def corollary_bound(
@@ -165,23 +201,20 @@ def corollary_bound(
     printed form weights by squared expectations and norms; the unsquared
     variant by their first powers.
     """
-    observables = [np.asarray(a, dtype=np.complex128) for a in observables]
+    observables = list(observables)
     k = len(observables)
     if k > n_sites:
         raise BadSiteIndex(f"k = {k} exceeds N = {n_sites}")
     if len(e_values) != k:
         raise DimensionMismatch(f"need {k} e-values, got {len(e_values)}")
-    norms = [linalg.operator_norm(a) for a in observables]
-    exps = [abs(linalg.trace_product(rho.matrix, a)) for a in observables]
-    tail = 2.0 * math.prod(norms) * (1.0 - combinatorial_factor(k, n_sites))
-    bounds = []
-    for power in (2, 1):
-        total = 0.0
-        for l in range(k):
-            w = math.prod(x**power for x in exps[:l] + norms[l + 1:])
-            total += np.sqrt(max(float(e_values[l]), 0.0)) * w
-        bounds.append(total + tail)
-    return bounds[0], bounds[1]
+    if rho.sites != 1:
+        raise DimensionMismatch("reference state must live on one site")
+    stack = _observable_stack(observables, rho.d)
+    norms = np.array([linalg.operator_norm(a) for a in stack])
+    exps = np.abs(_contract(rho.matrix, rho.d, [stack]))
+    b_sq, b_un = _rate_bounds(norms, exps, np.array(e_values, dtype=float),
+                              np.arange(k)[None, :], n_sites)
+    return float(b_sq[0]), float(b_un[0])
 
 
 def weyl_basis(d: int) -> list[np.ndarray]:
@@ -222,10 +255,6 @@ class ChaosReport:
     clamped_labels: tuple[str, ...]
 
 
-def _tuple_label(labels, index_tuple) -> str:
-    return "x".join(labels[i] for i in index_tuple)
-
-
 def chaos_report(
     rho_N: State,
     rho: DensityOperator,
@@ -236,11 +265,14 @@ def chaos_report(
 ) -> ChaosReport:
     """Aggregate the metrics for one k against an observable set.
 
-    Defaults to the full Weyl basis. Factorization errors are computed for
-    k-tuples drawn from the set in lexicographic order, truncated to
-    max_tuples; each tuple's error is compared with its own rate bound, and
+    The set defaults to the Weyl basis, whose first element is the identity.
+    e_N is reported for every observable, but factorization errors only for
+    the first max_tuples k-tuples of the set in lexicographic order: with
+    the default 8, at d >= 3 and k >= 2 every tested tuple starts with the
+    identity, so max C reads roundoff there (testing every tuple is ROADMAP item 1).
+    Each tuple's error is compared with its own rate bound, and
     bound_satisfied requires every tested tuple to pass. The reported
-    corollary_bound fields belong to the tuple with the largest
+    corollary_bound fields belong to the first tuple with the largest
     factorization error. rho_N passes one symmetry gate, as in
     empirical_variance, and every e_N reads the marginals the state keeps.
     """
@@ -248,63 +280,44 @@ def chaos_report(
     if observables is None:
         observables = weyl_basis(d)
         labels = weyl_labels(d)
-    else:
-        observables = [np.asarray(a, dtype=np.complex128) for a in observables]
-        if labels is None:
-            labels = [f"A{i}" for i in range(len(observables))]
+    elif labels is None:
+        labels = [f"A{i}" for i in range(len(observables))]
     if len(labels) != len(observables):
         raise DimensionMismatch("labels and observables differ in length")
+    if max_tuples < 1:
+        raise ValueError(f"max_tuples must be >= 1, got {max_tuples}")
 
     _check_reference(rho_N, rho)
+    stack = _observable_stack(observables, d)
     marg = rho_N.marginal(k)
     _require_symmetric(rho_N)
     dist = _distance(marg, rho)
 
-    e_values = []
-    e_adjoint = []
-    clamped = []
-    for lbl, a in zip(labels, observables):
-        raw = _variance(rho_N, rho, a)
-        val = raw
-        if raw < 0.0:
-            clamped.append(lbl)
-            if raw >= -E_CLAMP:
-                val = 0.0
-        e_values.append((lbl, val))
-        if linalg.is_hermitian(a):
-            e_adjoint.append(max(raw, 0.0))
-        else:
-            e_adjoint.append(max(_variance(rho_N, rho, a.conj().T), 0.0))
+    raw = _variances(rho_N, rho, stack)
+    shown = np.where((raw < 0.0) & (raw >= -E_CLAMP), 0.0, raw)
+    e_adjoint = raw.copy()
+    skew = np.array([not linalg.is_hermitian(a) for a in stack])
+    if skew.any():
+        e_adjoint[skew] = _variances(rho_N, rho, stack[skew].conj().transpose(0, 2, 1))
 
-    index_tuples = itertools.islice(
-        itertools.product(range(len(observables)), repeat=k), max_tuples
-    )
-
-    c_values = []
-    worst_c = -1.0
-    worst_bounds = (0.0, 0.0)
-    all_ok = True
-    for idx in index_tuples:
-        obs = [observables[i] for i in idx]
-        joint, prod = _product_expectation(marg, obs, rho)
-        c = abs(joint - prod)
-        e_vals = [e_adjoint[i] for i in idx]
-        b_sq, b_un = corollary_bound(rho, obs, e_vals, rho_N.sites)
-        c_values.append((_tuple_label(labels, idx), c))
-        if c > b_sq + BOUND_SLACK:
-            all_ok = False
-        if c > worst_c:
-            worst_c = c
-            worst_bounds = (b_sq, b_un)
+    idx = np.array(list(itertools.islice(itertools.product(range(len(stack)), repeat=k),
+                                         max_tuples)))
+    joint = _contract(marg.matrix, d, [stack[idx[:, j]] for j in range(k)])
+    exps = _contract(rho.matrix, d, [stack])
+    c = np.abs(joint - np.prod(exps[idx], axis=1))
+    norms = np.array([linalg.operator_norm(a) for a in stack])
+    b_sq, b_un = _rate_bounds(norms, np.abs(exps), e_adjoint, idx, rho_N.sites)
+    worst = int(np.argmax(c))
 
     return ChaosReport(
         k=k,
         N=rho_N.sites,
         chaos_distance=dist,
-        e_values=tuple(e_values),
-        c_values=tuple(c_values),
-        corollary_bound=worst_bounds[0],
-        corollary_bound_unsquared=worst_bounds[1],
-        bound_satisfied=all_ok,
-        clamped_labels=tuple(clamped),
+        e_values=tuple(zip(labels, shown.tolist())),
+        c_values=tuple(("x".join(labels[i] for i in row), float(ct))
+                       for row, ct in zip(idx, c)),
+        corollary_bound=float(b_sq[worst]),
+        corollary_bound_unsquared=float(b_un[worst]),
+        bound_satisfied=not bool((c > b_sq + BOUND_SLACK).any()),
+        clamped_labels=tuple(lbl for lbl, e in zip(labels, raw) if e < 0.0),
     )

@@ -1,5 +1,5 @@
 """Density operators on tensor-power spaces: validation, permutation
-symmetry, exact symmetrization, product mixtures, and seeded generators.
+symmetry, product mixtures, and seeded generators.
 
 validate() is the single gate deciding what counts as a density operator
 (Hermitian, PSD, unit trace, all at one absolute tolerance); it never
@@ -20,7 +20,6 @@ forms and validates a given marginal order once per object and keeps it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -48,8 +47,6 @@ from .tensor import (
 DENSITY_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 
-# Exact symmetrization enumerates all N! permutations; 6! = 720 is the cap.
-SYMMETRIZE_MAX_SITES = 6
 # Full-group symmetry checking is exposed only up to 5! = 120 permutations.
 FULL_GROUP_MAX_SITES = 5
 
@@ -185,21 +182,6 @@ def is_symmetric(rho: State, tol: float = 1e-10, full_group: bool = False) -> tu
     """
     worst = rho.symmetry_defect(full_group)
     return worst <= tol, worst
-
-
-def symmetrize(rho: DensityOperator) -> DensityOperator:
-    """Average (1/N!) sum_p U_p rho U_p† over the full permutation group."""
-    n = rho.sites
-    if n > SYMMETRIZE_MAX_SITES:
-        raise PermutationBudgetExceeded(
-            f"exact symmetrization capped at N <= {SYMMETRIZE_MAX_SITES}, got {n}"
-        )
-    acc = np.zeros_like(rho.matrix)
-    for image in itertools.permutations(range(1, n + 1)):
-        # summing over the whole group makes conjugating by U_p or U_p† immaterial
-        acc += conjugate_by_permutation(rho.matrix, image, rho.shape)
-    acc /= math.factorial(n)
-    return validate(acc, rho.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,10 +18,12 @@ from chaoticity.experiments import (
     SCHEMAS,
     ResultTable,
     _draw_initial,
+    _draw_mixture,
     _draw_system,
     run_experiment,
     subseed,
 )
+from chaoticity.metrics import corollary_bound, empirical_variance, factorization_error
 from chaoticity.states import product_state
 from chaoticity.version import __version__
 
@@ -484,6 +486,21 @@ def test_mixture_kinds_never_form_the_n_site_state(monkeypatch):
         table = run_experiment(cfg)
         assert "error" not in table.metadata
         assert len(table.rows) == 3
+
+
+def test_metrics_on_formed_marginals_never_call_kron(monkeypatch):
+    # product expectations contract the marginals the state keeps; no
+    # Kronecker product of observables is formed
+    rho_bar, mix = _draw_mixture(ExperimentConfig(kind="bound_audit"), 6)
+    for k in (1, 2, 3):
+        mix.marginal(k)
+    assert forbid(monkeypatch, tensor.kron) >= 2
+    rng = np.random.default_rng(5)
+    obs = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+    for k in (1, 2, 3):
+        c = factorization_error(mix, rho_bar, obs[:k])
+        e = [empirical_variance(mix, rho_bar, a.conj().T) for a in obs[:k]]
+        assert c <= corollary_bound(rho_bar, obs[:k], e, 6)[0] + 1e-9
 
 
 # ---------------------------------------------------------------- config text path

@@ -169,21 +169,6 @@ def test_trace_of_identity():
     assert abs(np.trace(np.eye(4)) - 4.0) <= 1e-15
 
 
-def test_trace_product_cyclic():
-    for seed in range(5):
-        a = rand_complex(5, seed)
-        b = rand_complex(5, seed + 50)
-        ab = linalg.trace_product(a, b)
-        ba = linalg.trace_product(b, a)
-        assert abs(ab - ba) <= 1e-12 * max(1.0, abs(ab))
-        assert abs(ab - np.trace(a @ b)) <= 1e-12 * max(1.0, abs(ab))
-
-
-def test_trace_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        linalg.trace_product(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
-
-
 def test_hermiticity_defect_and_is_hermitian():
     h = rand_herm(4, 2)
     assert linalg.is_hermitian(h)

@@ -195,6 +195,64 @@ def test_factorization_error_k_bounds():
         factorization_error(rho_N, rho_bar, [np.eye(2)] * 4)
     with pytest.raises(ValueError):
         factorization_error(rho_N, rho_bar, [])
+    # an empty set or no tuple at all is refused by the other entry points too
+    with pytest.raises(ValueError):
+        corollary_bound(rho_bar, [], [], 3)
+    with pytest.raises(ValueError):
+        chaos_report(rho_N, rho_bar, 1, observables=[])
+    with pytest.raises(ValueError):
+        chaos_report(rho_N, rho_bar, 1, max_tuples=0)
+
+
+# ---------------------------------------------------------------- contraction
+
+
+def test_contract_matches_kron_trace():
+    # tr((F_1[t] ox ... ox F_k[t]) M) for each t against the formed Kronecker product
+    rng = np.random.default_rng(60)
+    for d, k in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
+        m = rng.standard_normal((d**k, d**k)) + 1j * rng.standard_normal((d**k, d**k))
+        factors = [rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+                   for _ in range(k)]
+        got = metrics._contract(m, d, factors)
+        want = np.array([np.trace(oracles.naive_kron_chain([f[t] for f in factors]) @ m)
+                         for t in range(5)])
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= 1e-12 * scale
+        if k == 1:  # tr(A M) = tr(M A)
+            assert np.abs(got - np.einsum("ij,tji->t", m, factors[0])).max() <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------- dimension checks
+
+
+DIMENSION_CASES = {
+    "factorization_error-observable": lambda mix, rho, rho3: factorization_error(
+        mix, rho, [np.eye(2), np.eye(3)]),
+    "factorization_error-reference": lambda mix, rho, rho3: factorization_error(
+        mix, rho3, [np.eye(2)]),
+    "empirical_variance-observable": lambda mix, rho, rho3: empirical_variance(
+        mix, rho, np.eye(3)),
+    "empirical_variance-reference": lambda mix, rho, rho3: empirical_variance(
+        mix, rho3, np.eye(2)),
+    "corollary_bound-observable": lambda mix, rho, rho3: corollary_bound(
+        rho, [np.eye(2), np.eye(3)], [0.1, 0.1], 4),
+    "corollary_bound-non-square": lambda mix, rho, rho3: corollary_bound(
+        rho, [np.ones((2, 3))], [0.1], 4),
+    "corollary_bound-reference": lambda mix, rho, rho3: corollary_bound(
+        product_state(rho, 2), [np.eye(2)], [0.1], 4),
+    "chaos_report-observable": lambda mix, rho, rho3: chaos_report(
+        mix, rho, 1, [np.eye(2), np.eye(3)]),
+    "chaos_report-reference": lambda mix, rho, rho3: chaos_report(mix, rho3, 1),
+}
+
+
+@pytest.mark.parametrize("case", DIMENSION_CASES)
+def test_entry_points_check_dimensions(case):
+    # observables must be d x d and the reference a one-site state of the same d
+    mix, _, rho = iid_mixture(2, 4, 61)
+    with pytest.raises(DimensionMismatch):
+        DIMENSION_CASES[case](mix, rho, random_density(3, 62))
 
 
 # ---------------------------------------------------------------- rate bound
@@ -238,6 +296,18 @@ def test_corollary_bound_two_observables_tail_term():
         2.0 * n1 * n2 * 0.5 + np.sqrt(e[0]) * n2 + np.sqrt(e[1]) * x1
     )
     assert abs(got_un - want_un) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_corollary_bound_matches_loop(k):
+    rho = random_density(3, 63 + k)
+    rng = np.random.default_rng(70 + k)
+    obs = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(k)]
+    for e_vals in ([0.0] * k, [-0.02] * k, list(rng.random(k)), [(-1) ** l * 0.3 for l in range(k)]):
+        for n_sites in (k, k + 3, 50):
+            got = corollary_bound(rho, obs, e_vals, n_sites)
+            want = oracles.corollary_bound_loop(rho.matrix, obs, e_vals, n_sites)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(1.0, *want)
 
 
 def test_corollary_inequality_on_mixtures():
@@ -320,6 +390,36 @@ def test_chaos_report_k_equals_n():
     assert len(rep.c_values) == 4
     assert rep.corollary_bound >= 0.0
     assert rep.corollary_bound_unsquared >= 0.0
+
+
+def _skewed_set(d):
+    """Three non-Hermitian observables and one Hermitian one."""
+    rng = np.random.default_rng(100 + d)
+    return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(3)] + [
+        random_hermitian(d, 110 + d)]
+
+
+@pytest.mark.parametrize("all_tuples", [False, True], ids=["first8", "every"])
+@pytest.mark.parametrize("observable_set", ["weyl", "skewed"])
+@pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_chaos_report_matches_tuple_loop(d, k, observable_set, all_tuples):
+    mix, dense, _ = iid_mixture(d, 4, 120 + 10 * d + k)
+    ref = random_density(d, 130 + d)
+    obs = weyl_basis(d) if observable_set == "weyl" else _skewed_set(d)
+    max_tuples = len(obs) ** k if all_tuples else 8
+    got = chaos_report(mix, ref, k, None if observable_set == "weyl" else obs,
+                       max_tuples=max_tuples)
+    want = oracles.chaos_report_loop(dense.matrix, ref.matrix, obs, d, 4, k, max_tuples)
+    assert [e for _, e in got.e_values] == pytest.approx(want["e_shown"], abs=1e-12, rel=0)
+    c = [x for _, x in got.c_values]
+    assert len(c) == len(want["c_values"]) == min(max_tuples, len(obs) ** k)
+    assert c == pytest.approx(want["c_values"], abs=1e-12, rel=0)
+    # the bound pair of the first tuple with the largest C, as the report ranks them
+    b_sq, b_un = want["bounds"][int(np.argmax(c))]
+    assert abs(got.corollary_bound - b_sq) <= 1e-12 and abs(got.corollary_bound_unsquared - b_un) <= 1e-12
+    assert got.bound_satisfied == want["ok"]
+    labels = weyl_labels(d) if observable_set == "weyl" else [f"A{i}" for i in range(len(obs))]
+    assert got.clamped_labels == tuple(l for l, e in zip(labels, want["e_raw"]) if e < 0.0)
 
 
 def test_chaos_report_custom_observables():

@@ -23,7 +23,6 @@ from chaoticity.states import (
     product_state,
     random_density,
     random_hermitian,
-    symmetrize,
     validate,
 )
 from chaoticity.tensor import TensorShape
@@ -127,50 +126,6 @@ def test_one_site_always_symmetric():
     assert ok and worst == 0.0
 
 
-# ---------------------------------------------------------------- symmetrize
-
-
-def test_symmetrize_of_swapped_pair():
-    rho = random_density(2, 20)
-    sigma = random_density(2, 21)
-    m = validate(tensor.kron(rho.matrix, sigma.matrix), TensorShape(2, 2))
-    sym = symmetrize(m)
-    want = (
-        tensor.kron(rho.matrix, sigma.matrix) + tensor.kron(sigma.matrix, rho.matrix)
-    ) / 2
-    assert np.allclose(sym.matrix, want, atol=1e-14)
-
-
-def test_symmetrize_idempotent():
-    rho = random_density(2, 22)
-    sigma = random_density(2, 23)
-    m = validate(tensor.kron(rho.matrix, sigma.matrix), TensorShape(2, 2))
-    once = symmetrize(m)
-    twice = symmetrize(once)
-    assert np.max(np.abs(twice.matrix - once.matrix)) <= 1e-12
-
-
-def test_symmetrize_fixes_symmetric_input():
-    rho = product_state(random_density(2, 24), 3)
-    sym = symmetrize(rho)
-    assert np.max(np.abs(sym.matrix - rho.matrix)) <= 1e-13
-
-
-def test_symmetrize_output_is_symmetric_density():
-    rng = np.random.default_rng(25)
-    m = tensor.kron(*[random_density(2, int(rng.integers(1 << 30))).matrix for _ in range(3)])
-    sym = symmetrize(validate(m, TensorShape(2, 3)))
-    ok, worst = is_symmetric(sym, full_group=True)
-    assert ok, worst
-    assert abs(np.trace(sym.matrix) - 1.0) <= 1e-12
-
-
-def test_symmetrize_budget():
-    rho = product_state(random_density(2, 26), 7)
-    with pytest.raises(PermutationBudgetExceeded):
-        symmetrize(rho)
-
-
 # ---------------------------------------------------------------- mixtures
 
 
@@ -201,15 +156,6 @@ def test_mixture_with_explicit_local_states():
     )
     ok, _ = is_symmetric(mix)
     assert ok
-
-
-def test_mixture_symmetrize_flag():
-    rng = np.random.default_rng(35)
-    locals_a = [random_density(2, int(rng.integers(1 << 30))).matrix for _ in range(3)]
-    skewed = validate(tensor.kron(*locals_a), TensorShape(2, 3))
-    mix = symmetrize(skewed)
-    ok, worst = is_symmetric(mix, tol=1e-10, full_group=True)
-    assert ok, worst
 
 
 def test_mixture_weight_validation():
