@@ -8,13 +8,15 @@ the limiting nonlinear one-site equation, and audits every quantitative
 bound the theory provides: factorization rates, hierarchy defects, and
 the propagation-of-chaos inequality chain.
 
-Layering: linalg (dense Hermitian primitives) -> tensor (sites, kron,
+Layering, lowest first; a module imports only from its own layer or below
+(tests/test_layering.py checks it): errors and version
+-> linalg (dense Hermitian primitives) -> tensor (sites, kron,
 partial trace, conjugation by a site permutation given as its image tuple)
 -> states (density operators, symmetric mixtures)
 -> metrics (chaos distance, empirical variance, rate bounds)
 -> dynamics (exact evolution, the nonlinear flow, hierarchy residuals)
 -> blocks (exact evolution at d = 2 in the spin blocks)
--> config/experiments/cli (reproducible experiment harness).
+-> config -> experiments -> cli (the reproducible experiment harness).
 """
 
 from .version import __version__

@@ -11,8 +11,10 @@ normalizes to a canonical byte string (the basis of the config hash):
 
 One nesting level exists: ``tol.<name>`` lines collect into the tolerance
 override table. Unknown top-level keys, duplicates, and type mismatches are
-line-diagnosed ParseErrors; cross-field consistency problems (descending
-N_list, oversized step, k beyond the smallest N) are ConfigInvalid.
+line-diagnosed ParseErrors; cross-field consistency problems (an N_list,
+k_list or times not strictly ascending, an oversized step, k beyond the
+smallest N, a propagation time more than dynamics.GRID_TOL off the save
+grid) are ConfigInvalid.
 
 Two tolerance names are read: ``drift`` (trajectory validation, by
 propagation and hartree_convergence) and ``residual`` (the
@@ -34,7 +36,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .blocks import check_block_budget
-from .dynamics import step_cap
+from .dynamics import GRID_TOL, step_cap
 from .errors import ConfigInvalid, MemoryBudgetExceeded, ParseError
 
 KINDS = ("chaos_sweep", "propagation", "bbgky_verify", "hartree_convergence", "bound_audit")
@@ -207,6 +209,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigInvalid("k_list must be nonempty")
     if any(k < 1 for k in c.k_list):
         raise ConfigInvalid(f"k values must be >= 1, got {c.k_list}")
+    if any(b <= a for a, b in zip(c.k_list, c.k_list[1:])):
+        raise ConfigInvalid(f"k_list must be strictly ascending, got {c.k_list}")
     if max(c.k_list) > min(c.N_list):
         raise ConfigInvalid(
             f"max k = {max(c.k_list)} exceeds the smallest N = {min(c.N_list)}"
@@ -245,9 +249,11 @@ def validate_config(config: ExperimentConfig) -> None:
                 f"step = {c.step} exceeds the cap {cap:.6g} implied by v_norm_cap = {c.v_norm_cap}"
             )
     if c.kind == "propagation":
+        # integrate_hartree stores step k at the float k * step; HartreeTrajectory.index looks there
         grid = c.step * c.save_every
         for t in c.times:
-            if t > 0 and abs(t / grid - round(t / grid)) > 1e-9:
+            k = round(t / grid) * c.save_every
+            if abs(t - k * c.step) > GRID_TOL:
                 raise ConfigInvalid(
                     f"time {t} does not sit on the save grid (step x save_every = {grid:.6g})"
                 )

@@ -22,9 +22,10 @@ stability scale of the flow's Lipschitz constant.
 
 The N-body marginal hierarchy is the limiting one plus a defect eps_n with
 the 5 n^2 ||V|| / N ceiling of the propagation estimates. _hierarchy_terms
-forms both from an (n+1)-site marginal, for epsilon_term and for the
-finite-difference checks of the N-body flow (bbgky_residual) and of the
-limiting flow on rho(t)^(ox n) (tensor_hierarchy_residual).
+forms both from an (n+1)-site marginal, for epsilon_term and for
+_window_residuals, the one central-difference kernel. It checks the N-body
+flow on evolved marginals (bbgky_residual) and, at N = inf, the limiting
+flow on rho(t)^(ox n) (tensor_hierarchy_residual).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .tensor import (
     TensorShape,
     _add_on_sites,
     partial_trace,
-    tensor_power,
 )
 
 if TYPE_CHECKING:
@@ -62,6 +62,8 @@ if TYPE_CHECKING:
 DEFAULT_STEP_CAP = 0.025
 # Stored trajectory states must stay densities at this drift tolerance.
 TRAJECTORY_TOL = 1e-7
+# A time within this of a stored trajectory time is that time.
+GRID_TOL = 1e-9
 EPSILON_SLACK = 1e-9
 
 
@@ -215,13 +217,17 @@ class HartreeTrajectory:
     times: np.ndarray
     states: tuple[DensityOperator, ...]
 
-    def state_at(self, t: float, tol: float = 1e-9) -> DensityOperator:
+    def index(self, t: float) -> int:
+        """Position of the stored time within GRID_TOL of t; ValueError if there is none."""
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol:
+        if abs(self.times[i] - t) > GRID_TOL:
             raise ValueError(
-                f"t = {t} not on the stored grid (nearest {self.times[i]}, spacing tol {tol})"
+                f"t = {t} not on the stored grid (nearest {self.times[i]}, tol {GRID_TOL})"
             )
-        return self.states[i]
+        return i
+
+    def state_at(self, t: float) -> DensityOperator:
+        return self.states[self.index(t)]
 
 
 def _hartree_rhs_matrix(m: np.ndarray, sys: MeanFieldSystem) -> np.ndarray:
@@ -378,12 +384,13 @@ def _window_times(t: float, steps) -> list[float]:
 
 
 def _window_residuals(
-    window, sys: MeanFieldSystem, n_sites: int, t: float, steps
+    window, sys: MeanFieldSystem, n_sites: float, t: float, steps
 ) -> list[HierarchyResidual]:
     """bbgky_residual at (n, t) for each step h in steps, from one window.
 
-    window holds the (n+1)-site marginals at _window_times(t, steps) of an
-    N = n_sites evolution. The right side L + eps_n at t and the epsilon
+    window holds the (n+1)-site states at _window_times(t, steps): marginals
+    of an N = n_sites evolution, or at N = inf the products rho(s)^(ox (n+1))
+    of the limiting flow. The right side L + eps_n at t and the epsilon
     defect come from one _hierarchy_terms call shared by every h.
     """
     mid = window[len(steps)]
@@ -431,26 +438,18 @@ def tensor_hierarchy_residual(
 ) -> float:
     """Central-difference check that rho(t)^(ox n) obeys the limiting hierarchy.
 
-    residual = || (rho(t+h)^n - rho(t-h)^n) / 2h + i L(rho(t)^(ox (n+1))) ||_1
+    residual = || (rho(t+h)^n - rho(t-h)^n) / 2h + i L(rho(t)^(ox (n+1))) ||_1,
 
-    with L from _hierarchy_terms at N = inf, expected O(h^2) + O(step^4).
-    Trajectory states are looked up on the stored grid; t-h, t, t+h must
-    all be grid points.
+    _window_residuals at N = inf on the window rho(s)^(ox (n+1)), expected
+    O(h^2) + O(step^4). Trajectory states are looked up on the stored grid;
+    t-h, t, t+h must all be grid points.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    r_minus = trajectory.state_at(t - h)
-    r_mid = trajectory.state_at(t)
-    r_plus = trajectory.state_at(t + h)
-    # the states' own budget bounds the order-(n+1) products formed below
-    budget = r_mid.shape.max_total_dim
-    lhs = (tensor_power(r_plus.matrix, n, budget) - tensor_power(r_minus.matrix, n, budget)) / (
-        2.0 * h
-    )
-    limit, _ = _hierarchy_terms(
-        sys, tensor_power(r_mid.matrix, n + 1, budget), r_mid.shape.reduced(n + 1), math.inf
-    )
-    return linalg.trace_norm(lhs + 1j * limit)
+    # product_state bounds each rho(s)^(ox (n+1)) by the state's own budget
+    window = [product_state(trajectory.state_at(s), n + 1) for s in _window_times(t, (h,))]
+    (res,) = _window_residuals(window, sys, math.inf, t, (h,))
+    return res.residual_trace_norm
 
 
 def gronwall_envelope(

@@ -2,9 +2,12 @@
 
 Each kind turns an ExperimentConfig into a ResultTable whose rows depend
 only on the config (seed included), never on wall clock, thread timing, or
-row completion order. Randomness flows through a counter-based splitter:
-every draw gets its own SeedSequence keyed by (namespace, indices...), so
-enlarging N_list or trial counts never perturbs rows that already existed.
+row completion order. Rows come out in key order by construction: N_list,
+k_list and times ascend strictly, each worker emits its N's rows in that
+order, and _over_N joins the workers in N order. Randomness flows through a
+counter-based splitter: every draw gets its own SeedSequence keyed by
+(namespace, indices...), so enlarging N_list or trial counts never perturbs
+rows that already existed.
 
 Numerical-invariant violations raised by the underlying modules are caught
 and recorded as a structured error entry in the table metadata; the CLI
@@ -25,6 +28,7 @@ from .blocks import BlockPropagator
 from .dynamics import (
     TRAJECTORY_TOL,
     ExactPropagator,
+    HartreeTrajectory,
     MeanFieldSystem,
     _window_residuals,
     _window_times,
@@ -33,7 +37,13 @@ from .dynamics import (
     integrate_hartree,
 )
 from .errors import BoundViolation, ChaoticityError, ConfigInvalid
-from .metrics import chaos_report, corollary_bound, empirical_variance, factorization_error
+from .metrics import (
+    chaos_distance,
+    chaos_report,
+    corollary_bound,
+    empirical_variance,
+    factorization_error,
+)
 from .states import (
     DensityOperator,
     ProductMixture,
@@ -41,7 +51,7 @@ from .states import (
     random_hermitian,
     validate,
 )
-from .tensor import TensorShape, tensor_power
+from .tensor import TensorShape
 from .version import __version__
 
 # seed-splitter namespaces; frozen constants, part of the reproducibility contract
@@ -91,7 +101,7 @@ def _draw_observable(rng: np.random.Generator, d: int, norm_cap: float) -> np.nd
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     nrm = linalg.operator_norm(g)
     if nrm > norm_cap:
-        g = g * (norm_cap / nrm) if nrm > 0 else np.zeros_like(g)
+        g = g * (norm_cap / nrm)
     return g
 
 
@@ -161,16 +171,7 @@ def _run_chaos_sweep(config: ExperimentConfig, parallel: int):
             ))
         return rows
 
-    rows = _over_N(config, parallel, worker)
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
-
-
-def _grid_index(grid: np.ndarray, t: float) -> int:
-    i = int(np.argmin(np.abs(grid - t)))
-    if abs(grid[i] - t) > 1e-9:
-        raise ConfigInvalid(f"time {t} missing from the trajectory grid")
-    return i
+    return _over_N(config, parallel, worker)
 
 
 def _run_propagation(config: ExperimentConfig, parallel: int):
@@ -182,36 +183,33 @@ def _run_propagation(config: ExperimentConfig, parallel: int):
         rho0, sys, 0.0, t_end, config.step, config.save_every, drift_tol
     )
     v_norm = sys.interaction_norm()
-    orders = sorted(set(config.k_list))
 
     # the envelope integrates errors over the whole trajectory grid; rows need only their times
-    if config.gronwall:
-        grid, states = trajectory.times, trajectory.states
-    else:
-        grid = np.asarray(config.times, dtype=float)
-        states = [trajectory.state_at(t) for t in config.times]
+    if not config.gronwall:
+        trajectory = HartreeTrajectory(
+            np.asarray(config.times, dtype=float),
+            tuple(trajectory.state_at(t) for t in config.times),
+        )
+    grid, states = trajectory.times, trajectory.states
 
     def worker(n_sites: int):
         # E_n needs order n; epsilon and the envelope need order n + 1 as well
-        need = sorted(set(orders) | {n + 1 for n in orders if n + 1 <= n_sites})
-        prop = _propagator(config, sys, n_sites, need[-1])
-        # one grid pass at the highest order; lower orders are traced from it
-        top = prop.evolve_grid(rho0, grid, need[-1])
-        marginals = {n: [m.marginal(n) for m in top] for n in need}
-        e_grid = {n: np.array([
-            linalg.trace_norm(m.matrix - tensor_power(state.matrix, n, config.max_total_dim))
-            for m, state in zip(marginals[n], states)
-        ]) for n in need}
+        need = {m for n in config.k_list for m in (n, n + 1) if m <= n_sites}
+        prop = _propagator(config, sys, n_sites, max(need))
+        # one grid pass at the highest order; it answers every lower marginal
+        top = prop.evolve_grid(rho0, grid, max(need))
+        e_grid = {m: np.array([chaos_distance(rho_n, rho, m) for rho_n, rho in zip(top, states)])
+                  for m in need}
         envelopes = {n: gronwall_envelope(grid, e_grid[n + 1], n, n_sites, v_norm)
-                     for n in orders if config.gronwall and n + 1 <= n_sites}
+                     for n in config.k_list if config.gronwall and n + 1 <= n_sites}
 
         rows = []
-        for n in orders:
+        for n in config.k_list:
             for t in config.times:
-                i = _grid_index(grid, t)
+                i = trajectory.index(t)
                 e_val = float(e_grid[n][i])
                 if n <= n_sites - 1:
-                    eps = epsilon_term(marginals[n + 1][i], sys, n_sites)
+                    eps = epsilon_term(top[i].marginal(n + 1), sys, n_sites)
                     eps_norm, eps_bound = eps.norm, eps.bound
                 else:
                     eps_norm = eps_bound = None
@@ -224,9 +222,7 @@ def _run_propagation(config: ExperimentConfig, parallel: int):
                 rows.append((n_sites, n, float(t), e_val, eps_norm, eps_bound, bound, ok))
         return rows
 
-    rows = _over_N(config, parallel, worker)
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
+    return _over_N(config, parallel, worker)
 
 
 def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
@@ -267,9 +263,7 @@ def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
                 ))
         return rows
 
-    rows = _over_N(config, parallel, worker)
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
+    return _over_N(config, parallel, worker)
 
 
 def _run_hartree_convergence(config: ExperimentConfig, parallel: int):
@@ -323,9 +317,7 @@ def _run_bound_audit(config: ExperimentConfig, parallel: int):
                 ))
         return rows
 
-    rows = _over_N(config, parallel, worker)
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
+    return _over_N(config, parallel, worker)
 
 
 _RUNNERS = {

@@ -268,5 +268,5 @@ def random_hermitian(d: int, seed, norm_cap: float = 1.0) -> np.ndarray:
     h = (g + g.conj().T) / 2.0
     nrm = linalg.operator_norm(h)
     if nrm > norm_cap:
-        h = h * (norm_cap / nrm) if nrm > 0 else np.zeros_like(h)
+        h = h * (norm_cap / nrm)
     return h

@@ -279,6 +279,22 @@ def bbgky_residual_full_state(prop, rho0, a: np.ndarray, v: np.ndarray, n: int,
     return trace_norm_svd(lhs + 1j * rhs)
 
 
+def tensor_hierarchy_residual_direct(trajectory, a: np.ndarray, v: np.ndarray, n: int,
+                                     t: float, h: float) -> float:
+    """|| (rho(t+h)^(ox n) - rho(t-h)^(ox n)) / 2h + i L(rho(t)^(ox (n+1))) ||_1 with
+    the tensor powers formed directly, L = sum_{j<=n} [A_j, rho^(ox n)]
+    + sum_{j<=n} tr_{n+1}[W_{j,n+1}, rho^(ox (n+1))]."""
+    minus, mid, plus = (trajectory.state_at(s).matrix for s in (t - h, t, t + h))
+    d = mid.shape[0]
+    lhs = (naive_kron_chain([plus] * n) - naive_kron_chain([minus] * n)) / (2.0 * h)
+    m_n = naive_kron_chain([mid] * n)
+    a_n = sum(embed_sites_full(a, (j,), d, n) for j in range(1, n + 1))
+    limit = a_n @ m_n - m_n @ a_n + _traced_pair_commutator(
+        v, naive_kron_chain([mid] * (n + 1)), d, n
+    )
+    return trace_norm_svd(lhs + 1j * limit)
+
+
 def marginal_error_full_state(rho_matrix: np.ndarray, one_site: np.ndarray, d: int,
                               n_sites: int, n: int) -> float:
     """E_n = tr |rho_N^(n) - rho^(ox n)| from a full N-site state."""

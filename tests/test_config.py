@@ -14,6 +14,7 @@ from chaoticity.config import (
     write_config,
 )
 from chaoticity.errors import ConfigInvalid, ParseError
+from chaoticity.experiments import run_experiment
 
 
 def test_minimal_config_gets_defaults():
@@ -128,6 +129,10 @@ def test_validation_rejects_bad_shapes():
     with pytest.raises(ConfigInvalid):
         parse_config("kind = chaos_sweep\nk_list = 0, 1\n")
     with pytest.raises(ConfigInvalid):
+        parse_config("kind = chaos_sweep\nk_list = 2, 1\n")  # descending
+    with pytest.raises(ConfigInvalid):
+        parse_config("kind = chaos_sweep\nk_list = 1, 1, 2\n")  # repeated
+    with pytest.raises(ConfigInvalid):
         parse_config("kind = chaos_sweep\nN_list = 2, 4\nk_list = 3\n")  # k > min N
     with pytest.raises(ConfigInvalid):
         parse_config("kind = chaos_sweep\ntimes = 0.5, 0.25\n")  # descending times
@@ -193,6 +198,17 @@ def test_validation_propagation_save_grid():
     parse_config("kind = propagation\ntimes = 0.25, 0.5\n")
     with pytest.raises(ConfigInvalid):
         parse_config("kind = propagation\ntimes = 0.255\n")
+    # 4e-9 off a grid of 5 is 8e-10 of a spacing, but off the stored time by more than GRID_TOL
+    with pytest.raises(ConfigInvalid):
+        parse_config("kind = propagation\nstep = 0.001\nsave_every = 5000\n"
+                     "times = 5.000000004, 10\n")
+    # a time the validator accepts is one the run finds
+    for gronwall in (True, False):
+        c = parse_config("kind = propagation\nN_list = 2\nk_list = 1\nsave_every = 500\n"
+                         f"times = 0.5000000004, 1\ngronwall = {str(gronwall).lower()}\n")
+        table = run_experiment(c)
+        assert "error" not in table.metadata
+        assert [row[2] for row in table.rows] == [0.5000000004, 1.0]
     # other kinds ignore the grid constraint
     parse_config("kind = bbgky_verify\ntimes = 0.255\n")
 

@@ -12,6 +12,7 @@ from chaoticity import linalg, tensor
 from chaoticity.blocks import BlockPropagator, block_entries, check_block_budget
 from chaoticity.dynamics import (
     DEFAULT_STEP_CAP,
+    GRID_TOL,
     ExactPropagator,
     HartreeTrajectory,
     MeanFieldSystem,
@@ -504,6 +505,14 @@ def test_trajectory_state_lookup():
     assert abs(np.trace(state.matrix) - 1.0) <= 1e-8
     with pytest.raises(ValueError):
         traj.state_at(0.055)
+    # index is the one lookup: exact, within GRID_TOL, and off the grid
+    assert traj.index(0.05) == 5
+    assert traj.states[traj.index(0.05)] is state
+    assert traj.index(0.1) == len(traj.times) - 1
+    assert traj.index(0.05 + 0.5 * GRID_TOL) == traj.index(0.05 - 0.5 * GRID_TOL) == 5
+    for off in (0.055, 0.05 + 2 * GRID_TOL, -1.0, 0.2):
+        with pytest.raises(ValueError):
+            traj.index(off)
 
 
 # ---------------------------------------------------------------- epsilon defect
@@ -713,6 +722,17 @@ def test_tensor_hierarchy_on_integrated_flow():
     res2 = tensor_hierarchy_residual(traj, sys, 2, 2e-3, 1e-3)
     assert res1 <= 1e-5
     assert res2 <= 1e-5
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensor_hierarchy_matches_direct_formula(d, n):
+    sys = make_system(d=d, seed_a=95, seed_v=96)
+    traj = integrate_hartree(random_density(d, 97), sys, 0.0, 0.04, 1e-2)
+    for t in (0.01, 0.03):
+        got = tensor_hierarchy_residual(traj, sys, n, t, 0.01)
+        want = oracles.tensor_hierarchy_residual_direct(traj, sys.a, sys.v, n, t, 0.01)
+        assert abs(got - want) <= 1e-13
 
 
 def test_tensor_hierarchy_respects_state_budget():

@@ -111,6 +111,25 @@ def test_chaos_sweep_row_order_and_mixture_case():
     assert d_k2[4] > 1e-6
 
 
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("kind, extra, key_width", [
+    ("chaos_sweep", {}, 2),
+    ("propagation", {"times": (0.1, 0.2)}, 3),
+    ("bbgky_verify", {"times": (0.1, 0.2)}, 3),
+    ("bound_audit", {"trials": 12}, 3),
+])
+def test_n_sweeping_kinds_emit_rows_in_key_order(kind, extra, key_width, parallel):
+    # no runner sorts: rows leave in strictly ascending key order as built
+    cfg = ExperimentConfig(kind=kind, N_list=(2, 3, 4), k_list=(1, 2), **extra)
+    keys = [row[:key_width] for row in run_experiment(cfg, parallel=parallel).rows]
+    assert keys
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert {key[:2] for key in keys} == {
+        (n, k) for n in cfg.N_list for k in cfg.k_list
+        if kind != "bbgky_verify" or k <= n - 1
+    }
+
+
 def test_chaos_sweep_prefix_stable_under_longer_n_list():
     short = run_experiment(ExperimentConfig(kind="chaos_sweep", N_list=(2, 4)))
     longer = run_experiment(ExperimentConfig(kind="chaos_sweep", N_list=(2, 4, 6)))

@@ -1,0 +1,77 @@
+"""The package's import layering: each module imports only from its own
+layer or below, in the order the package docstring gives."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import chaoticity
+
+PACKAGE = Path(chaoticity.__file__).resolve().parent
+
+# lowest first; __init__ (the facade) and __main__ (the entry point) sit on top
+LAYERS = (
+    ("errors", "version"),
+    ("linalg",),
+    ("tensor",),
+    ("states",),
+    ("metrics",),
+    ("dynamics",),
+    ("blocks",),
+    ("config",),
+    ("experiments",),
+    ("cli",),
+    ("__init__", "__main__"),
+)
+LEVEL = {name: level for level, names in enumerate(LAYERS) for name in names}
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _imported_modules(tree: ast.AST):
+    """Package modules imported anywhere in tree, outside `if TYPE_CHECKING:` blocks."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:  # from . import linalg
+                yield from (alias.name for alias in node.names)
+            elif node.level == 1:  # from .states import ...
+                yield node.module.split(".")[0]
+            elif node.module and node.module.split(".")[0] == "chaoticity":
+                parts = node.module.split(".")
+                yield from (parts[1:2] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "chaoticity" and len(parts) > 1:
+                    yield parts[1]
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in PACKAGE.glob("*.py")} == set(LEVEL)
+
+
+def test_package_docstring_gives_the_layer_order():
+    doc = chaoticity.__doc__
+    named = [name for names in LAYERS[:-1] for name in names]
+    positions = [doc.index(name, doc.index("Layering")) for name in named]
+    assert positions == sorted(positions)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_imports_stay_at_or_below_own_layer(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    upward = {m for m in _imported_modules(tree) if LEVEL[m] > LEVEL[path.stem]}
+    assert not upward, f"{path.stem} imports from higher layers: {sorted(upward)}"
