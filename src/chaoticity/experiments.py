@@ -198,16 +198,20 @@ def _run_propagation(config: ExperimentConfig, parallel: int):
         prop = _propagator(config, sys, n_sites, max(need))
         # one grid pass at the highest order; it answers every lower marginal
         top = prop.evolve_grid(rho0, grid, max(need))
-        e_grid = {m: np.array([chaos_distance(rho_n, rho, m) for rho_n, rho in zip(top, states)])
-                  for m in need}
+        # only an envelope integrates E over the whole grid: order n + 1 for each n
+        envelope_orders = [n for n in config.k_list if config.gronwall and n + 1 <= n_sites]
+        e_grid = {n + 1: np.array([chaos_distance(rho_n, rho, n + 1)
+                                   for rho_n, rho in zip(top, states)])
+                  for n in envelope_orders}
         envelopes = {n: gronwall_envelope(grid, e_grid[n + 1], n, n_sites, v_norm)
-                     for n in config.k_list if config.gronwall and n + 1 <= n_sites}
+                     for n in envelope_orders}
 
         rows = []
         for n in config.k_list:
             for t in config.times:
                 i = trajectory.index(t)
-                e_val = float(e_grid[n][i])
+                e_val = float(e_grid[n][i] if n in e_grid
+                              else chaos_distance(top[i], states[i], n))
                 if n <= n_sites - 1:
                     eps = epsilon_term(top[i].marginal(n + 1), sys, n_sites)
                     eps_norm, eps_bound = eps.norm, eps.bound

@@ -376,24 +376,42 @@ def test_hartree_rhs_matches_kron_oracle():
             assert np.max(np.abs(hartree_rhs(rho, sys) - want)) <= 1e-13
 
 
+def test_hartree_rhs_matches_kron_oracle_at_d4():
+    # d^4 x d^2 quadratic form beyond the d <= 3 cases above
+    sys = make_system(d=4, seed_a=84, seed_v=94)
+    for seed in range(3):
+        rho = random_density(4, 240 + seed)
+        want = oracles.hartree_rhs_kron(rho.matrix, sys.a, sys.v, 4)
+        assert np.max(np.abs(hartree_rhs(rho, sys) - want)) <= 1e-13
+
+
 def test_integrate_matches_rk4_on_kron_oracle():
-    sys = make_system(seed_a=95, seed_v=96)
-    rho0 = random_density(2, 97)
+    # 203.5 steps: the last is shortened to land on t1; every 7th state is stored
     step = 1e-3
-    traj = integrate_hartree(rho0, sys, 0.0, 200 * step, step, save_every=10**9)
-    assert len(traj.states) == 2
+    t1 = 203.5 * step
+    for d in (2, 3):
+        sys = make_system(d=d, seed_a=95, seed_v=96)
+        rho0 = random_density(d, 97)
+        traj = integrate_hartree(rho0, sys, 0.0, t1, step, save_every=7)
+        assert len(traj.states) == 1 + 29 + 1
+        assert traj.times[-1] == t1
 
-    def f(m):
-        return oracles.hartree_rhs_kron(m, sys.a, sys.v, 2)
-
-    m = rho0.matrix
-    for _ in range(200):
-        k1 = f(m)
-        k2 = f(m + 0.5 * step * k1)
-        k3 = f(m + 0.5 * step * k2)
-        k4 = f(m + step * k3)
-        m = m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert np.max(np.abs(traj.states[-1].matrix - m)) <= 1e-12
+        m = rho0.matrix
+        want = [m]
+        for i in range(204):
+            dt = step if i < 203 else t1 - 203 * step
+            k1 = oracles.hartree_rhs_kron(m, sys.a, sys.v, d)
+            k2 = oracles.hartree_rhs_kron(m + 0.5 * dt * k1, sys.a, sys.v, d)
+            k3 = oracles.hartree_rhs_kron(m + 0.5 * dt * k2, sys.a, sys.v, d)
+            k4 = oracles.hartree_rhs_kron(m + dt * k3, sys.a, sys.v, d)
+            m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (i + 1) % 7 == 0 or i == 203:
+                want.append(m)
+        assert len(want) == len(traj.states)
+        for got, m in zip(traj.states, want):
+            assert np.max(np.abs(got.matrix - m)) <= 1e-12
+        for a, b in itertools.combinations(traj.states, 2):
+            assert not np.shares_memory(a.matrix, b.matrix)
 
 
 def test_hartree_rhs_input_checks():

@@ -9,10 +9,15 @@ import time
 import numpy as np
 import pytest
 
-from chaoticity import states, tensor
+from chaoticity import experiments, states, tensor
 from chaoticity.config import ExperimentConfig, config_hash, parse_config
 from chaoticity.blocks import BlockPropagator
-from chaoticity.dynamics import ExactPropagator, gronwall_envelope, integrate_hartree
+from chaoticity.dynamics import (
+    ExactPropagator,
+    epsilon_term,
+    gronwall_envelope,
+    integrate_hartree,
+)
 from chaoticity.errors import ConfigInvalid
 from chaoticity.experiments import (
     SCHEMAS,
@@ -20,10 +25,16 @@ from chaoticity.experiments import (
     _draw_initial,
     _draw_mixture,
     _draw_system,
+    _propagator,
     run_experiment,
     subseed,
 )
-from chaoticity.metrics import corollary_bound, empirical_variance, factorization_error
+from chaoticity.metrics import (
+    chaos_distance,
+    corollary_bound,
+    empirical_variance,
+    factorization_error,
+)
 from chaoticity.states import product_state
 from chaoticity.version import __version__
 
@@ -255,6 +266,53 @@ def test_propagation_rows_stable_under_larger_n_list():
     longer = run_experiment(ExperimentConfig(N_list=(6, 8, 10, 32), **base))
     assert json.dumps(longer.rows[: len(short.rows)]) == json.dumps(short.rows)
     assert {r[0] for r in longer.rows[len(short.rows):]} == {32}
+
+
+def propagation_rows_full_grid(config) -> list[tuple]:
+    """gronwall propagation rows with E_n on every save point for every order n and n + 1."""
+    sys, rho0 = _draw_system(config), _draw_initial(config)
+    traj = integrate_hartree(rho0, sys, 0.0, max(config.times), config.step, config.save_every)
+    v_norm = sys.interaction_norm()
+    rows = []
+    for n_sites in config.N_list:
+        need = {m for n in config.k_list for m in (n, n + 1) if m <= n_sites}
+        top = _propagator(config, sys, n_sites, max(need)).evolve_grid(
+            rho0, traj.times, max(need))
+        e = {m: np.array([chaos_distance(r, s, m) for r, s in zip(top, traj.states)])
+             for m in need}
+        for n in config.k_list:
+            env = (gronwall_envelope(traj.times, e[n + 1], n, n_sites, v_norm)
+                   if n < n_sites else None)
+            for t in config.times:
+                i = traj.index(t)
+                eps = epsilon_term(top[i].marginal(n + 1), sys, n_sites) if n < n_sites else None
+                bound = None if env is None else float(env[i])
+                rows.append((
+                    n_sites, n, float(t), float(e[n][i]),
+                    None if eps is None else eps.norm, None if eps is None else eps.bound,
+                    bound, None if env is None else bool(e[n][i] <= 1.05 * bound + 1e-12),
+                ))
+    return rows
+
+
+def test_propagation_reads_the_whole_grid_only_for_envelope_orders(monkeypatch):
+    # E_{n+1} feeds the envelope at every save point; E_n is read only at the row times
+    cfg = ExperimentConfig(
+        kind="propagation", N_list=(6, 8, 10), k_list=(1, 2), times=(0.25, 0.5),
+        save_every=50, gronwall=True,
+    )
+    orders = []
+
+    def counting(rho_n, rho, k):
+        orders.append(k)
+        return chaos_distance(rho_n, rho, k)
+
+    monkeypatch.setattr(experiments, "chaos_distance", counting)
+    table = run_experiment(cfg)
+    assert "error" not in table.metadata
+    # per N: orders 2 and 3 at 11 save points, order 1 at the 2 row times
+    assert sorted(orders) == sorted(3 * (11 * [2, 3] + 2 * [1]))
+    assert json.dumps(table.rows) == json.dumps(propagation_rows_full_grid(cfg))
 
 
 def test_propagation_reaches_64_sites():
