@@ -16,12 +16,14 @@ The limiting one-site equation
 
     d rho / dt = -i [A + tr_2(W (1 ox rho)), rho]
 
-(equal to -i([A, rho] + tr_2[W, rho ox rho])) is quadratic in x = vec(rho):
-dx/dt = (T x + L) x, with T x read as a d^2 x d^2 matrix. MeanFieldSystem
-builds T and L once beside W, and _hartree_flow evaluates the form for both
-hartree_rhs and integrate_hartree. The flow is integrated on the flat x with
-classical fixed-step RK4 under a step cap an order of magnitude below the
-1/(4 ||V||) stability scale of the flow's Lipschitz constant.
+(equal to -i([A, rho] + tr_2[W, rho ox rho])) is [g, rho] with the
+generator g = -i(A + tr_2(W (1 ox rho))) linear in x = vec(rho): one
+product with a d^2 x d^2 matrix, as large as W, that MeanFieldSystem
+derives from W on first use. _hartree_flow forms [g, rho] from it for both
+hartree_rhs and integrate_hartree, O(d^4) per evaluation. The flow is
+integrated on the flat x with classical fixed-step RK4 under a step cap an
+order of magnitude below the 1/(4 ||V||) stability scale of the flow's
+Lipschitz constant.
 
 The N-body marginal hierarchy is the limiting one plus a defect eps_n with
 the 5 n^2 ||V|| / N ceiling of the propagation estimates. _hierarchy_terms
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -70,36 +73,22 @@ GRID_TOL = 1e-9
 EPSILON_SLACK = 1e-9
 
 
-def _commutator_superop(h: np.ndarray) -> np.ndarray:
-    """-i(h ox 1 - 1 ox h^T): the map X -> -i[h, X] acting on the row-major vec(X)."""
-    eye = np.eye(len(h))
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-
-
 @dataclass(frozen=True, eq=False)
 class MeanFieldSystem:
     """One-body term a (d x d) and pair interaction v (d^2 x d^2), both Hermitian.
 
-    Derived here, not passed:
-
-    - w = v + S v S, the pair term every kernel uses;
-    - v_norm = ||v||, the operator norm in every step cap and epsilon bound;
-    - flow_quadratic (d^4, d^2) and flow_linear (d^2, d^2), the one-site
-      Hartree flow as a quadratic form on x = vec(rho) (row-major):
-      dx/dt = ((flow_quadratic @ x).reshape(d^2, d^2) + flow_linear) @ x.
-      Column r of flow_quadratic is vec(-i(K_r ox 1 - 1 ox K_r^T)) with
-      K_r = tr_2(W (1 ox E_r)) for the r-th matrix unit E_r, and flow_linear
-      is -i(A ox 1 - 1 ox A^T). flow_quadratic holds d^6 entries, as many as
-      one operator on three sites.
+    Derived here, not passed: w = v + S v S, the pair term every kernel
+    uses, and ||v||, the operator norm in every step cap and epsilon bound
+    (interaction_norm). The Hartree generator's matrix is derived on first
+    use (_hartree_generator), so a system whose flow is never evaluated holds
+    nothing more than w.
     """
 
     d: int
     a: np.ndarray
     v: np.ndarray
     w: np.ndarray = field(init=False, repr=False)
-    v_norm: float = field(init=False, repr=False)
-    flow_quadratic: np.ndarray = field(init=False, repr=False)
-    flow_linear: np.ndarray = field(init=False, repr=False)
+    _v_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         a = linalg.require_hermitian(self.a, what="one-body term")
@@ -112,17 +101,23 @@ class MeanFieldSystem:
             )
         d = self.d
         w = v + v.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-        # tr_2(W (1 ox rho))[a, c] = sum_bf W[ab, cf] rho[f, b], so K_r[a, c] = W[ab, cf], r = (f, b)
-        k = w.reshape(d, d, d, d).transpose(3, 1, 0, 2).reshape(d * d, d, d)
-        quadratic = np.stack([_commutator_superop(k_r).ravel() for k_r in k], axis=1)
-        for name, value in (
-            ("a", a), ("v", v), ("w", w), ("v_norm", linalg.operator_norm(v)),
-            ("flow_quadratic", quadratic), ("flow_linear", _commutator_superop(a)),
-        ):
+        for name, value in (("a", a), ("v", v), ("w", w), ("_v_norm", linalg.operator_norm(v))):
             object.__setattr__(self, name, value)
 
     def interaction_norm(self) -> float:
-        return self.v_norm
+        return self._v_norm
+
+    @cached_property
+    def _hartree_generator(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, G0): -i(A + tr_2(W (1 ox rho))) = (G @ vec(rho)).reshape(d, d) + G0.
+
+        vec is row-major. tr_2(W (1 ox rho))[a, c] = sum_bf W[ab, cf] rho[f, b],
+        so G[(a, c), (f, b)] = -i W[ab, cf]: a d^2 x d^2 matrix, as large as w.
+        """
+        d = self.d
+        # order="C" makes the product contiguous, so the reshape is a view of it
+        g = np.multiply(self.w.reshape(d, d, d, d).transpose(0, 2, 3, 1), -1j, order="C")
+        return g.reshape(d * d, d * d), -1j * self.a
 
 
 def step_cap(v_norm: float) -> float:
@@ -257,31 +252,18 @@ class HartreeTrajectory:
         return self.states[self.index(t)]
 
 
-def _hartree_flow(x: np.ndarray, sys: MeanFieldSystem, out: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """d vec(rho) / dt at x = vec(rho): the quadratic form MeanFieldSystem precomputes.
+def _hartree_flow(x: np.ndarray, sys: MeanFieldSystem) -> np.ndarray:
+    """d vec(rho) / dt at x = vec(rho): [g, rho] with g = -i(A + tr_2(W (1 ox rho))).
 
-    Written into out when given (a C-contiguous complex d^2 vector).
+    g is one product with the d^2 x d^2 _hartree_generator, so an evaluation
+    costs O(d^4) like W itself, plus two d x d products.
     """
-    n = sys.d * sys.d
-    # ndarray.dot: the same product as @ with less dispatch cost on d^2-sized operands
-    return (sys.flow_quadratic.dot(x).reshape(n, n) + sys.flow_linear).dot(x, out=out)
-
-
-def _rk4_tableau(dt: float) -> np.ndarray:
-    """Classical RK4 as increments: row i applied to the stack [k1, k2, k3, k4].
-
-    Rows 0-2 give the increments of x in the arguments of k2, k3, k4; row 3
-    gives the step's increment. Each is added to x once, as in the scalar
-    tableau, so x takes one rounding per stage. A zero entry meets a k of the
-    previous step (or of the zeroed stack), which adds an exact zero.
-    """
-    return np.array([
-        [dt / 2.0, 0.0, 0.0, 0.0],
-        [0.0, dt / 2.0, 0.0, 0.0],
-        [0.0, 0.0, dt, 0.0],
-        [dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0],
-    ], dtype=np.complex128)
+    gen, gen0 = sys._hartree_generator
+    d = sys.d
+    g = gen.dot(x).reshape(d, d) + gen0
+    rho = x.reshape(d, d)
+    # ndarray.dot: the same product as @ with less dispatch cost on d x d operands
+    return (g.dot(rho) - rho.dot(g)).ravel()
 
 
 def hartree_rhs(rho: DensityOperator, sys: MeanFieldSystem) -> np.ndarray:
@@ -289,8 +271,8 @@ def hartree_rhs(rho: DensityOperator, sys: MeanFieldSystem) -> np.ndarray:
 
     This equals -i([A, rho] + tr_2[W, rho ox rho]): tr_2[W, rho ox rho] =
     [tr_2(W (1 ox rho)), rho]. Hermitian and traceless by the commutator
-    structure. Evaluated as the quadratic form on vec(rho) that
-    MeanFieldSystem builds beside W (see _hartree_flow).
+    structure. Evaluated by _hartree_flow from the generator matrix that
+    MeanFieldSystem derives from W.
     """
     if rho.sites != 1:
         raise DimensionMismatch("the nonlinear flow lives on one site")
@@ -311,9 +293,8 @@ def integrate_hartree(
     """Classical fixed-step RK4 from t0 to t1.
 
     Steps the flat vec(rho) through _hartree_flow, so one step costs four
-    evaluations of (T x + L) x on the d^2 vector, each written into one row
-    of a stack [k1, k2, k3, k4] that the rows of _rk4_tableau combine, one
-    product per stage. Every save_every-th state (plus both endpoints) is
+    evaluations of the flow, each one d^2 x d^2 product and two d x d
+    products. Every save_every-th state (plus both endpoints) is
     reshaped to d x d and re-validated at drift_tol; validation failure
     raises DensityDriftExceeded. The final partial step is shortened so the
     endpoint lands on t1 exactly.
@@ -332,13 +313,12 @@ def integrate_hartree(
     if step > cap * (1.0 + 1e-12):
         raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} = min(1/40, 1/(40 max(||V||, 1)))")
 
-    stack = np.zeros((4, sys.d * sys.d), dtype=np.complex128)
-
-    def rk4(x: np.ndarray, tableau: np.ndarray) -> np.ndarray:
-        _hartree_flow(x, sys, out=stack[0])
-        for i in range(3):
-            _hartree_flow(x + tableau[i].dot(stack), sys, out=stack[i + 1])
-        return x + tableau[3].dot(stack)  # a new array: stored states never share the stack
+    def rk4(x: np.ndarray, dt: float) -> np.ndarray:
+        k1 = _hartree_flow(x, sys)
+        k2 = _hartree_flow(x + 0.5 * dt * k1, sys)
+        k3 = _hartree_flow(x + 0.5 * dt * k2, sys)
+        k4 = _hartree_flow(x + dt * k3, sys)
+        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def checked(x: np.ndarray, t: float) -> DensityOperator:
         try:
@@ -349,12 +329,11 @@ def integrate_hartree(
     times = [t0]
     states = [rho0]
     x = rho0.matrix.ravel()
-    full_step = _rk4_tableau(step)
     t = t0
     k = 0
     while t < t1 - 1e-15:
         dt = min(step, t1 - t)
-        x = rk4(x, full_step if dt == step else _rk4_tableau(dt))
+        x = rk4(x, dt)
         k += 1
         t = t0 + k * step if dt == step else t1
         if t >= t1 - 1e-15:

@@ -4,6 +4,7 @@ and the hierarchy consistency checks."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,12 +378,30 @@ def test_hartree_rhs_matches_kron_oracle():
 
 
 def test_hartree_rhs_matches_kron_oracle_at_d4():
-    # d^4 x d^2 quadratic form beyond the d <= 3 cases above
+    # the d^2 x d^2 generator's index order beyond the d <= 3 cases above
     sys = make_system(d=4, seed_a=84, seed_v=94)
     for seed in range(3):
         rho = random_density(4, 240 + seed)
         want = oracles.hartree_rhs_kron(rho.matrix, sys.a, sys.v, 4)
         assert np.max(np.abs(hartree_rhs(rho, sys) - want)) <= 1e-13
+
+
+def test_hartree_generator_is_built_on_first_use_at_w_size():
+    # at d = 16 the flow must not hold a d^6 form, 256 times the size of w
+    sys = make_system(d=16, seed_a=85, seed_v=95)
+    assert "_hartree_generator" not in vars(sys)
+    rho = random_density(16, 243)
+    tracemalloc.start()
+    try:
+        got = hartree_rhs(rho, sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sys.w.nbytes
+    gen, _ = sys._hartree_generator
+    assert gen.shape == sys.w.shape
+    want = oracles.hartree_rhs_kron(rho.matrix, sys.a, sys.v, 16)
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_integrate_matches_rk4_on_kron_oracle():
