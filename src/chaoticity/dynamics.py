@@ -19,11 +19,13 @@ The limiting one-site equation
 (equal to -i([A, rho] + tr_2[W, rho ox rho])) is [g, rho] with the
 generator g = -i(A + tr_2(W (1 ox rho))) linear in x = vec(rho): one
 product with a d^2 x d^2 matrix, as large as W, that MeanFieldSystem
-derives from W on first use. _hartree_flow forms [g, rho] from it for both
-hartree_rhs and integrate_hartree, O(d^4) per evaluation. The flow is
-integrated on the flat x with classical fixed-step RK4 under a step cap an
-order of magnitude below the 1/(4 ||V||) stability scale of the flow's
-Lipschitz constant.
+derives from W on first use. For Hermitian rho, g is anti-Hermitian, so
+[g, rho] = p + p† with p = g rho. _hartree_flow evaluates it for both
+hartree_rhs and integrate_hartree: one d^2 x d^2 product and one d x d
+product, O(d^4). The flow is integrated on the flat x with classical
+fixed-step RK4, written as its Butcher tableau over one array of stages,
+under a step cap an order of magnitude below the 1/(4 ||V||) stability
+scale of the flow's Lipschitz constant.
 
 The N-body marginal hierarchy is the limiting one plus a defect eps_n with
 the 5 n^2 ||V|| / N ceiling of the propagation estimates. _hierarchy_terms
@@ -252,33 +254,51 @@ class HartreeTrajectory:
         return self.states[self.index(t)]
 
 
-def _hartree_flow(x: np.ndarray, sys: MeanFieldSystem) -> np.ndarray:
-    """d vec(rho) / dt at x = vec(rho): [g, rho] with g = -i(A + tr_2(W (1 ox rho))).
+def _hartree_flow(x: np.ndarray, sys: MeanFieldSystem, out: np.ndarray) -> None:
+    """Write d rho / dt at x = vec(rho) into d x d out: [g, rho], g = -i(A + tr_2(W (1 ox rho))).
 
-    g is one product with the d^2 x d^2 _hartree_generator, so an evaluation
-    costs O(d^4) like W itself, plus two d x d products.
+    g is one product with the d^2 x d^2 _hartree_generator. For Hermitian
+    rho, g is anti-Hermitian, so [g, rho] = p + p† with p = g rho: one d x d
+    product, O(d^4) per evaluation like W itself, and an exactly Hermitian
+    result. Off the Hermitian matrices p + p† is not [g, rho]; callers pass
+    states. out must not overlap x.
     """
     gen, gen0 = sys._hartree_generator
     d = sys.d
     g = gen.dot(x).reshape(d, d) + gen0
-    rho = x.reshape(d, d)
     # ndarray.dot: the same product as @ with less dispatch cost on d x d operands
-    return (g.dot(rho) - rho.dot(g)).ravel()
+    p = g.dot(x.reshape(d, d))
+    np.add(p, p.conj().T, out=out)
 
 
 def hartree_rhs(rho: DensityOperator, sys: MeanFieldSystem) -> np.ndarray:
     """d rho / dt = -i[A + tr_2(W (1 ox rho)), rho], W = V + S V S.
 
     This equals -i([A, rho] + tr_2[W, rho ox rho]): tr_2[W, rho ox rho] =
-    [tr_2(W (1 ox rho)), rho]. Hermitian and traceless by the commutator
-    structure. Evaluated by _hartree_flow from the generator matrix that
-    MeanFieldSystem derives from W.
+    [tr_2(W (1 ox rho)), rho]. Evaluated by _hartree_flow: one d^2 x d^2
+    product with the generator matrix that MeanFieldSystem derives from W and
+    one d x d product. It relies on rho being Hermitian, as every validated
+    state is; the result is then traceless and exactly Hermitian.
     """
     if rho.sites != 1:
         raise DimensionMismatch("the nonlinear flow lives on one site")
     if rho.d != sys.d:
         raise DimensionMismatch(f"state d = {rho.d}, system d = {sys.d}")
-    return _hartree_flow(rho.matrix.ravel(), sys).reshape(sys.d, sys.d)
+    out = np.empty((sys.d, sys.d), dtype=np.complex128)
+    _hartree_flow(rho.matrix.ravel(), sys, out)
+    return out
+
+
+def _rk4_tableau(dt: float) -> tuple[np.ndarray, ...]:
+    """The four rows of classical RK4 on the stages (x, k1, k2, k3, k4).
+
+    Rows 0-2 give the inputs of k2, k3 and k4, row 3 the step's update.
+    """
+    h, s, t = dt / 2.0, dt / 6.0, dt / 3.0
+    return tuple(np.array(
+        [[1, h, 0, 0, 0], [1, 0, h, 0, 0], [1, 0, 0, dt, 0], [1, s, t, t, s]],
+        dtype=np.complex128,
+    ))
 
 
 def integrate_hartree(
@@ -292,11 +312,15 @@ def integrate_hartree(
 ) -> HartreeTrajectory:
     """Classical fixed-step RK4 from t0 to t1.
 
-    Steps the flat vec(rho) through _hartree_flow, so one step costs four
-    evaluations of the flow, each one d^2 x d^2 product and two d x d
-    products. Every save_every-th state (plus both endpoints) is
-    reshaped to d x d and re-validated at drift_tol; validation failure
-    raises DensityDriftExceeded. The final partial step is shortened so the
+    x = vec(rho) and the four stage slopes are the rows of one (5, d^2)
+    stage array. Each stage input and the step's update is one product of
+    an _rk4_tableau row with that array, and each slope is one _hartree_flow
+    evaluation written into its row: one d^2 x d^2 and one d x d product.
+    The flow's p + p† form needs Hermitian input; every stage input is a
+    real combination of Hermitian rows, so it is Hermitian to roundoff.
+    Every save_every-th state (plus both endpoints) is reshaped to d x d and
+    re-validated at drift_tol; validation failure raises
+    DensityDriftExceeded. The final partial step is shortened so the
     endpoint lands on t1 exactly.
     """
     if rho0.sites != 1:
@@ -313,13 +337,6 @@ def integrate_hartree(
     if step > cap * (1.0 + 1e-12):
         raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} = min(1/40, 1/(40 max(||V||, 1)))")
 
-    def rk4(x: np.ndarray, dt: float) -> np.ndarray:
-        k1 = _hartree_flow(x, sys)
-        k2 = _hartree_flow(x + 0.5 * dt * k1, sys)
-        k3 = _hartree_flow(x + 0.5 * dt * k2, sys)
-        k4 = _hartree_flow(x + dt * k3, sys)
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     def checked(x: np.ndarray, t: float) -> DensityOperator:
         try:
             return validate(x.reshape(sys.d, sys.d), rho0.shape, tol=drift_tol)
@@ -328,12 +345,26 @@ def integrate_hartree(
 
     times = [t0]
     states = [rho0]
-    x = rho0.matrix.ravel()
+    # zeros, not empty: a tableau row's zero weights still multiply every row,
+    # and 0 * (uninitialised NaN) is NaN before the first step fills k2..k4
+    stages = np.zeros((5, sys.d * sys.d), dtype=np.complex128)
+    x0 = stages[0]
+    x0[:] = rho0.matrix.ravel()
+    # the slope rows as d x d views, the shape _hartree_flow writes
+    k1, k2, k3, k4 = stages[1:].reshape(4, sys.d, sys.d)
+    full_step = _rk4_tableau(step)
     t = t0
     k = 0
     while t < t1 - 1e-15:
         dt = min(step, t1 - t)
-        x = rk4(x, dt)
+        to_k2, to_k3, to_k4, update = full_step if dt == step else _rk4_tableau(dt)
+        _hartree_flow(x0, sys, k1)
+        _hartree_flow(to_k2.dot(stages), sys, k2)
+        _hartree_flow(to_k3.dot(stages), sys, k3)
+        _hartree_flow(to_k4.dot(stages), sys, k4)
+        # a fresh array, so no stored state shares memory with the stages
+        x = update.dot(stages)
+        x0[:] = x
         k += 1
         t = t0 + k * step if dt == step else t1
         if t >= t1 - 1e-15:

@@ -3,13 +3,14 @@ and the hierarchy consistency checks."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from chaoticity import linalg, tensor
+from chaoticity import dynamics, linalg, tensor
 from chaoticity.blocks import BlockPropagator, block_entries, check_block_budget
 from chaoticity.dynamics import (
     DEFAULT_STEP_CAP,
@@ -431,6 +432,110 @@ def test_integrate_matches_rk4_on_kron_oracle():
             assert np.max(np.abs(got.matrix - m)) <= 1e-12
         for a, b in itertools.combinations(traj.states, 2):
             assert not np.shares_memory(a.matrix, b.matrix)
+
+
+def test_integrate_matches_rk4_on_kron_oracle_on_the_step_grid(monkeypatch):
+    # t1 = 128 binary steps lands on the grid: one tableau, no shortened step
+    step = 2.0**-10
+    t1 = 128 * step
+    d = 4
+    sys = make_system(d=d, seed_a=98, seed_v=99)
+    rho0 = random_density(d, 100)
+    built = []
+    tableau = dynamics._rk4_tableau
+
+    def counted(dt):
+        built.append(dt)
+        return tableau(dt)
+
+    monkeypatch.setattr(dynamics, "_rk4_tableau", counted)
+    traj = integrate_hartree(rho0, sys, 0.0, t1, step, save_every=8)
+    assert built == [step]
+    assert traj.times.tolist() == [8 * i * step for i in range(17)]
+
+    m = rho0.matrix
+    want = [m]
+    for i in range(128):
+        k1 = oracles.hartree_rhs_kron(m, sys.a, sys.v, d)
+        k2 = oracles.hartree_rhs_kron(m + 0.5 * step * k1, sys.a, sys.v, d)
+        k3 = oracles.hartree_rhs_kron(m + 0.5 * step * k2, sys.a, sys.v, d)
+        k4 = oracles.hartree_rhs_kron(m + step * k3, sys.a, sys.v, d)
+        m = m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (i + 1) % 8 == 0:
+            want.append(m)
+    assert len(want) == len(traj.states)
+    for got, m in zip(traj.states, want):
+        assert np.max(np.abs(got.matrix - m)) <= 1e-12
+
+
+def test_hartree_flow_keeps_states_hermitian():
+    # the flow returns p + p† with p = g rho, exactly Hermitian; RK4 combines
+    # its rows with real weights, so no stored state gains an anti-Hermitian
+    # part. rho0 is symmetrised to be exactly Hermitian: an ulp-sized
+    # anti-Hermitian part of its own may round up by an ulp when added.
+    for d in (2, 3):
+        sys = make_system(d=d, seed_a=101 + d, seed_v=103 + d)
+        m = random_density(d, 105 + d).matrix
+        rho0 = validate((m + m.conj().T) / 2, TensorShape(d, 1))
+        traj = integrate_hartree(rho0, sys, 0.0, 2000 * 1e-3, 1e-3)
+        assert len(traj.states) == 2001
+        bound = linalg.hermiticity_defect(rho0.matrix)
+        for state in traj.states:
+            assert linalg.hermiticity_defect(state.matrix) <= bound
+        assert linalg.hermiticity_defect(hartree_rhs(random_density(d, 107 + d), sys)) == 0.0
+
+
+def test_hartree_rhs_assumes_a_hermitian_state():
+    # p + p† equals [g, rho] only for Hermitian rho; a 1e-12 anti-Hermitian
+    # part, inside validate's tolerance, moves the result by about as much
+    for d in (2, 3):
+        sys = make_system(d=d, seed_a=109 + d, seed_v=111 + d)
+        rho = random_density(d, 113 + d).matrix
+        skew = 1j * random_hermitian(d, 115 + d)
+        state = validate(rho + 1e-12 * skew / np.abs(skew).max(), TensorShape(d, 1))
+        assert linalg.hermiticity_defect(state.matrix) > 0.0
+        want = oracles.hartree_rhs_kron(state.matrix, sys.a, sys.v, d)
+        assert np.max(np.abs(hartree_rhs(state, sys) - want)) <= 1e-10
+
+
+def test_integrate_stays_at_w_size():
+    # three steps at d = 16, the generator built inside: no d^6 form and no
+    # d^4-sized temporary per stage
+    sys = make_system(d=16, seed_a=86, seed_v=96)
+    rho0 = random_density(16, 244)
+    tracemalloc.start()
+    try:
+        traj = integrate_hartree(rho0, sys, 0.0, 3e-3, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.states) == 4
+    assert peak <= 2 * sys.w.nbytes
+
+
+def test_dynamics_public_names(monkeypatch):
+    # bench/tracer.py wraps every public function here: a public per-step
+    # helper would add a span to every RK4 stage of a traced pass
+    public = {
+        name
+        for name, value in vars(dynamics).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == dynamics.__name__
+    }
+    assert public == {
+        "MeanFieldSystem", "step_cap", "build_hamiltonian", "ExactPropagator",
+        "HartreeTrajectory", "hartree_rhs", "integrate_hartree", "EpsilonTerm",
+        "epsilon_term", "HierarchyResidual", "bbgky_residual",
+        "tensor_hierarchy_residual", "gronwall_envelope",
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_hartree called hartree_rhs")
+
+    monkeypatch.setattr(dynamics, "hartree_rhs", refuse)
+    traj = integrate_hartree(random_density(2, 117), make_system(), 0.0, 0.01, 1e-3)
+    assert traj.times[-1] == 0.01
 
 
 def test_hartree_rhs_input_checks():
