@@ -3,29 +3,22 @@
 Every kernel uses the symmetrised pair operator W = V + S V S (S the
 two-site swap, so W_12 = V_12 + V_21), built once by MeanFieldSystem. The
 N-body generator is H_N = sum_j A_j + (1/N) sum_{i < j} W_ij. Two exact
-propagators evolve the product state rho0^(ox N) with it and share one
-contract: evolve_grid(rho0, times, order) takes the one-site rho0 and
-returns validated marginals.
+propagators evolve rho0^(ox N) with it; evolve_grid(rho0, times, order)
+takes the one-site rho0 and returns validated marginals.
 
 - blocks.BlockPropagator (d = 2) splits H_N and rho0^(ox N) into spin
   blocks of size <= N + 1 (Schur-Weyl duality) and never forms 2^N.
 - ExactPropagator diagonalizes H_N on the d^N space: the path at d >= 3 and
   the block path's reference. Its evolve takes any N-site state.
 
-The limiting one-site equation
-
-    d rho / dt = -i [A + tr_2(W (1 ox rho)), rho]
-
-(equal to -i([A, rho] + tr_2[W, rho ox rho])) is [g, rho] with the
-generator g = -i(A + tr_2(W (1 ox rho))) linear in x = vec(rho): one
-product with a d^2 x d^2 matrix, as large as W, that MeanFieldSystem
-derives from W on first use. For Hermitian rho, g is anti-Hermitian, so
-[g, rho] = p + p† with p = g rho. _hartree_flow evaluates it for both
-hartree_rhs and integrate_hartree: one d^2 x d^2 product and one d x d
-product, O(d^4). The flow is integrated on the flat x with classical
-fixed-step RK4, written as its Butcher tableau over one array of stages,
-under a step cap an order of magnitude below the 1/(4 ||V||) stability
-scale of the flow's Lipschitz constant.
+The limiting flow d rho / dt = -i [A + tr_2(W (1 ox rho)), rho], equal to
+-i([A, rho] + tr_2[W, rho ox rho]), is [g, rho] with g = [G | vec(-iA)]
+[vec(rho), 1], one product with the d^2 x (d^2 + 1) matrix MeanFieldSystem
+derives from W on first use. For Hermitian rho, [g, rho] = p + p† with
+p = g rho (_hartree_flow). The one RK4 kernel, _rk4_kernel, steps a stack
+of trajectories, each with its own step, by the Butcher tableau over one
+array of stages, under a step cap an order of magnitude below the
+1/(4 ||V||) stability scale of the flow's Lipschitz constant.
 
 The N-body marginal hierarchy is the limiting one plus a defect eps_n with
 the 5 n^2 ||V|| / N ceiling of the propagation estimates. _hierarchy_terms
@@ -81,9 +74,9 @@ class MeanFieldSystem:
 
     Derived here, not passed: w = v + S v S, the pair term every kernel
     uses, and ||v||, the operator norm in every step cap and epsilon bound
-    (interaction_norm). The Hartree generator's matrix is derived on first
-    use (_hartree_generator), so a system whose flow is never evaluated holds
-    nothing more than w.
+    (interaction_norm). The Hartree generator's matrix and each order's
+    hierarchy operators are derived on first use (_hartree_generator,
+    _hierarchy_ops), so a system that evaluates neither holds only w.
     """
 
     d: int
@@ -91,6 +84,7 @@ class MeanFieldSystem:
     v: np.ndarray
     w: np.ndarray = field(init=False, repr=False)
     _v_norm: float = field(init=False, repr=False)
+    _hierarchy_cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         a = linalg.require_hermitian(self.a, what="one-body term")
@@ -110,16 +104,36 @@ class MeanFieldSystem:
         return self._v_norm
 
     @cached_property
-    def _hartree_generator(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, G0): -i(A + tr_2(W (1 ox rho))) = (G @ vec(rho)).reshape(d, d) + G0.
+    def _hartree_generator(self) -> np.ndarray:
+        """[G | vec(-iA)], so that -i(A + tr_2(W (1 ox rho))) = [G | vec(-iA)] @ [vec(rho), 1].
 
         vec is row-major. tr_2(W (1 ox rho))[a, c] = sum_bf W[ab, cf] rho[f, b],
-        so G[(a, c), (f, b)] = -i W[ab, cf]: a d^2 x d^2 matrix, as large as w.
+        so G[(a, c), (f, b)] = -i W[ab, cf], a d^2 x d^2 block as large as w.
         """
         d = self.d
-        # order="C" makes the product contiguous, so the reshape is a view of it
-        g = np.multiply(self.w.reshape(d, d, d, d).transpose(0, 2, 3, 1), -1j, order="C")
-        return g.reshape(d * d, d * d), -1j * self.a
+        gen = np.empty((d * d, d * d + 1), dtype=np.complex128)
+        # splitting the axes of a column slice gives a view: G is written into gen
+        np.multiply(self.w.reshape(d, d, d, d).transpose(0, 2, 3, 1), -1j,
+                    out=gen[:, :-1].reshape(d, d, d, d))
+        gen[:, -1] = -1j * self.a.ravel()
+        return gen
+
+    def _hierarchy_ops(self, shape: TensorShape) -> tuple[np.ndarray, ...]:
+        """(sum_j A_j, sum_{i<j} W_ij) on n sites, sum_{j<=n} W_{j,n+1} on shape's n+1.
+
+        Cached per n: 1 + 2/d^2 times one (n+1)-site marginal, about as much.
+        """
+        n = shape.sites - 1
+        if n not in self._hierarchy_cache:
+            shape_n = shape.reduced(n)
+            ones, pairs = np.zeros((2, shape_n.total_dim, shape_n.total_dim), dtype=np.complex128)
+            cross = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+            for j in range(1, n + 1):
+                _add_on_sites(ones, self.a, (j,), shape_n)
+                _add_on_sites(cross, self.w, (j, n + 1), shape)
+            _add_pairs(pairs, self.w, shape_n, 1.0)
+            self._hierarchy_cache[n] = ones, pairs, cross
+        return self._hierarchy_cache[n]
 
 
 def step_cap(v_norm: float) -> float:
@@ -135,19 +149,6 @@ def _add_pairs(out: np.ndarray, w: np.ndarray, shape: TensorShape, scale: float)
     for i in range(1, shape.sites + 1):
         for j in range(i + 1, shape.sites + 1):
             _add_on_sites(out, w, (i, j), shape, scale)
-
-
-def _pair_trace(w: np.ndarray, x: np.ndarray, shape: TensorShape) -> np.ndarray:
-    """sum_{j <= n} tr_{n+1}[W_{j,n+1}, X] for X on the n+1 sites of shape.
-
-    The commutator is linear in its first argument, so the n pair operators
-    are scattered into one buffer and a single commutator is traced.
-    """
-    last = shape.sites
-    pairs = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-    for j in range(1, last):
-        _add_on_sites(pairs, w, (j, last), shape)
-    return partial_trace(pairs @ x - x @ pairs, shape, (last,))
 
 
 def build_hamiltonian(
@@ -254,124 +255,148 @@ class HartreeTrajectory:
         return self.states[self.index(t)]
 
 
-def _hartree_flow(x: np.ndarray, sys: MeanFieldSystem, out: np.ndarray) -> None:
-    """Write d rho / dt at x = vec(rho) into d x d out: [g, rho], g = -i(A + tr_2(W (1 ox rho))).
+def _hartree_flow(sys: MeanFieldSystem, stack: int):
+    """flow(y, rho, out): d rho / dt = [g, rho] into out for a stack of states, buffers held.
 
-    g is one product with the d^2 x d^2 _hartree_generator. For Hermitian
-    rho, g is anti-Hermitian, so [g, rho] = p + p† with p = g rho: one d x d
-    product, O(d^4) per evaluation like W itself, and an exactly Hermitian
-    result. Off the Hermitian matrices p + p† is not [g, rho]; callers pass
-    states. out must not overlap x.
+    Rows of y are [vec(rho), 1] and rho is y's (stack, d, d) view: g is one product of y
+    with the transposed _hartree_generator and, for Hermitian rho, [g, rho] = p + p† with
+    p = g rho, one batched d x d product, O(d^4) per state, exactly Hermitian.
     """
-    gen, gen0 = sys._hartree_generator
-    d = sys.d
-    g = gen.dot(x).reshape(d, d) + gen0
-    # ndarray.dot: the same product as @ with less dispatch cost on d x d operands
-    p = g.dot(x.reshape(d, d))
-    np.add(p, p.conj().T, out=out)
+    gen_t, d = sys._hartree_generator.T, sys.d
+    g_mat, p, p_h = np.empty((3, stack, d, d), dtype=np.complex128)
+    g, p_t = g_mat.reshape(stack, d * d), p.transpose(0, 2, 1)
+    # out by position costs less dispatch; p† has its own buffer: in place on strided out is slow
+    def flow(y: np.ndarray, rho: np.ndarray, out: np.ndarray) -> None:
+        y.dot(gen_t, g)
+        np.matmul(g_mat, rho, p)
+        np.conjugate(p_t, p_h)
+        np.add(p_h, p, out)
+
+    return flow
 
 
 def hartree_rhs(rho: DensityOperator, sys: MeanFieldSystem) -> np.ndarray:
     """d rho / dt = -i[A + tr_2(W (1 ox rho)), rho], W = V + S V S.
 
-    This equals -i([A, rho] + tr_2[W, rho ox rho]): tr_2[W, rho ox rho] =
-    [tr_2(W (1 ox rho)), rho]. Evaluated by _hartree_flow: one d^2 x d^2
-    product with the generator matrix that MeanFieldSystem derives from W and
-    one d x d product. It relies on rho being Hermitian, as every validated
-    state is; the result is then traceless and exactly Hermitian.
+    This equals -i([A, rho] + tr_2[W, rho ox rho]). _hartree_flow evaluates it,
+    relying on rho being Hermitian as every validated state is: exactly Hermitian and traceless.
     """
     if rho.sites != 1:
         raise DimensionMismatch("the nonlinear flow lives on one site")
     if rho.d != sys.d:
         raise DimensionMismatch(f"state d = {rho.d}, system d = {sys.d}")
-    out = np.empty((sys.d, sys.d), dtype=np.complex128)
-    _hartree_flow(rho.matrix.ravel(), sys, out)
-    return out
+    y = np.append(rho.matrix.ravel(), 1.0)[None]
+    out = np.empty((1, sys.d, sys.d), dtype=np.complex128)
+    _hartree_flow(sys, 1)(y, y[:, :-1].reshape(out.shape), out)
+    return out[0]
 
 
-def _rk4_tableau(dt: float) -> tuple[np.ndarray, ...]:
-    """The four rows of classical RK4 on the stages (x, k1, k2, k3, k4).
-
-    Rows 0-2 give the inputs of k2, k3 and k4, row 3 the step's update.
-    """
+def _rk4_tableau(dt: float) -> np.ndarray:
+    """Classical RK4 on (x, k1, k2, k3, k4): rows 0-2 give k2-k4's inputs, row 3 the update."""
     h, s, t = dt / 2.0, dt / 6.0, dt / 3.0
-    return tuple(np.array(
-        [[1, h, 0, 0, 0], [1, 0, h, 0, 0], [1, 0, 0, dt, 0], [1, s, t, t, s]],
-        dtype=np.complex128,
-    ))
+    return np.array([[1, h, 0, 0, 0], [1, 0, h, 0, 0], [1, 0, 0, dt, 0], [1, s, t, t, s]], complex)
 
 
-def integrate_hartree(
-    rho0: DensityOperator,
-    sys: MeanFieldSystem,
-    t0: float,
-    t1: float,
-    step: float,
-    save_every: int = 1,
-    drift_tol: float = TRAJECTORY_TOL,
-) -> HartreeTrajectory:
-    """Classical fixed-step RK4 from t0 to t1.
+def _rk4_rows(steps) -> tuple[np.ndarray, ...]:
+    """Four (L, 5L) blocks: each step's _rk4_tableau rows on the stages seen as (5L, d^2 + 1)."""
+    rows = np.zeros((4, len(steps), 5, len(steps)), dtype=np.complex128)
+    for i, dt in enumerate(steps):
+        rows[:, i, :, i] = _rk4_tableau(dt)
+    return tuple(rows.reshape(4, len(steps), -1))
 
-    x = vec(rho) and the four stage slopes are the rows of one (5, d^2)
-    stage array. Each stage input and the step's update is one product of
-    an _rk4_tableau row with that array, and each slope is one _hartree_flow
-    evaluation written into its row: one d^2 x d^2 and one d x d product.
-    The flow's p + p† form needs Hermitian input; every stage input is a
-    real combination of Hermitian rows, so it is Hermitian to roundoff.
-    Every save_every-th state (plus both endpoints) is reshaped to d x d and
-    re-validated at drift_tol; validation failure raises
-    DensityDriftExceeded. The final partial step is shortened so the
-    endpoint lands on t1 exactly.
+
+def _rk4_kernel(stages: np.ndarray, sys: MeanFieldSystem):
+    """advance(rows, count): count RK4 steps of the L runs in C-ordered stages, in place.
+
+    Each stage input of k2..k4, and the update, is one (L x 5L) x (5L x (d^2 + 1)) product
+    of a block of rows (_rk4_rows) with the stages, keeping the last column at 1; each slope
+    is one flow evaluation into its rows. Inputs mix Hermitian rows by real weights, as
+    p + p† needs. Views and buffers are set up once here: a call may be a single step.
+    """
+    _, stack, cols = stages.shape
+    flat = stages.reshape(5 * stack, cols)
+    flow = _hartree_flow(sys, stack)
+    x, y = stages[0], np.empty_like(stages[0])
+    x_rho, y_rho = (a[:, :-1].reshape(stack, sys.d, sys.d) for a in (x, y))
+    k1, k2, k3, k4 = stages[1:, :, :-1].reshape(4, stack, sys.d, sys.d)
+
+    def advance(rows: tuple[np.ndarray, ...], count: int) -> None:
+        to_k2, to_k3, to_k4, update = rows
+        for _ in range(count):
+            flow(x, x_rho, k1)
+            to_k2.dot(flat, y)
+            flow(y, y_rho, k2)
+            to_k3.dot(flat, y)
+            flow(y, y_rho, k3)
+            to_k4.dot(flat, y)
+            flow(y, y_rho, k4)
+            update.dot(flat, y)
+            np.copyto(x, y)
+
+    return advance
+
+
+def _rk4_start(rho0: DensityOperator, sys: MeanFieldSystem, t0: float, t1: float, steps):
+    """Checked plans (k, last), one per step, and stages: x = [vec(rho0), 1], slopes 0.
+
+    A run takes k full steps from t0, to the first t0 + k step within 1e-15 of
+    t1 (last None) or less than a step short of it, then one step of last.
     """
     if rho0.sites != 1:
         raise DimensionMismatch("the nonlinear flow lives on one site")
     if rho0.d != sys.d:
         raise DimensionMismatch(f"state d = {rho0.d}, system d = {sys.d}")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
     if t1 < t0:
         raise ValueError(f"t1 = {t1} precedes t0 = {t0}")
+    cap, plans = step_cap(sys.interaction_norm()), []
+    for step in steps:
+        if step <= 0:
+            raise ValueError(f"step must be positive, got {step}")
+        if step > cap * (1.0 + 1e-12):
+            raise StepTooLarge(
+                f"step {step} exceeds cap {cap:.6g} = min(1/40, 1/(40 max(||V||, 1)))")
+        # the end test is monotone in k, so the search starts just below the quotient
+        k = max(int((t1 - t0) / step) - 2, 0)
+        while t0 + k * step < t1 - 1e-15 and t1 - (t0 + k * step) >= step:
+            k += 1
+        plans.append((k, None if t0 + k * step >= t1 - 1e-15 else t1 - (t0 + k * step)))
+    # zeros, not empty: zero tableau weights still multiply every row, and 0 * NaN is NaN
+    stages = np.zeros((5, len(plans), rho0.d**2 + 1), dtype=np.complex128)
+    stages[0] = np.append(rho0.matrix.ravel(), 1.0)
+    return plans, stages
+
+
+def _checked(x: np.ndarray, shape: TensorShape, t: float, drift_tol: float) -> DensityOperator:
+    """A copy of the stage row x = [vec(rho), 1] validated at drift_tol, naming t on drift."""
+    try:
+        return validate(x[:-1].reshape(shape.d, shape.d).copy(), shape, tol=drift_tol)
+    except (NotHermitian, NotPSD, TraceNotOne) as exc:
+        raise DensityDriftExceeded(f"state at t = {t:.6g} drifted: {exc}") from exc
+
+
+def integrate_hartree(rho0: DensityOperator, sys: MeanFieldSystem, t0: float, t1: float,
+                      step: float, save_every: int = 1,
+                      drift_tol: float = TRAJECTORY_TOL) -> HartreeTrajectory:
+    """Classical fixed-step RK4 from t0 to t1: _rk4_kernel on a stack of one.
+
+    Every save_every-th state and both endpoints are copied out and validated
+    at drift_tol, or DensityDriftExceeded; a shortened last step lands on t1.
+    """
     if save_every < 1:
         raise ValueError(f"save_every must be >= 1, got {save_every}")
-    cap = step_cap(sys.interaction_norm())
-    if step > cap * (1.0 + 1e-12):
-        raise StepTooLarge(f"step {step} exceeds cap {cap:.6g} = min(1/40, 1/(40 max(||V||, 1)))")
-
-    def checked(x: np.ndarray, t: float) -> DensityOperator:
-        try:
-            return validate(x.reshape(sys.d, sys.d), rho0.shape, tol=drift_tol)
-        except (NotHermitian, NotPSD, TraceNotOne) as exc:
-            raise DensityDriftExceeded(f"state at t = {t:.6g} drifted: {exc}") from exc
-
-    times = [t0]
-    states = [rho0]
-    # zeros, not empty: a tableau row's zero weights still multiply every row,
-    # and 0 * (uninitialised NaN) is NaN before the first step fills k2..k4
-    stages = np.zeros((5, sys.d * sys.d), dtype=np.complex128)
-    x0 = stages[0]
-    x0[:] = rho0.matrix.ravel()
-    # the slope rows as d x d views, the shape _hartree_flow writes
-    k1, k2, k3, k4 = stages[1:].reshape(4, sys.d, sys.d)
-    full_step = _rk4_tableau(step)
-    t = t0
-    k = 0
-    while t < t1 - 1e-15:
-        dt = min(step, t1 - t)
-        to_k2, to_k3, to_k4, update = full_step if dt == step else _rk4_tableau(dt)
-        _hartree_flow(x0, sys, k1)
-        _hartree_flow(to_k2.dot(stages), sys, k2)
-        _hartree_flow(to_k3.dot(stages), sys, k3)
-        _hartree_flow(to_k4.dot(stages), sys, k4)
-        # a fresh array, so no stored state shares memory with the stages
-        x = update.dot(stages)
-        x0[:] = x
-        k += 1
-        t = t0 + k * step if dt == step else t1
-        if t >= t1 - 1e-15:
-            t = t1
-        if k % save_every == 0 or t == t1:
-            times.append(t)
-            states.append(checked(x, t))
+    [(full, last)], stages = _rk4_start(rho0, sys, t0, t1, [step])
+    advance, rows = _rk4_kernel(stages, sys), _rk4_rows([step])
+    times, states = [t0], [rho0]
+    for k in range(0, full, save_every):
+        count = min(save_every, full - k)
+        advance(rows, count)
+        if count == save_every or last is None:
+            times.append(t1 if k + count == full and last is None else t0 + (k + count) * step)
+            states.append(_checked(stages[0, 0], rho0.shape, times[-1], drift_tol))
+    if last is not None:
+        advance(_rk4_rows([last]), 1)
+        times.append(t1)
+        states.append(_checked(stages[0, 0], rho0.shape, t1, drift_tol))
     return HartreeTrajectory(np.array(times, dtype=float), tuple(states))
 
 
@@ -398,14 +423,9 @@ def _hierarchy_terms(
     BoundViolation: it signals an implementation bug, not bad input.
     """
     n = shape.sites - 1
-    shape_n = shape.reduced(n)
     m_n = partial_trace(m_np1, shape, (n + 1,))
-    ones = np.zeros_like(m_n)
-    for j in range(1, n + 1):
-        _add_on_sites(ones, sys.a, (j,), shape_n)
-    pairs = np.zeros_like(m_n)
-    _add_pairs(pairs, sys.w, shape_n, 1.0)
-    p = _pair_trace(sys.w, m_np1, shape)
+    ones, pairs, cross = sys._hierarchy_ops(shape)
+    p = partial_trace(cross @ m_np1 - m_np1 @ cross, shape, (n + 1,))
     limit = ones @ m_n - m_n @ ones + p
     eps = (pairs @ m_n - m_n @ pairs) / n_sites
     eps -= (n / n_sites) * p

@@ -30,6 +30,10 @@ from .dynamics import (
     ExactPropagator,
     HartreeTrajectory,
     MeanFieldSystem,
+    _checked,
+    _rk4_kernel,
+    _rk4_rows,
+    _rk4_start,
     _window_residuals,
     _window_times,
     epsilon_term,
@@ -270,16 +274,46 @@ def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
     return _over_N(config, parallel, worker)
 
 
+def _rk4_endpoints(
+    rho0: DensityOperator, sys: MeanFieldSystem, t1: float, steps, drift_tol: float
+) -> list[DensityOperator]:
+    """integrate_hartree's endpoint at t1 from t0 = 0 for each step, the levels in lockstep.
+
+    Each level takes the steps integrate_hartree would, with its checks. The
+    levels share one stack of _rk4_kernel while each has full steps left
+    and leave it as theirs run out, fewest first, so the loop runs only as
+    often as the level with the most full steps. The shortened last steps
+    then share one stack of their own.
+    """
+    plans, ends = _rk4_start(rho0, sys, 0.0, t1, steps)
+    order = sorted(range(len(steps)), key=lambda i: plans[i][0])
+    stages = ends.copy()
+    done = 0
+    for i, level in enumerate(order):
+        if plans[level][0] > done:
+            _rk4_kernel(stages, sys)(_rk4_rows([steps[j] for j in order[i:]]),
+                                     plans[level][0] - done)
+            done = plans[level][0]
+        ends[0, level] = stages[0, 0]
+        stages = stages[:, 1:].copy()
+    short = [i for i, (_, last) in enumerate(plans) if last is not None]
+    if short:
+        # copy() for C order: this fancy index returns a transposed layout
+        tail = ends[:, short].copy()
+        _rk4_kernel(tail, sys)(_rk4_rows([plans[i][1] for i in short]), 1)
+        ends[0, short] = tail[0]
+    # a level that takes no step returns rho0 itself, as integrate_hartree does
+    return [rho0 if plan == (0, None) else _checked(x, rho0.shape, t1, drift_tol)
+            for plan, x in zip(plans, ends[0])]
+
+
 def _run_hartree_convergence(config: ExperimentConfig, parallel: int):
     sys = _draw_system(config)
     rho0 = _draw_initial(config)
     t_end = max(config.times)
     drift_tol = config.tol_value("drift", TRAJECTORY_TOL)
-    endpoints = []
     steps = [config.step / (2**lvl) for lvl in range(3)]
-    for s in steps:
-        traj = integrate_hartree(rho0, sys, 0.0, t_end, s, save_every=10**9, drift_tol=drift_tol)
-        endpoints.append(traj.states[-1].matrix)
+    endpoints = [end.matrix for end in _rk4_endpoints(rho0, sys, t_end, steps, drift_tol)]
     deltas = [
         linalg.trace_norm(endpoints[0] - endpoints[1]),
         linalg.trace_norm(endpoints[1] - endpoints[2]),

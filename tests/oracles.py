@@ -506,3 +506,36 @@ def bbgky_rows_dense(config) -> list[tuple]:
                              r1.residual_trace_norm / r2.residual_trace_norm,
                              r1.epsilon_norm, r1.epsilon_bound))
     return rows
+
+
+# ------------------------------------------------------------ one-site flow
+
+
+def hartree_convergence_rows_kron(config) -> list[tuple]:
+    """hartree_convergence rows from classical RK4 on hartree_rhs_kron, one level at a time.
+
+    Each level steps from 0 to max(times) on its own, with a shortened last
+    step when max(times) is off its grid.
+    """
+    sys, rho0 = _draw_system(config), _draw_initial(config)
+    t1 = max(config.times)
+    steps = [config.step / 2**lvl for lvl in range(3)]
+    ends = []
+    for step in steps:
+        m, k = rho0.matrix, 0
+        while k * step < t1 - 1e-12:
+            dt = min(step, t1 - k * step)
+            k1 = hartree_rhs_kron(m, sys.a, sys.v, config.d)
+            k2 = hartree_rhs_kron(m + 0.5 * dt * k1, sys.a, sys.v, config.d)
+            k3 = hartree_rhs_kron(m + 0.5 * dt * k2, sys.a, sys.v, config.d)
+            k4 = hartree_rhs_kron(m + dt * k3, sys.a, sys.v, config.d)
+            m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k += 1
+        ends.append(m)
+    deltas = [trace_norm_svd(ends[0] - ends[1]), trace_norm_svd(ends[1] - ends[2])]
+    ratio = deltas[0] / deltas[1] if deltas[1] > 0 else None
+    return [
+        (lvl, step, deltas[lvl] if lvl < 2 else None, ratio if lvl == 0 else None,
+         abs(float(np.trace(end).real) - 1.0), float(np.linalg.eigvalsh(end).min()))
+        for lvl, (step, end) in enumerate(zip(steps, ends))
+    ]

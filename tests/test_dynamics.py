@@ -10,15 +10,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaoticity import dynamics, linalg, tensor
+from chaoticity import dynamics, experiments, linalg, tensor
 from chaoticity.blocks import BlockPropagator, block_entries, check_block_budget
 from chaoticity.dynamics import (
     DEFAULT_STEP_CAP,
     GRID_TOL,
+    TRAJECTORY_TOL,
     ExactPropagator,
     HartreeTrajectory,
     MeanFieldSystem,
     _hierarchy_terms,
+    _rk4_start,
     _window_residuals,
     _window_times,
     bbgky_residual,
@@ -39,6 +41,7 @@ from chaoticity.errors import (
     NotHermitian,
     StepTooLarge,
 )
+from chaoticity.experiments import _rk4_endpoints
 from chaoticity.states import (
     is_symmetric,
     product_state,
@@ -399,8 +402,8 @@ def test_hartree_generator_is_built_on_first_use_at_w_size():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * sys.w.nbytes
-    gen, _ = sys._hartree_generator
-    assert gen.shape == sys.w.shape
+    gen = sys._hartree_generator
+    assert gen.shape == (16**2, 16**2 + 1)
     want = oracles.hartree_rhs_kron(rho.matrix, sys.a, sys.v, 16)
     assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -639,6 +642,121 @@ def test_integrate_drift_guard_fires():
         integrate_hartree(rho0, sys, 0.0, 0.2, 1e-3, save_every=50, drift_tol=0.0)
 
 
+def test_rk4_plan_matches_the_stepping_loop():
+    # the closed-form step count against the loop it replaced: full steps
+    # while one fits, ending on the first within 1e-15 of t1, else one
+    # shortened step; t1 on, just off, and between grid points
+    def loop(t0, t1, step):
+        t, k = t0, 0
+        while t < t1 - 1e-15:
+            if min(step, t1 - t) != step:
+                return k, t1 - t
+            k += 1
+            t = t0 + k * step
+        return k, None
+
+    sys = make_system()
+    rho0 = random_density(2, 134)
+    rng = np.random.default_rng(135)
+    for _ in range(3000):
+        step = float(rng.choice([1e-3, 2.5e-4, 4e-3, 0.01, 0.025, 2.0**-10, 1e-2 / 3]))
+        t0 = float(rng.choice([0.0, 0.1, rng.random()]))
+        k = int(rng.integers(0, 400))
+        t1 = float(rng.choice([t0 + k * step, t0 + (k + rng.random()) * step,
+                               t0 + k * step * (1 + 1e-15), t0 + k * step - 1e-16, k * 1e-3]))
+        if t1 < t0:
+            continue
+        ((full, last),), stages = _rk4_start(rho0, sys, t0, t1, [step])
+        assert (full, last) == loop(t0, t1, step), (t0, t1, step)
+        assert stages.shape == (5, 1, 5)
+
+
+# ---------------------------------------------------------------- lockstep levels
+
+LOCKSTEP_STEPS = (4e-3, 2e-3, 1e-3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("t1", [0.2, 0.2035, 0.0])
+def test_lockstep_endpoints_match_sequential_runs(d, t1):
+    # t1 = 0.2 is on every level's grid; at 0.2035 each level takes its own
+    # shortened last step; at 0 no level steps
+    sys = make_system(d=d, seed_a=121 + d, seed_v=125 + d)
+    rho0 = random_density(d, 129 + d)
+    ends = _rk4_endpoints(rho0, sys, t1, LOCKSTEP_STEPS, TRAJECTORY_TOL)
+    assert len(ends) == 3
+    for step, end in zip(LOCKSTEP_STEPS, ends):
+        want = integrate_hartree(rho0, sys, 0.0, t1, step, save_every=10**9).states[-1]
+        assert np.max(np.abs(end.matrix - want.matrix)) <= 1e-15
+
+
+@pytest.mark.parametrize("t1, calls", [
+    (0.2, [(3, 50), (2, 50), (1, 100)]),
+    (0.2035, [(3, 50), (2, 51), (1, 102), (3, 1)]),
+])
+def test_lockstep_loop_runs_as_often_as_the_finest_level(monkeypatch, t1, calls):
+    # (stack size, count) per kernel call: the counts sum to the finest
+    # level's 200 (or 203 + 1 shortened) steps, not to all levels' 350 (357)
+    seen = []
+    kernel = experiments._rk4_kernel
+
+    def counted_kernel(stages, sys):
+        advance = kernel(stages, sys)
+
+        def counted(rows, count):
+            seen.append((stages.shape[1], count))
+            advance(rows, count)
+
+        return counted
+
+    monkeypatch.setattr(experiments, "_rk4_kernel", counted_kernel)
+    _rk4_endpoints(random_density(2, 136), make_system(seed_a=137, seed_v=138), t1,
+                   LOCKSTEP_STEPS, TRAJECTORY_TOL)
+    assert seen == calls
+    finest = integrate_hartree(random_density(2, 136), make_system(seed_a=137, seed_v=138),
+                               0.0, t1, LOCKSTEP_STEPS[-1])
+    assert sum(count for _, count in seen) == len(finest.states) - 1
+
+
+def test_lockstep_checks_match_integrate_hartree():
+    sys = make_system(seed_a=51, seed_v=52)  # ||V|| <= 1, cap = 0.025
+    rho0 = random_density(2, 53)
+    with pytest.raises(StepTooLarge):
+        _rk4_endpoints(rho0, sys, 1.0, (0.026, 0.013, 0.0065), TRAJECTORY_TOL)
+    with pytest.raises(StepTooLarge):
+        _rk4_endpoints(rho0, sys, 1.0, (0.02, 0.04, 0.01), TRAJECTORY_TOL)
+    with pytest.raises(DimensionMismatch):
+        _rk4_endpoints(random_density(3, 54), sys, 0.01, LOCKSTEP_STEPS, TRAJECTORY_TOL)
+    with pytest.raises(ValueError):
+        _rk4_endpoints(rho0, sys, -0.1, LOCKSTEP_STEPS, TRAJECTORY_TOL)
+    with pytest.raises(ValueError):
+        _rk4_endpoints(rho0, sys, 0.1, (4e-3, 0.0, 1e-3), TRAJECTORY_TOL)
+    # the system and state of test_integrate_drift_guard_fires: the guard
+    # fires at the endpoint for the lockstep levels as for a single run
+    sys = make_system(seed_a=61, seed_v=62)
+    rho0 = random_density(2, 63)
+    for step in LOCKSTEP_STEPS:
+        with pytest.raises(DensityDriftExceeded, match="t = 0.2 "):
+            integrate_hartree(rho0, sys, 0.0, 0.2, step, save_every=10**9, drift_tol=0.0)
+    with pytest.raises(DensityDriftExceeded, match="t = 0.2 "):
+        _rk4_endpoints(rho0, sys, 0.2, LOCKSTEP_STEPS, 0.0)
+
+
+def test_lockstep_stays_at_w_size():
+    # three levels at d = 16, the generator built inside: the stacks and the
+    # flow's buffers add a few d^2-sized rows, no d^4-sized temporary
+    sys = make_system(d=16, seed_a=87, seed_v=97)
+    rho0 = random_density(16, 245)
+    tracemalloc.start()
+    try:
+        ends = _rk4_endpoints(rho0, sys, 3.5e-3, LOCKSTEP_STEPS[1:] + (5e-4,), TRAJECTORY_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ends) == 3
+    assert peak <= 2 * sys.w.nbytes
+
+
 def test_trajectory_state_lookup():
     sys = make_system(seed_a=64, seed_v=65)
     rho0 = random_density(2, 66)
@@ -752,6 +870,37 @@ def test_hierarchy_terms_split_the_marginal_flow():
         assert np.max(np.abs(limit - (ones @ m_n - m_n @ ones + p))) <= 1e-12
         want = h_n @ m_n - m_n @ h_n + ((n_sites - n) / n_sites) * p
         assert np.max(np.abs(limit + eps.matrix - want)) <= 1e-12
+
+
+def test_hierarchy_operators_are_built_once_per_order(monkeypatch):
+    # each order's sum_j A_j, sum_{i<j} W_ij and sum_j W_{j,n+1} are scattered
+    # on first use only; later calls at that order, at any N and on any
+    # marginal, read them from the system and return the same terms
+    sys = make_system(d=2, seed_a=139, seed_v=140)
+    scattered = []
+    add = dynamics._add_on_sites
+
+    def counted(*args, **kwargs):
+        scattered.append(args[2])
+        add(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_add_on_sites", counted)
+    for n in (1, 2, 3):
+        shape = TensorShape(2, n + 1)
+        m = random_density(2 ** (n + 1), 150 + n).matrix
+        limit, eps = _hierarchy_terms(sys, m, shape, 8)
+        assert len(scattered) == n + n * (n - 1) // 2 + n
+        scattered.clear()
+        for n_sites in (8, 5):
+            again, eps_again = _hierarchy_terms(make_system(d=2, seed_a=139, seed_v=140),
+                                                m, shape, n_sites)
+            cached, eps_cached = _hierarchy_terms(sys, m, shape, n_sites)
+            assert np.array_equal(cached, again)
+            assert np.array_equal(eps_cached.matrix, eps_again.matrix)
+        assert len(scattered) == 2 * (n + n * (n - 1) // 2 + n)  # the fresh systems only
+        scattered.clear()
+    assert {n: [op.shape[0] for op in ops] for n, ops in sys._hierarchy_cache.items()} == {
+        1: [2, 2, 4], 2: [4, 4, 8], 3: [8, 8, 16]}
 
 
 # ---------------------------------------------------------------- hierarchy checks

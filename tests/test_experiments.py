@@ -412,6 +412,27 @@ def test_hartree_convergence_levels():
     assert all(eig >= -1e-7 for eig in col(table, "min_eig"))
 
 
+def test_hartree_convergence_rows_match_kron_oracle():
+    # step 4e-3 to t = 1: the deltas sit about three orders above roundoff, so
+    # ratio reads RK4's order; each level is stepped alone on the kron right side
+    cfg = ExperimentConfig(kind="hartree_convergence", step=4e-3, times=(1.0,))
+    got = run_experiment(cfg).rows
+    want = oracles.hartree_convergence_rows_kron(cfg)
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    for g, w in zip(got, want):
+        for col in (2, 4, 5):
+            assert (g[col] is None) == (w[col] is None)
+            if w[col] is not None:
+                assert abs(g[col] - w[col]) <= 1e-12
+    # the deltas agree to roundoff of the endpoints; ratio to its first-order
+    # propagation, ratio * tol * (1/d0 + 1/d1), about 1e-3 relative here
+    (d0, d1), tol = (want[0][2], want[1][2]), 2e-14
+    assert abs(got[0][2] - d0) <= tol and abs(got[1][2] - d1) <= tol
+    assert got[0][3] == got[0][2] / got[1][2]
+    assert abs(got[0][3] - want[0][3]) <= want[0][3] * tol * (1 / d0 + 1 / d1)
+    assert 15.0 <= got[0][3] <= 17.0
+
+
 # ---------------------------------------------------------------- bound audit
 
 
