@@ -15,7 +15,7 @@ partial trace, conjugation by a site permutation given as its image tuple)
 -> states (density operators, symmetric mixtures)
 -> metrics (chaos distance, empirical variance, rate bounds)
 -> dynamics (exact evolution, the nonlinear flow, hierarchy residuals)
--> blocks (exact evolution at d = 2 in the spin blocks)
+-> blocks (exact evolution at d = 2 in the spin blocks; the propagator per d)
 -> config -> experiments -> cli (the reproducible experiment harness).
 """
 
@@ -77,9 +77,11 @@ from .dynamics import (
     HierarchyResidual,
     MeanFieldSystem,
     bbgky_residual,
+    bbgky_residuals,
     build_hamiltonian,
     epsilon_term,
     gronwall_envelope,
+    hartree_endpoints,
     hartree_rhs,
     integrate_hartree,
     step_cap,

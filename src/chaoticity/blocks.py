@@ -19,7 +19,8 @@ block, and depends only on the multiset of its units.
 
 BlockPropagator shares dynamics.ExactPropagator's evolve_grid contract:
 both take the one-site rho0 and return validated marginals of
-rho0^(ox N)(t). check_block_budget is the memory rule for what it holds.
+rho0^(ox N)(t). propagator picks between the two by d, and check_budget is
+the memory rule for what each holds.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .dynamics import MeanFieldSystem
+from .dynamics import ExactPropagator, MeanFieldSystem
 from .errors import BadSiteIndex, DimensionMismatch, MemoryBudgetExceeded
 from .states import DensityOperator, validate
 from .tensor import DEFAULT_MAX_TOTAL_DIM, TensorShape
@@ -67,20 +68,21 @@ def block_entries(n_sites: int, max_order: int) -> int:
             + tuples * (band + sizes.size * (n_sites + 1)) + 4**max_order)
 
 
-def check_block_budget(n_sites: int, max_order: int, max_total_dim: int) -> None:
-    """Raise MemoryBudgetExceeded unless a BlockPropagator fits the budget.
+def check_budget(d: int, n_sites: int, max_order: int, max_total_dim: int) -> None:
+    """Raise MemoryBudgetExceeded unless propagator(sys, n_sites, max_order, ...) fits the budget.
 
-    The dense path holds D x D matrices with D <= max_total_dim; the block
-    path may hold as many entries, max_total_dim^2, and its marginals obey
-    the dense rule 2^order <= max_total_dim.
+    The dense path (d >= 3) holds D x D matrices with D = d^N <= max_total_dim;
+    the block path (d = 2) may hold as many entries, max_total_dim^2, and its
+    marginals obey the dense rule 2^order <= max_total_dim.
     """
-    if 2**max_order > max_total_dim:
+    if d != 2:
+        TensorShape(d, n_sites, max_total_dim)
+    elif 2**max_order > max_total_dim:
         raise MemoryBudgetExceeded(
             f"a marginal of order {max_order} has 2^{max_order} rows, over the budget "
             f"{max_total_dim}"
         )
-    held = block_entries(n_sites, max_order)
-    if held > max_total_dim**2:
+    elif (held := block_entries(n_sites, max_order)) > max_total_dim**2:
         raise MemoryBudgetExceeded(
             f"the spin blocks of N = {n_sites} up to order {max_order} hold {held} entries, "
             f"over the budget of {max_total_dim}^2 = {max_total_dim**2}"
@@ -109,7 +111,7 @@ class BlockPropagator:
             raise DimensionMismatch(f"the block propagator needs d = 2, got d = {sys.d}")
         if not 1 <= max_order <= n_sites:
             raise BadSiteIndex(f"marginal order {max_order} outside 1..{n_sites}")
-        check_block_budget(n_sites, max_order, max_total_dim)
+        check_budget(2, n_sites, max_order, max_total_dim)
         self.n_sites = n_sites
         self.max_order = max_order
         self.max_total_dim = max_total_dim
@@ -249,3 +251,14 @@ class BlockPropagator:
             m = (coeff @ bands)[scatter].reshape(2**order, 2**order)
             out.append(validate(m, shape))
         return out
+
+
+def propagator(sys: MeanFieldSystem, n_sites: int, max_order: int, max_total_dim: int):
+    """The propagator of rho0^(ox N) under H_N; its evolve_grid takes the one-site rho0.
+
+    At d = 2 the spin-block propagator; at d >= 3 the dense one, which
+    diagonalizes H_N on the d^N space.
+    """
+    if sys.d == 2:
+        return BlockPropagator(sys, n_sites, max_order, max_total_dim)
+    return ExactPropagator(sys, n_sites, max_total_dim)

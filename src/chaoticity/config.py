@@ -22,11 +22,12 @@ finite-difference pass threshold, by bbgky_verify). A name the kind does
 not read is ConfigInvalid, so a typo such as ``tol.drfit`` cannot pass
 silently.
 
-``max_total_dim`` bounds what each kind holds: d^max(N) for propagation
-and bbgky_verify at d >= 3, and at d = 2 the entries of their spin blocks,
-at most max_total_dim^2 (blocks.check_block_budget; N = 64 fits the
-default); the largest ProductMixture marginal, d^max(k), for chaos_sweep
-and bound_audit whatever N; nothing for the one-site hartree_convergence.
+``max_total_dim`` bounds what each kind holds: for propagation and
+bbgky_verify, what blocks.propagator holds at max(N) (blocks.check_budget:
+d^max(N) at d >= 3, and at d = 2 the entries of the spin blocks, at most
+max_total_dim^2; N = 64 fits the default); the largest ProductMixture
+marginal, d^max(k), for chaos_sweep and bound_audit whatever N; nothing for
+the one-site hartree_convergence.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 
-from .blocks import check_block_budget
+from .blocks import check_budget
 from .dynamics import GRID_TOL, step_cap
 from .errors import ConfigInvalid, MemoryBudgetExceeded, ParseError
 
@@ -44,7 +45,7 @@ KINDS = ("chaos_sweep", "propagation", "bbgky_verify", "hartree_convergence", "b
 TOL_NAMES = {"propagation": {"drift"}, "hartree_convergence": {"drift"},
              "bbgky_verify": {"residual"}}
 FORMATS = ("csv", "json")
-# kinds that evolve rho0^(ox N): in spin blocks at d = 2, on the d^N space at d >= 3
+# kinds that evolve rho0^(ox N) with blocks.propagator
 N_BODY_KINDS = ("propagation", "bbgky_verify")
 
 
@@ -215,20 +216,18 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigInvalid(
             f"max k = {max(c.k_list)} exceeds the smallest N = {min(c.N_list)}"
         )
-    if c.kind in N_BODY_KINDS and c.d == 2:
-        # the spin-block propagator's entries, up to the order n + 1 of the largest n
+    if c.kind in N_BODY_KINDS:
+        # the largest N's propagator, up to the order n + 1 of the largest n
         try:
-            check_block_budget(max(c.N_list), min(max(c.k_list) + 1, max(c.N_list)),
-                               c.max_total_dim)
+            check_budget(c.d, max(c.N_list), min(max(c.k_list) + 1, max(c.N_list)),
+                         c.max_total_dim)
         except MemoryBudgetExceeded as exc:
             raise ConfigInvalid(str(exc)) from exc
-    elif c.kind != "hartree_convergence":
-        # the d^N space, or for the mixture kinds their largest marginal
-        name, sites = ("N", max(c.N_list)) if c.kind in N_BODY_KINDS else ("k", max(c.k_list))
-        if c.d**sites > c.max_total_dim:
-            raise ConfigInvalid(
-                f"d^max({name}) = {c.d}^{sites} exceeds the memory budget {c.max_total_dim}"
-            )
+    elif c.kind != "hartree_convergence" and c.d**max(c.k_list) > c.max_total_dim:
+        # the mixture kinds hold their largest marginal
+        raise ConfigInvalid(
+            f"d^max(k) = {c.d}^{max(c.k_list)} exceeds the memory budget {c.max_total_dim}"
+        )
     if c.kind == "bbgky_verify" and min(c.k_list) > max(c.N_list) - 1:
         raise ConfigInvalid(
             "the hierarchy check needs the next marginal up: no (N, n) pair has n <= N - 1"

@@ -19,13 +19,14 @@ p = g rho (_hartree_flow). The one RK4 kernel, _rk4_kernel, steps a stack
 of trajectories, each with its own step, by the Butcher tableau over one
 array of stages, under a step cap an order of magnitude below the
 1/(4 ||V||) stability scale of the flow's Lipschitz constant.
+integrate_hartree steps one run on a save grid, hartree_endpoints several.
 
 The N-body marginal hierarchy is the limiting one plus a defect eps_n with
 the 5 n^2 ||V|| / N ceiling of the propagation estimates. _hierarchy_terms
 forms both from an (n+1)-site marginal, for epsilon_term and for
 _window_residuals, the one central-difference kernel. It checks the N-body
-flow on evolved marginals (bbgky_residual) and, at N = inf, the limiting
-flow on rho(t)^(ox n) (tensor_hierarchy_residual).
+flow on evolved marginals (bbgky_residuals, one evolve_grid call) and, at
+N = inf, the limiting flow on rho(t)^(ox n) (tensor_hierarchy_residual).
 """
 
 from __future__ import annotations
@@ -255,6 +256,14 @@ class HartreeTrajectory:
         return self.states[self.index(t)]
 
 
+def _check_state(rho: DensityOperator, sys: MeanFieldSystem, one_site: bool = True) -> None:
+    """DimensionMismatch unless rho has the system's d and, for the one-site flow, one site."""
+    if one_site and rho.sites != 1:
+        raise DimensionMismatch("the nonlinear flow lives on one site")
+    if rho.d != sys.d:
+        raise DimensionMismatch(f"state d = {rho.d}, system d = {sys.d}")
+
+
 def _hartree_flow(sys: MeanFieldSystem, stack: int):
     """flow(y, rho, out): d rho / dt = [g, rho] into out for a stack of states, buffers held.
 
@@ -281,10 +290,7 @@ def hartree_rhs(rho: DensityOperator, sys: MeanFieldSystem) -> np.ndarray:
     This equals -i([A, rho] + tr_2[W, rho ox rho]). _hartree_flow evaluates it,
     relying on rho being Hermitian as every validated state is: exactly Hermitian and traceless.
     """
-    if rho.sites != 1:
-        raise DimensionMismatch("the nonlinear flow lives on one site")
-    if rho.d != sys.d:
-        raise DimensionMismatch(f"state d = {rho.d}, system d = {sys.d}")
+    _check_state(rho, sys)
     y = np.append(rho.matrix.ravel(), 1.0)[None]
     out = np.empty((1, sys.d, sys.d), dtype=np.complex128)
     _hartree_flow(sys, 1)(y, y[:, :-1].reshape(out.shape), out)
@@ -299,26 +305,27 @@ def _rk4_tableau(dt: float) -> np.ndarray:
 
 def _rk4_rows(steps) -> tuple[np.ndarray, ...]:
     """Four (L, 5L) blocks: each step's _rk4_tableau rows on the stages seen as (5L, d^2 + 1)."""
-    rows = np.zeros((4, len(steps), 5, len(steps)), dtype=np.complex128)
+    rows = np.zeros((4, len(steps), len(steps), 5), dtype=np.complex128)
     for i, dt in enumerate(steps):
-        rows[:, i, :, i] = _rk4_tableau(dt)
+        rows[:, i, i] = _rk4_tableau(dt)
     return tuple(rows.reshape(4, len(steps), -1))
 
 
 def _rk4_kernel(stages: np.ndarray, sys: MeanFieldSystem):
     """advance(rows, count): count RK4 steps of the L runs in C-ordered stages, in place.
 
-    Each stage input of k2..k4, and the update, is one (L x 5L) x (5L x (d^2 + 1)) product
-    of a block of rows (_rk4_rows) with the stages, keeping the last column at 1; each slope
-    is one flow evaluation into its rows. Inputs mix Hermitian rows by real weights, as
-    p + p† needs. Views and buffers are set up once here: a call may be a single step.
+    Stages are (L, 5, d^2 + 1), each run's x = [vec(rho), 1] and slopes. Each stage input
+    of k2..k4, and the update, is one (L x 5L) x (5L x (d^2 + 1)) product of a block of
+    rows (_rk4_rows) with the stages, keeping the last column at 1; each slope is one flow
+    evaluation into its rows. Inputs mix Hermitian rows by real weights, as p + p† needs.
+    Views and buffers are set up once here: a call may be a single step.
     """
-    _, stack, cols = stages.shape
+    stack, _, cols = stages.shape
     flat = stages.reshape(5 * stack, cols)
     flow = _hartree_flow(sys, stack)
-    x, y = stages[0], np.empty_like(stages[0])
+    x, y = stages[:, 0], np.empty((stack, cols), dtype=np.complex128)
     x_rho, y_rho = (a[:, :-1].reshape(stack, sys.d, sys.d) for a in (x, y))
-    k1, k2, k3, k4 = stages[1:, :, :-1].reshape(4, stack, sys.d, sys.d)
+    k1, k2, k3, k4 = (stages[:, s, :-1].reshape(stack, sys.d, sys.d) for s in range(1, 5))
 
     def advance(rows: tuple[np.ndarray, ...], count: int) -> None:
         to_k2, to_k3, to_k4, update = rows
@@ -342,10 +349,7 @@ def _rk4_start(rho0: DensityOperator, sys: MeanFieldSystem, t0: float, t1: float
     A run takes k full steps from t0, to the first t0 + k step within 1e-15 of
     t1 (last None) or less than a step short of it, then one step of last.
     """
-    if rho0.sites != 1:
-        raise DimensionMismatch("the nonlinear flow lives on one site")
-    if rho0.d != sys.d:
-        raise DimensionMismatch(f"state d = {rho0.d}, system d = {sys.d}")
+    _check_state(rho0, sys)
     if t1 < t0:
         raise ValueError(f"t1 = {t1} precedes t0 = {t0}")
     cap, plans = step_cap(sys.interaction_norm()), []
@@ -361,8 +365,8 @@ def _rk4_start(rho0: DensityOperator, sys: MeanFieldSystem, t0: float, t1: float
             k += 1
         plans.append((k, None if t0 + k * step >= t1 - 1e-15 else t1 - (t0 + k * step)))
     # zeros, not empty: zero tableau weights still multiply every row, and 0 * NaN is NaN
-    stages = np.zeros((5, len(plans), rho0.d**2 + 1), dtype=np.complex128)
-    stages[0] = np.append(rho0.matrix.ravel(), 1.0)
+    stages = np.zeros((len(plans), 5, rho0.d**2 + 1), dtype=np.complex128)
+    stages[:, 0] = np.append(rho0.matrix.ravel(), 1.0)
     return plans, stages
 
 
@@ -398,6 +402,33 @@ def integrate_hartree(rho0: DensityOperator, sys: MeanFieldSystem, t0: float, t1
         times.append(t1)
         states.append(_checked(stages[0, 0], rho0.shape, t1, drift_tol))
     return HartreeTrajectory(np.array(times, dtype=float), tuple(states))
+
+
+def hartree_endpoints(rho0: DensityOperator, sys: MeanFieldSystem, t1: float, steps,
+                      drift_tol: float = TRAJECTORY_TOL) -> list[DensityOperator]:
+    """integrate_hartree's state at t1 from t0 = 0 for each step, the runs in lockstep.
+
+    Each run takes integrate_hartree's steps, checks and drift guard. Sorted by
+    descending full-step count, the runs still stepping are the leading slice
+    of the stages, so the loop runs only as often as the longest run. The
+    shortened last steps are one step of the stack, of length 0 for a run
+    that lands on t1: the update row [1, 0, 0, 0, 0] leaves its x unchanged.
+    """
+    plans, stages = _rk4_start(rho0, sys, 0.0, t1, steps)
+    order = sorted(range(len(plans)), key=lambda i: -plans[i][0])
+    done = 0
+    for m in range(len(order), 0, -1):
+        full = plans[order[m - 1]][0]
+        if full > done:
+            _rk4_kernel(stages[:m], sys)(_rk4_rows([steps[i] for i in order[:m]]), full - done)
+            done = full
+    lasts = [plans[i][1] or 0.0 for i in order]
+    if any(lasts):
+        _rk4_kernel(stages, sys)(_rk4_rows(lasts), 1)
+    ends = dict(zip(order, stages[:, 0]))
+    # a run that takes no step returns rho0 itself, as integrate_hartree does
+    return [rho0 if plan == (0, None) else _checked(ends[i], rho0.shape, t1, drift_tol)
+            for i, plan in enumerate(plans)]
 
 
 class EpsilonTerm(NamedTuple):
@@ -448,8 +479,7 @@ def epsilon_term(m_np1: DensityOperator, sys: MeanFieldSystem, n_sites: int) -> 
     n = m_np1.sites - 1
     if not 1 <= n <= n_sites - 1:
         raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
-    if m_np1.d != sys.d:
-        raise DimensionMismatch(f"state d = {m_np1.d}, system d = {sys.d}")
+    _check_state(m_np1, sys, one_site=False)
     return _hierarchy_terms(sys, m_np1.matrix, m_np1.shape, n_sites)[1]
 
 
@@ -491,6 +521,31 @@ def _window_residuals(
     return out
 
 
+def bbgky_residuals(rho0: DensityOperator, sys: MeanFieldSystem, orders, times, steps,
+                    propagator: ExactPropagator | BlockPropagator) -> list[list[HierarchyResidual]]:
+    """Central-difference checks of the coupled marginal-flow equations.
+
+    residual = || (rho^(n)(t+h) - rho^(n)(t-h)) / 2h - (-i) RHS(t) ||_1,
+    O(h^2) for the smooth exact flow. For each n in orders, then each t in
+    times, one residual per h in steps, with the epsilon defect at (n, t).
+    Every window's marginals come from one evolve_grid call of the
+    propagator, which takes the one-site rho0, at order max(orders) + 1.
+    """
+    n_sites = propagator.n_sites
+    if min(steps) <= 0:
+        raise ValueError(f"h must be positive, got {min(steps)}")
+    if not 1 <= min(orders) <= max(orders) <= n_sites - 1:
+        raise ValueError(f"orders {list(orders)} need 1 <= n <= N-1 = {n_sites - 1}")
+    width = 2 * len(steps) + 1
+    top = propagator.evolve_grid(
+        rho0, [s for t in times for s in _window_times(t, steps)], max(orders) + 1)
+    return [
+        _window_residuals([m.marginal(n + 1) for m in top[j * width:(j + 1) * width]],
+                          sys, n_sites, t, steps)
+        for n in orders for j, t in enumerate(times)
+    ]
+
+
 def bbgky_residual(
     rho0: DensityOperator,
     sys: MeanFieldSystem,
@@ -499,22 +554,8 @@ def bbgky_residual(
     h: float,
     propagator: ExactPropagator | BlockPropagator,
 ) -> HierarchyResidual:
-    """Central-difference check of the coupled marginal-flow equations.
-
-    residual = || (rho^(n)(t+h) - rho^(n)(t-h)) / 2h - (-i) RHS(t) ||_1,
-    O(h^2) for the smooth exact flow. The (n+1)-site marginals of
-    rho0^(ox N) at t-h, t, t+h come from one evolve_grid call of the
-    propagator, which takes the one-site rho0. The epsilon defect at (n, t)
-    rides along in the result.
-    """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    n_sites = propagator.n_sites
-    if not 1 <= n <= n_sites - 1:
-        raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
-    window = propagator.evolve_grid(rho0, _window_times(t, (h,)), n + 1)
-    (res,) = _window_residuals(window, sys, n_sites, t, (h,))
-    return res
+    """bbgky_residuals at the one (n, t, h): the marginals at t-h, t, t+h from one evolve_grid."""
+    return bbgky_residuals(rho0, sys, [n], [t], [h], propagator)[0][0]
 
 
 def tensor_hierarchy_residual(

@@ -24,20 +24,15 @@ import numpy as np
 
 from . import linalg
 from .config import ExperimentConfig, config_hash, validate_config
-from .blocks import BlockPropagator
+from .blocks import propagator
 from .dynamics import (
     TRAJECTORY_TOL,
-    ExactPropagator,
     HartreeTrajectory,
     MeanFieldSystem,
-    _checked,
-    _rk4_kernel,
-    _rk4_rows,
-    _rk4_start,
-    _window_residuals,
-    _window_times,
+    bbgky_residuals,
     epsilon_term,
     gronwall_envelope,
+    hartree_endpoints,
     integrate_hartree,
 )
 from .errors import BoundViolation, ChaoticityError, ConfigInvalid
@@ -146,17 +141,6 @@ def _over_N(config: ExperimentConfig, parallel: int, worker):
     return [row for chunk in chunks for row in chunk]
 
 
-def _propagator(config: ExperimentConfig, sys: MeanFieldSystem, n_sites: int, max_order: int):
-    """The propagator of rho0^(ox N) under H_N; its evolve_grid takes the one-site rho0.
-
-    At d = 2 the spin-block propagator; at d >= 3 the dense one, which
-    diagonalizes H_N on the d^N space.
-    """
-    if sys.d == 2:
-        return BlockPropagator(sys, n_sites, max_order, config.max_total_dim)
-    return ExactPropagator(sys, n_sites, config.max_total_dim)
-
-
 def _run_chaos_sweep(config: ExperimentConfig, parallel: int):
     def worker(n_sites: int):
         rho_bar, rho_n = _draw_mixture(config, n_sites)
@@ -199,7 +183,7 @@ def _run_propagation(config: ExperimentConfig, parallel: int):
     def worker(n_sites: int):
         # E_n needs order n; epsilon and the envelope need order n + 1 as well
         need = {m for n in config.k_list for m in (n, n + 1) if m <= n_sites}
-        prop = _propagator(config, sys, n_sites, max(need))
+        prop = propagator(sys, n_sites, max(need), config.max_total_dim)
         # one grid pass at the highest order; it answers every lower marginal
         top = prop.evolve_grid(rho0, grid, max(need))
         # only an envelope integrates E over the whole grid: order n + 1 for each n
@@ -238,73 +222,32 @@ def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
     rho0 = _draw_initial(config)
     residual_gate = config.tol_value("residual", float("inf"))
 
-    steps = (config.fd_h, config.fd_h / 2.0)
-    width = 2 * len(steps) + 1
-
     def worker(n_sites: int):
         orders = [n for n in config.k_list if n <= n_sites - 1]
         if not orders:
             return []
-        prop = _propagator(config, sys, n_sites, max(orders) + 1)
-        # one grid pass at the highest order over every t's window; lower orders are traced from it
-        times = [s for t in config.times for s in _window_times(t, steps)]
-        top = prop.evolve_grid(rho0, times, max(orders) + 1)
+        prop = propagator(sys, n_sites, max(orders) + 1, config.max_total_dim)
         rows = []
-        for n in orders:
-            for j, t in enumerate(config.times):
-                window = [m.marginal(n + 1) for m in top[j * width:(j + 1) * width]]
-                r1, r2 = _window_residuals(window, sys, n_sites, t, steps)
-                ratio = (
-                    r1.residual_trace_norm / r2.residual_trace_norm
-                    if r2.residual_trace_norm > 0.0
-                    else None
+        for r1, r2 in bbgky_residuals(rho0, sys, orders, config.times,
+                                      (config.fd_h, config.fd_h / 2.0), prop):
+            ratio = (
+                r1.residual_trace_norm / r2.residual_trace_norm
+                if r2.residual_trace_norm > 0.0
+                else None
+            )
+            if r1.residual_trace_norm > residual_gate:
+                raise BoundViolation(
+                    f"finite-difference residual {r1.residual_trace_norm:.6e} "
+                    f"exceeds tol.residual = {residual_gate:.6e} at N={n_sites}, n={r1.n}, t={r1.t}"
                 )
-                if r1.residual_trace_norm > residual_gate:
-                    raise BoundViolation(
-                        f"finite-difference residual {r1.residual_trace_norm:.6e} "
-                        f"exceeds tol.residual = {residual_gate:.6e} at N={n_sites}, n={n}, t={t}"
-                    )
-                rows.append((
-                    n_sites, n, float(t), config.fd_h,
-                    r1.residual_trace_norm, r2.residual_trace_norm, ratio,
-                    r1.epsilon_norm, r1.epsilon_bound,
-                ))
+            rows.append((
+                n_sites, r1.n, float(r1.t), config.fd_h,
+                r1.residual_trace_norm, r2.residual_trace_norm, ratio,
+                r1.epsilon_norm, r1.epsilon_bound,
+            ))
         return rows
 
     return _over_N(config, parallel, worker)
-
-
-def _rk4_endpoints(
-    rho0: DensityOperator, sys: MeanFieldSystem, t1: float, steps, drift_tol: float
-) -> list[DensityOperator]:
-    """integrate_hartree's endpoint at t1 from t0 = 0 for each step, the levels in lockstep.
-
-    Each level takes the steps integrate_hartree would, with its checks. The
-    levels share one stack of _rk4_kernel while each has full steps left
-    and leave it as theirs run out, fewest first, so the loop runs only as
-    often as the level with the most full steps. The shortened last steps
-    then share one stack of their own.
-    """
-    plans, ends = _rk4_start(rho0, sys, 0.0, t1, steps)
-    order = sorted(range(len(steps)), key=lambda i: plans[i][0])
-    stages = ends.copy()
-    done = 0
-    for i, level in enumerate(order):
-        if plans[level][0] > done:
-            _rk4_kernel(stages, sys)(_rk4_rows([steps[j] for j in order[i:]]),
-                                     plans[level][0] - done)
-            done = plans[level][0]
-        ends[0, level] = stages[0, 0]
-        stages = stages[:, 1:].copy()
-    short = [i for i, (_, last) in enumerate(plans) if last is not None]
-    if short:
-        # copy() for C order: this fancy index returns a transposed layout
-        tail = ends[:, short].copy()
-        _rk4_kernel(tail, sys)(_rk4_rows([plans[i][1] for i in short]), 1)
-        ends[0, short] = tail[0]
-    # a level that takes no step returns rho0 itself, as integrate_hartree does
-    return [rho0 if plan == (0, None) else _checked(x, rho0.shape, t1, drift_tol)
-            for plan, x in zip(plans, ends[0])]
 
 
 def _run_hartree_convergence(config: ExperimentConfig, parallel: int):
@@ -313,7 +256,7 @@ def _run_hartree_convergence(config: ExperimentConfig, parallel: int):
     t_end = max(config.times)
     drift_tol = config.tol_value("drift", TRAJECTORY_TOL)
     steps = [config.step / (2**lvl) for lvl in range(3)]
-    endpoints = [end.matrix for end in _rk4_endpoints(rho0, sys, t_end, steps, drift_tol)]
+    endpoints = [end.matrix for end in hartree_endpoints(rho0, sys, t_end, steps, drift_tol)]
     deltas = [
         linalg.trace_norm(endpoints[0] - endpoints[1]),
         linalg.trace_norm(endpoints[1] - endpoints[2]),

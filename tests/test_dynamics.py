@@ -10,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaoticity import dynamics, experiments, linalg, tensor
-from chaoticity.blocks import BlockPropagator, block_entries, check_block_budget
+from chaoticity import dynamics, linalg, tensor
+from chaoticity.blocks import BlockPropagator, block_entries, check_budget, propagator
 from chaoticity.dynamics import (
     DEFAULT_STEP_CAP,
     GRID_TOL,
@@ -21,12 +21,12 @@ from chaoticity.dynamics import (
     MeanFieldSystem,
     _hierarchy_terms,
     _rk4_start,
-    _window_residuals,
-    _window_times,
     bbgky_residual,
+    bbgky_residuals,
     build_hamiltonian,
     epsilon_term,
     gronwall_envelope,
+    hartree_endpoints,
     hartree_rhs,
     integrate_hartree,
     step_cap,
@@ -41,7 +41,6 @@ from chaoticity.errors import (
     NotHermitian,
     StepTooLarge,
 )
-from chaoticity.experiments import _rk4_endpoints
 from chaoticity.states import (
     is_symmetric,
     product_state,
@@ -307,7 +306,7 @@ def test_block_budget_counts_held_entries():
     with pytest.raises(MemoryBudgetExceeded):
         BlockPropagator(make_system(), 64, 3, max_total_dim=256)
     with pytest.raises(MemoryBudgetExceeded):
-        check_block_budget(20, 13, 4096)  # a 2^13-row marginal
+        check_budget(2, 20, 13, 4096)  # a 2^13-row marginal
 
 
 def test_block_propagator_argument_checks():
@@ -529,8 +528,8 @@ def test_dynamics_public_names(monkeypatch):
     assert public == {
         "MeanFieldSystem", "step_cap", "build_hamiltonian", "ExactPropagator",
         "HartreeTrajectory", "hartree_rhs", "integrate_hartree", "EpsilonTerm",
-        "epsilon_term", "HierarchyResidual", "bbgky_residual",
-        "tensor_hierarchy_residual", "gronwall_envelope",
+        "epsilon_term", "HierarchyResidual", "bbgky_residual", "bbgky_residuals",
+        "tensor_hierarchy_residual", "gronwall_envelope", "hartree_endpoints",
     }
 
     def refuse(*args, **kwargs):
@@ -668,7 +667,7 @@ def test_rk4_plan_matches_the_stepping_loop():
             continue
         ((full, last),), stages = _rk4_start(rho0, sys, t0, t1, [step])
         assert (full, last) == loop(t0, t1, step), (t0, t1, step)
-        assert stages.shape == (5, 1, 5)
+        assert stages.shape == (1, 5, 5)
 
 
 # ---------------------------------------------------------------- lockstep levels
@@ -677,13 +676,14 @@ LOCKSTEP_STEPS = (4e-3, 2e-3, 1e-3)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-@pytest.mark.parametrize("t1", [0.2, 0.2035, 0.0])
+@pytest.mark.parametrize("t1", [0.2, 0.2035, 0.202, 0.0])
 def test_lockstep_endpoints_match_sequential_runs(d, t1):
     # t1 = 0.2 is on every level's grid; at 0.2035 each level takes its own
-    # shortened last step; at 0 no level steps
+    # shortened last step; at 0.202 only the coarsest does, (50, 0.002), so
+    # the finer two take a step of length 0; at 0 no level steps
     sys = make_system(d=d, seed_a=121 + d, seed_v=125 + d)
     rho0 = random_density(d, 129 + d)
-    ends = _rk4_endpoints(rho0, sys, t1, LOCKSTEP_STEPS, TRAJECTORY_TOL)
+    ends = hartree_endpoints(rho0, sys, t1, LOCKSTEP_STEPS, TRAJECTORY_TOL)
     assert len(ends) == 3
     for step, end in zip(LOCKSTEP_STEPS, ends):
         want = integrate_hartree(rho0, sys, 0.0, t1, step, save_every=10**9).states[-1]
@@ -698,39 +698,40 @@ def test_lockstep_loop_runs_as_often_as_the_finest_level(monkeypatch, t1, calls)
     # (stack size, count) per kernel call: the counts sum to the finest
     # level's 200 (or 203 + 1 shortened) steps, not to all levels' 350 (357)
     seen = []
-    kernel = experiments._rk4_kernel
+    kernel = dynamics._rk4_kernel
 
     def counted_kernel(stages, sys):
         advance = kernel(stages, sys)
 
         def counted(rows, count):
-            seen.append((stages.shape[1], count))
+            seen.append((stages.shape[0], count))
             advance(rows, count)
 
         return counted
 
-    monkeypatch.setattr(experiments, "_rk4_kernel", counted_kernel)
-    _rk4_endpoints(random_density(2, 136), make_system(seed_a=137, seed_v=138), t1,
-                   LOCKSTEP_STEPS, TRAJECTORY_TOL)
+    monkeypatch.setattr(dynamics, "_rk4_kernel", counted_kernel)
+    hartree_endpoints(random_density(2, 136), make_system(seed_a=137, seed_v=138), t1,
+                      LOCKSTEP_STEPS, TRAJECTORY_TOL)
     assert seen == calls
+    stepped = sum(count for _, count in seen)  # before integrate_hartree adds its own calls
     finest = integrate_hartree(random_density(2, 136), make_system(seed_a=137, seed_v=138),
                                0.0, t1, LOCKSTEP_STEPS[-1])
-    assert sum(count for _, count in seen) == len(finest.states) - 1
+    assert stepped == len(finest.states) - 1
 
 
 def test_lockstep_checks_match_integrate_hartree():
     sys = make_system(seed_a=51, seed_v=52)  # ||V|| <= 1, cap = 0.025
     rho0 = random_density(2, 53)
     with pytest.raises(StepTooLarge):
-        _rk4_endpoints(rho0, sys, 1.0, (0.026, 0.013, 0.0065), TRAJECTORY_TOL)
+        hartree_endpoints(rho0, sys, 1.0, (0.026, 0.013, 0.0065), TRAJECTORY_TOL)
     with pytest.raises(StepTooLarge):
-        _rk4_endpoints(rho0, sys, 1.0, (0.02, 0.04, 0.01), TRAJECTORY_TOL)
+        hartree_endpoints(rho0, sys, 1.0, (0.02, 0.04, 0.01), TRAJECTORY_TOL)
     with pytest.raises(DimensionMismatch):
-        _rk4_endpoints(random_density(3, 54), sys, 0.01, LOCKSTEP_STEPS, TRAJECTORY_TOL)
+        hartree_endpoints(random_density(3, 54), sys, 0.01, LOCKSTEP_STEPS, TRAJECTORY_TOL)
     with pytest.raises(ValueError):
-        _rk4_endpoints(rho0, sys, -0.1, LOCKSTEP_STEPS, TRAJECTORY_TOL)
+        hartree_endpoints(rho0, sys, -0.1, LOCKSTEP_STEPS, TRAJECTORY_TOL)
     with pytest.raises(ValueError):
-        _rk4_endpoints(rho0, sys, 0.1, (4e-3, 0.0, 1e-3), TRAJECTORY_TOL)
+        hartree_endpoints(rho0, sys, 0.1, (4e-3, 0.0, 1e-3), TRAJECTORY_TOL)
     # the system and state of test_integrate_drift_guard_fires: the guard
     # fires at the endpoint for the lockstep levels as for a single run
     sys = make_system(seed_a=61, seed_v=62)
@@ -739,7 +740,7 @@ def test_lockstep_checks_match_integrate_hartree():
         with pytest.raises(DensityDriftExceeded, match="t = 0.2 "):
             integrate_hartree(rho0, sys, 0.0, 0.2, step, save_every=10**9, drift_tol=0.0)
     with pytest.raises(DensityDriftExceeded, match="t = 0.2 "):
-        _rk4_endpoints(rho0, sys, 0.2, LOCKSTEP_STEPS, 0.0)
+        hartree_endpoints(rho0, sys, 0.2, LOCKSTEP_STEPS, 0.0)
 
 
 def test_lockstep_stays_at_w_size():
@@ -749,7 +750,7 @@ def test_lockstep_stays_at_w_size():
     rho0 = random_density(16, 245)
     tracemalloc.start()
     try:
-        ends = _rk4_endpoints(rho0, sys, 3.5e-3, LOCKSTEP_STEPS[1:] + (5e-4,), TRAJECTORY_TOL)
+        ends = hartree_endpoints(rho0, sys, 3.5e-3, LOCKSTEP_STEPS[1:] + (5e-4,), TRAJECTORY_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -943,21 +944,31 @@ def test_bbgky_residual_shared_propagator_consistent():
 
 @pytest.mark.parametrize("n_sites, n", [(3, 1), (3, 2), (6, 2)])
 def test_bbgky_residuals_share_one_grid(n_sites, n):
-    # h and h/2 from one evolve_grid call equal two separate one-step calls
-    sys = make_system(seed_a=88, seed_v=89)
-    rho0 = random_density(2, 90)
-    prop = ExactPropagator(sys, n_sites)
-    steps = (1e-2, 5e-3)
-    window = prop.evolve_grid(rho0, _window_times(0.3, steps), n + 1)
-    pair = _window_residuals(window, sys, n_sites, 0.3, steps)
-    for h, got in zip(steps, pair):
-        want = bbgky_residual(rho0, sys, n, 0.3, h, prop)
-        assert abs(got.residual_trace_norm - want.residual_trace_norm) <= 1e-15
-        assert (got.n, got.t, got.epsilon_norm, got.epsilon_bound) == (
-            want.n, want.t, want.epsilon_norm, want.epsilon_bound
-        )
-    with pytest.raises(ValueError):
-        bbgky_residual(rho0, sys, n, 0.3, 0.0, prop)
+    # every (t, h) from one evolve_grid call equals its own bbgky_residual
+    # call, on the block path (d = 2) and the dense one (d = 3); lower orders
+    # traced from a higher one are checked against the dense rows in
+    # test_experiments
+    times, steps = (0.3, 0.5), (1e-2, 5e-3)
+    for d in (2, 3):
+        sys = make_system(d=d, seed_a=88, seed_v=89)
+        rho0 = random_density(d, 90)
+        prop = propagator(sys, n_sites, n + 1, 4096)
+        assert isinstance(prop, BlockPropagator if d == 2 else ExactPropagator)
+        grid, calls = prop.evolve_grid, []
+        prop.evolve_grid = lambda *args: calls.append(args) or grid(*args)
+        got = bbgky_residuals(rho0, sys, [n], times, steps, prop)
+        assert len(calls) == 1
+        for t, residuals in zip(times, got, strict=True):
+            for h, res in zip(steps, residuals, strict=True):
+                want = bbgky_residual(rho0, sys, n, t, h, prop)
+                assert abs(res.residual_trace_norm - want.residual_trace_norm) <= 1e-15
+                assert (res.n, res.t, res.epsilon_norm, res.epsilon_bound) == (
+                    want.n, want.t, want.epsilon_norm, want.epsilon_bound
+                )
+        with pytest.raises(ValueError):
+            bbgky_residuals(rho0, sys, [n], times, (1e-2, 0.0), prop)
+        with pytest.raises(ValueError):
+            bbgky_residuals(rho0, sys, [n, n_sites], times, steps, prop)
 
 
 def test_bbgky_residual_argument_checks():

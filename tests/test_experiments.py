@@ -11,7 +11,7 @@ import pytest
 
 from chaoticity import experiments, states, tensor
 from chaoticity.config import ExperimentConfig, config_hash, parse_config
-from chaoticity.blocks import BlockPropagator
+from chaoticity.blocks import BlockPropagator, propagator
 from chaoticity.dynamics import (
     ExactPropagator,
     epsilon_term,
@@ -25,7 +25,6 @@ from chaoticity.experiments import (
     _draw_initial,
     _draw_mixture,
     _draw_system,
-    _propagator,
     run_experiment,
     subseed,
 )
@@ -276,7 +275,7 @@ def propagation_rows_full_grid(config) -> list[tuple]:
     rows = []
     for n_sites in config.N_list:
         need = {m for n in config.k_list for m in (n, n + 1) if m <= n_sites}
-        top = _propagator(config, sys, n_sites, max(need)).evolve_grid(
+        top = propagator(sys, n_sites, max(need), config.max_total_dim).evolve_grid(
             rho0, traj.times, max(need))
         e = {m: np.array([chaos_distance(r, s, m) for r, s in zip(top, traj.states)])
              for m in need}

@@ -75,3 +75,19 @@ def test_imports_stay_at_or_below_own_layer(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     upward = {m for m in _imported_modules(tree) if LEVEL[m] > LEVEL[path.stem]}
     assert not upward, f"{path.stem} imports from higher layers: {sorted(upward)}"
+
+
+@pytest.mark.parametrize("name", ["experiments", "config", "cli"])
+def test_harness_imports_no_private_name(name):
+    # the harness reaches each module through its public names only, so a
+    # sequence it needs lives, once, in the module that owns its parts
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").split(".")[0] == "chaoticity")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not private, f"{name} imports private names: {private}"
