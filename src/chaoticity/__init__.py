@@ -33,7 +33,6 @@ from .errors import (
     NotPSD,
     NotSymmetric,
     ParseError,
-    PermutationBudgetExceeded,
     StepTooLarge,
     TraceNotOne,
     WeightsInvalid,

@@ -17,10 +17,10 @@ tr(rho_N D(E_{p_1 q_1}, ..)) = (N)_k <q|rho^(k)|p>. A product of matrix
 units shifts a by a fixed amount, so each D is a single band of each
 block, and depends only on the multiset of its units.
 
-BlockPropagator shares dynamics.ExactPropagator's evolve_grid contract:
-both take the one-site rho0 and return validated marginals of
-rho0^(ox N)(t). propagator picks between the two by d, and check_budget is
-the memory rule for what each holds.
+BlockPropagator shares dynamics.ExactPropagator's contract: both keep
+their system as sys, and both evolve_grid calls take the one-site rho0 and
+return validated marginals of rho0^(ox N)(t). propagator picks between
+the two by d, and check_budget is the memory rule for what each holds.
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ class BlockPropagator:
     """Exact marginals of rho0^(ox N) under H_N at d = 2, from the spin blocks.
 
     Everything is built at construction: each block's eigendecomposition and
-    the band coefficients of every marginal order up to max_order. Immutable
-    after that, so safe to share between threads. evolve_grid takes the
-    one-site rho0, rotates each block's state by its phases and reads the
-    bands the marginal needs; nothing of size 2^N is formed.
+    the band coefficients of every marginal order up to max_order. evolve_grid
+    takes the one-site rho0, rotates each block's state by its phases and
+    reads the bands the marginal needs; nothing of size 2^N is formed. sys is
+    kept, as ExactPropagator keeps it, for the hierarchy checks.
     """
 
     def __init__(self, sys: MeanFieldSystem, n_sites: int, max_order: int,
@@ -112,6 +112,7 @@ class BlockPropagator:
         if not 1 <= max_order <= n_sites:
             raise BadSiteIndex(f"marginal order {max_order} outside 1..{n_sites}")
         check_budget(2, n_sites, max_order, max_total_dim)
+        self.sys = sys
         self.n_sites = n_sites
         self.max_order = max_order
         self.max_total_dim = max_total_dim

@@ -2,7 +2,7 @@
 
     chaoticity propagate --config run.cfg --out rows.csv
     chaoticity chaos --seed 7 --format json
-    chaoticity audit-bounds --config audit.cfg --parallel 4
+    chaoticity audit-bounds --config audit.cfg
 
 Exit codes: 0 success, 1 config or I/O problem, 2 a numerical invariant was
 violated during the run (the table is still written, with the violation
@@ -88,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=list(FORMATS), help="output format")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--parallel", type=int, default=1, help="concurrent N workers")
     return parser
 
 
@@ -118,12 +117,9 @@ def _load_config(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.parallel < 1:
-        print("error: --parallel must be >= 1", file=sys.stderr)
-        return 1
     try:
         config = _load_config(args)
-        table = run_experiment(config, parallel=args.parallel)
+        table = run_experiment(config)
         write_table(table, config.out, config.out_format)
     except (ParseError, ConfigInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,15 +79,6 @@ class ExperimentConfig:
         return default
 
 
-# config-file key -> (field name, parser); "format" is the one renamed field
-def _parse_int(s: str) -> int:
-    return int(s, 10)
-
-
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
 def _parse_bool(s: str) -> bool:
     if s == "true":
         return True
@@ -96,43 +87,22 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected true or false, got {s!r}")
 
 
-def _parse_str(s: str) -> str:
-    return s
+def _list_of(item):
+    def parse(s: str) -> tuple:
+        parts = [p.strip() for p in s.split(",") if p.strip()]
+        if not parts:
+            raise ValueError("empty list")
+        return tuple(item(p) for p in parts)
+
+    return parse
 
 
-def _parse_int_list(s: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p, 10) for p in parts)
-
-
-def _parse_float_list(s: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
-
-
-_FIELDS = {
-    "kind": ("kind", _parse_str),
-    "d": ("d", _parse_int),
-    "N_list": ("N_list", _parse_int_list),
-    "k_list": ("k_list", _parse_int_list),
-    "times": ("times", _parse_float_list),
-    "step": ("step", _parse_float),
-    "seed": ("seed", _parse_int),
-    "a_norm_cap": ("a_norm_cap", _parse_float),
-    "v_norm_cap": ("v_norm_cap", _parse_float),
-    "trials": ("trials", _parse_int),
-    "components": ("components", _parse_int),
-    "fd_h": ("fd_h", _parse_float),
-    "save_every": ("save_every", _parse_int),
-    "gronwall": ("gronwall", _parse_bool),
-    "max_total_dim": ("max_total_dim", _parse_int),
-    "out": ("out", _parse_str),
-    "format": ("out_format", _parse_str),
-}
+# a field's annotation (a string, as the module defers annotations) -> its parser
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str, "str | None": str,
+            "tuple[int, ...]": _list_of(int), "tuple[float, ...]": _list_of(float)}
+# config-file key -> (field name, parser), in field order; "format" is the one renamed field
+_FIELDS = {("format" if f.name == "out_format" else f.name): (f.name, _PARSERS[f.type])
+           for f in dataclasses.fields(ExperimentConfig) if f.name != "tol"}
 
 
 def parse_config(text: str, default_kind: str | None = None) -> ExperimentConfig:
@@ -290,20 +260,10 @@ def _format_value(value) -> str:
 
 def write_config(config: ExperimentConfig) -> str:
     """Canonical text form; parse(write_config(c)) == c and hashing is stable."""
-    lines = []
-    for f in dataclasses.fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if f.name == "tol":
-            continue
-        if f.name == "out":
-            if value is None:
-                continue
-            lines.append(f"out = {value}")
-            continue
-        key = "format" if f.name == "out_format" else f.name
-        lines.append(f"{key} = {_format_value(value)}")
-    for name, value in config.tol:
-        lines.append(f"tol.{name} = {repr(value)}")
+    lines = [f"{key} = {_format_value(getattr(config, name))}"
+             for key, (name, _) in _FIELDS.items()
+             if getattr(config, name) is not None]
+    lines += [f"tol.{name} = {repr(value)}" for name, value in config.tol]
     return "\n".join(lines) + "\n"
 
 

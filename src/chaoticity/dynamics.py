@@ -3,8 +3,9 @@
 Every kernel uses the symmetrised pair operator W = V + S V S (S the
 two-site swap, so W_12 = V_12 + V_21), built once by MeanFieldSystem. The
 N-body generator is H_N = sum_j A_j + (1/N) sum_{i < j} W_ij. Two exact
-propagators evolve rho0^(ox N) with it; evolve_grid(rho0, times, order)
-takes the one-site rho0 and returns validated marginals.
+propagators evolve rho0^(ox N) with it and keep the system as sys;
+evolve_grid(rho0, times, order) takes the one-site rho0 and returns
+validated marginals.
 
 - blocks.BlockPropagator (d = 2) splits H_N and rho0^(ox N) into spin
   blocks of size <= N + 1 (Schur-Weyl duality) and never forms 2^N.
@@ -25,8 +26,9 @@ The N-body marginal hierarchy is the limiting one plus a defect eps_n with
 the 5 n^2 ||V|| / N ceiling of the propagation estimates. _hierarchy_terms
 forms both from an (n+1)-site marginal, for epsilon_term and for
 _window_residuals, the one central-difference kernel. It checks the N-body
-flow on evolved marginals (bbgky_residuals, one evolve_grid call) and, at
-N = inf, the limiting flow on rho(t)^(ox n) (tensor_hierarchy_residual).
+flow on evolved marginals (bbgky_residuals: one evolve_grid call, and the
+right side from the same propagator's sys) and, at N = inf, the limiting
+flow on rho(t)^(ox n) (tensor_hierarchy_residual).
 """
 
 from __future__ import annotations
@@ -174,7 +176,6 @@ class ExactPropagator:
     the eigendecomposition is computed once and shared across all times.
     evolve_grid evolves rho0^(ox N) from the one-site rho0, as
     blocks.BlockPropagator does; evolve takes any N-site state.
-    Immutable after construction, so safe to share between threads.
     """
 
     def __init__(self, sys: MeanFieldSystem, n_sites: int,
@@ -521,7 +522,7 @@ def _window_residuals(
     return out
 
 
-def bbgky_residuals(rho0: DensityOperator, sys: MeanFieldSystem, orders, times, steps,
+def bbgky_residuals(rho0: DensityOperator, orders, times, steps,
                     propagator: ExactPropagator | BlockPropagator) -> list[list[HierarchyResidual]]:
     """Central-difference checks of the coupled marginal-flow equations.
 
@@ -529,7 +530,8 @@ def bbgky_residuals(rho0: DensityOperator, sys: MeanFieldSystem, orders, times, 
     O(h^2) for the smooth exact flow. For each n in orders, then each t in
     times, one residual per h in steps, with the epsilon defect at (n, t).
     Every window's marginals come from one evolve_grid call of the
-    propagator, which takes the one-site rho0, at order max(orders) + 1.
+    propagator, which takes the one-site rho0, at order max(orders) + 1;
+    the right side is formed from the same propagator's system.
     """
     n_sites = propagator.n_sites
     if min(steps) <= 0:
@@ -541,21 +543,20 @@ def bbgky_residuals(rho0: DensityOperator, sys: MeanFieldSystem, orders, times, 
         rho0, [s for t in times for s in _window_times(t, steps)], max(orders) + 1)
     return [
         _window_residuals([m.marginal(n + 1) for m in top[j * width:(j + 1) * width]],
-                          sys, n_sites, t, steps)
+                          propagator.sys, n_sites, t, steps)
         for n in orders for j, t in enumerate(times)
     ]
 
 
 def bbgky_residual(
     rho0: DensityOperator,
-    sys: MeanFieldSystem,
     n: int,
     t: float,
     h: float,
     propagator: ExactPropagator | BlockPropagator,
 ) -> HierarchyResidual:
     """bbgky_residuals at the one (n, t, h): the marginals at t-h, t, t+h from one evolve_grid."""
-    return bbgky_residuals(rho0, sys, [n], [t], [h], propagator)[0][0]
+    return bbgky_residuals(rho0, [n], [t], [h], propagator)[0][0]
 
 
 def tensor_hierarchy_residual(

@@ -47,10 +47,6 @@ class NotSymmetric(ChaoticityError):
     """A state required to be permutation symmetric is not, beyond tolerance."""
 
 
-class PermutationBudgetExceeded(ChaoticityError):
-    """Exact N! permutation enumeration requested beyond the supported N."""
-
-
 class WeightsInvalid(ChaoticityError):
     """Mixture weights are negative or do not sum to one."""
 

@@ -1,13 +1,13 @@
 """Experiment kinds: seeded, deterministic, and table-producing.
 
 Each kind turns an ExperimentConfig into a ResultTable whose rows depend
-only on the config (seed included), never on wall clock, thread timing, or
-row completion order. Rows come out in key order by construction: N_list,
-k_list and times ascend strictly, each worker emits its N's rows in that
-order, and _over_N joins the workers in N order. Randomness flows through a
-counter-based splitter: every draw gets its own SeedSequence keyed by
-(namespace, indices...), so enlarging N_list or trial counts never perturbs
-rows that already existed.
+only on the config (seed included), never on wall clock. Rows come out in
+key order by construction: N_list, k_list and times ascend strictly, each
+worker emits its N's rows in that order, and _over_N runs the workers in
+N order, one after another. Randomness flows through a counter-based
+splitter: every draw gets its own SeedSequence keyed by (namespace,
+indices...), so enlarging N_list or trial counts never perturbs rows that
+already existed.
 
 Numerical-invariant violations raised by the underlying modules are caught
 and recorded as a structured error entry in the table metadata; the CLI
@@ -17,7 +17,6 @@ maps that entry to a dedicated exit code.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,17 +130,12 @@ def _draw_initial(config: ExperimentConfig) -> DensityOperator:
     return random_density(config.d, subseed(config.seed, NS_STATE, 0))
 
 
-def _over_N(config: ExperimentConfig, parallel: int, worker):
-    """Run worker(N) per N, concurrently when asked, output order fixed."""
-    if parallel <= 1 or len(config.N_list) == 1:
-        chunks = [worker(n) for n in config.N_list]
-    else:
-        with ThreadPoolExecutor(max_workers=min(parallel, len(config.N_list))) as pool:
-            chunks = list(pool.map(worker, config.N_list))
-    return [row for chunk in chunks for row in chunk]
+def _over_N(config: ExperimentConfig, worker):
+    """worker(N)'s rows for each N of N_list, in that order."""
+    return [row for n in config.N_list for row in worker(n)]
 
 
-def _run_chaos_sweep(config: ExperimentConfig, parallel: int):
+def _run_chaos_sweep(config: ExperimentConfig):
     def worker(n_sites: int):
         rho_bar, rho_n = _draw_mixture(config, n_sites)
         rows = []
@@ -159,10 +153,10 @@ def _run_chaos_sweep(config: ExperimentConfig, parallel: int):
             ))
         return rows
 
-    return _over_N(config, parallel, worker)
+    return _over_N(config, worker)
 
 
-def _run_propagation(config: ExperimentConfig, parallel: int):
+def _run_propagation(config: ExperimentConfig):
     sys = _draw_system(config)
     rho0 = _draw_initial(config)
     t_end = max(config.times)
@@ -214,10 +208,10 @@ def _run_propagation(config: ExperimentConfig, parallel: int):
                 rows.append((n_sites, n, float(t), e_val, eps_norm, eps_bound, bound, ok))
         return rows
 
-    return _over_N(config, parallel, worker)
+    return _over_N(config, worker)
 
 
-def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
+def _run_bbgky_verify(config: ExperimentConfig):
     sys = _draw_system(config)
     rho0 = _draw_initial(config)
     residual_gate = config.tol_value("residual", float("inf"))
@@ -228,7 +222,7 @@ def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
             return []
         prop = propagator(sys, n_sites, max(orders) + 1, config.max_total_dim)
         rows = []
-        for r1, r2 in bbgky_residuals(rho0, sys, orders, config.times,
+        for r1, r2 in bbgky_residuals(rho0, orders, config.times,
                                       (config.fd_h, config.fd_h / 2.0), prop):
             ratio = (
                 r1.residual_trace_norm / r2.residual_trace_norm
@@ -247,10 +241,10 @@ def _run_bbgky_verify(config: ExperimentConfig, parallel: int):
             ))
         return rows
 
-    return _over_N(config, parallel, worker)
+    return _over_N(config, worker)
 
 
-def _run_hartree_convergence(config: ExperimentConfig, parallel: int):
+def _run_hartree_convergence(config: ExperimentConfig):
     sys = _draw_system(config)
     rho0 = _draw_initial(config)
     t_end = max(config.times)
@@ -276,7 +270,7 @@ def _run_hartree_convergence(config: ExperimentConfig, parallel: int):
     return rows
 
 
-def _run_bound_audit(config: ExperimentConfig, parallel: int):
+def _run_bound_audit(config: ExperimentConfig):
     combos = len(config.N_list) * len(config.k_list)
     reps = -(-config.trials // combos)
 
@@ -298,7 +292,7 @@ def _run_bound_audit(config: ExperimentConfig, parallel: int):
                 ))
         return rows
 
-    return _over_N(config, parallel, worker)
+    return _over_N(config, worker)
 
 
 _RUNNERS = {
@@ -316,7 +310,11 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> ResultTable:
     ConfigInvalid propagates (caller contract problem). Everything the
     numerical layer raises is recorded under metadata["error"] and the
     table is returned with whatever determinism allows: no rows.
+    parallel is accepted only as 1, the serial run every kind makes; any
+    other value is a ValueError.
     """
+    if parallel != 1:
+        raise ValueError(f"experiments run serially: parallel must be 1, got {parallel}")
     validate_config(config)
     schema = SCHEMAS[config.kind]
     metadata = {
@@ -328,7 +326,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> ResultTable:
     start = time.perf_counter()
     rows: list[tuple] = []
     try:
-        rows = _RUNNERS[config.kind](config, max(1, parallel))
+        rows = _RUNNERS[config.kind](config)
     except ConfigInvalid:
         raise
     except ChaoticityError as exc:

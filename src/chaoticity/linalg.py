@@ -42,31 +42,31 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Hermiticity test at tolerance tol relative to max(1, max|M|)."""
+def is_hermitian(m: np.ndarray) -> bool:
+    """Hermiticity test at HERMITICITY_TOL relative to max(1, max|M|)."""
     m = np.asarray(m)
     scale = max(1.0, float(np.abs(m).max()))
-    return hermiticity_defect(m) <= tol * scale
+    return hermiticity_defect(m) <= HERMITICITY_TOL * scale
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
+def require_hermitian(m, what: str = "matrix") -> np.ndarray:
     a = as_matrix(m)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise NotHermitian(
             f"{what} is not Hermitian: max |M - M†| = {hermiticity_defect(a):.3e} "
-            f"exceeds {tol:.1e} (relative)"
+            f"exceeds {HERMITICITY_TOL:.1e} (relative)"
         )
     return a
 
 
-def herm_eigen(m, tol: float = HERMITICITY_TOL) -> HermitianEigen:
+def herm_eigen(m) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ascending real eigenvalues and a unitary whose columns are the
     eigenvectors. Raises NotHermitian when the input fails the tolerance
     check and ConvergenceFailure when the solver gives up.
     """
-    a = require_hermitian(m, tol)
+    a = require_hermitian(m)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

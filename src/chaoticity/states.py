@@ -7,7 +7,7 @@ repairs its input. Random generators take explicit seeds so experiment
 shards stay reproducible.
 
 Every N-site state answers one protocol, State: sites, d, marginal(k) and
-symmetry_defect(full_group). The metrics read states only through it, so
+symmetry_defect(). The metrics read states only through it, so
 they never ask which kind of state they hold. Two kinds exist.
 DensityOperator holds the dense d^N x d^N matrix: product_state builds
 rho^(ox N), and any other dense state is built by the caller and passed
@@ -19,7 +19,6 @@ forms and validates a given marginal order once per object and keeps it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -31,7 +30,6 @@ from .errors import (
     DimensionMismatch,
     NotHermitian,
     NotPSD,
-    PermutationBudgetExceeded,
     TraceNotOne,
     WeightsInvalid,
 )
@@ -47,9 +45,6 @@ from .tensor import (
 DENSITY_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 
-# Full-group symmetry checking is exposed only up to 5! = 120 permutations.
-FULL_GROUP_MAX_SITES = 5
-
 
 class State(Protocol):
     """What every metric reads of an N-site state."""
@@ -63,15 +58,15 @@ class State(Protocol):
     def marginal(self, k: int) -> DensityOperator:
         """The validated first-k-sites marginal; BadSiteIndex outside 1..N."""
 
-    def symmetry_defect(self, full_group: bool = False) -> float:
-        """Largest |U_p rho U_p† - rho| over the checked permutations p."""
+    def symmetry_defect(self) -> float:
+        """Largest |U_p rho U_p† - rho| over the adjacent transpositions p."""
 
 
 def _kept_marginal(state, k: int, form) -> DensityOperator:
     """form(k), computed on the first request for order k and kept on the state."""
     if not 1 <= k <= state.sites:
         raise BadSiteIndex(f"marginal order {k} outside 1..{state.sites}")
-    if k not in state._marginals:  # threads racing here only form the same marginal twice
+    if k not in state._marginals:
         state._marginals[k] = form(k)
     return state._marginals[k]
 
@@ -102,26 +97,18 @@ class DensityOperator:
         traced = partial_trace(self.matrix, self.shape, range(k + 1, self.sites + 1))
         return validate(traced, self.shape.reduced(k))
 
-    def symmetry_defect(self, full_group: bool = False) -> float:
+    def symmetry_defect(self) -> float:
         """Largest |U_p rho U_p† - rho| over the adjacent transpositions p.
 
         Adjacent transpositions generate the full permutation group, and an
         operator commuting with every generator commutes with every product
-        of generators, so they decide symmetry. full_group=True enumerates
-        all N! permutations instead (N <= 5).
+        of generators, so they decide symmetry.
         """
         n = self.sites
         if n == 1:
             return 0.0
-        if full_group:
-            if n > FULL_GROUP_MAX_SITES:
-                raise PermutationBudgetExceeded(
-                    f"full-group check capped at N <= {FULL_GROUP_MAX_SITES}, got {n}"
-                )
-            images = itertools.permutations(range(1, n + 1))
-        else:
-            images = (tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1))
-                      for i in range(1, n))
+        images = (tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1))
+                  for i in range(1, n))
         # [U_p, M] = 0 exactly when U_{p^{-1}} M U_p = M
         return max(float(np.abs(conjugate_by_permutation(self.matrix, image, self.shape)
                                 - self.matrix).max()) for image in images)
@@ -174,13 +161,12 @@ def product_state(rho: DensityOperator, n: int, max_total_dim: int | None = None
     return DensityOperator(m, shape)
 
 
-def is_symmetric(rho: State, tol: float = 1e-10, full_group: bool = False) -> tuple[bool, float]:
+def is_symmetric(rho: State, tol: float = 1e-10) -> tuple[bool, float]:
     """Commutation test with permutation unitaries; returns (ok, worst).
 
-    worst is rho.symmetry_defect(full_group): over the N-1 adjacent swaps by
-    default, over all N! permutations (N <= 5) with full_group=True.
+    worst is rho.symmetry_defect(), over the N-1 adjacent swaps.
     """
-    worst = rho.symmetry_defect(full_group)
+    worst = rho.symmetry_defect()
     return worst <= tol, worst
 
 
@@ -196,7 +182,7 @@ class ProductMixture:
     At least one weight is required, none negative, summing to one
     (WeightsInvalid otherwise); there is one component per weight, each a
     one-site density of the same d (DimensionMismatch otherwise). It is
-    symmetric by construction: symmetry_defect is 0 for any full_group.
+    symmetric by construction: symmetry_defect is 0.
     """
 
     weights: tuple[float, ...]
@@ -242,7 +228,7 @@ class ProductMixture:
             acc += w * tensor_power(s.matrix, k, self.max_total_dim)
         return validate(acc, shape)
 
-    def symmetry_defect(self, full_group: bool = False) -> float:
+    def symmetry_defect(self) -> float:
         return 0.0
 
 

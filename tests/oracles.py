@@ -9,6 +9,8 @@ small inputs only.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from chaoticity import metrics
@@ -141,6 +143,18 @@ def naive_permutation_unitary(image, d: int) -> np.ndarray:
         y_dig = [x_dig[inverse[s] - 1] for s in range(n)]
         u[_undigits(y_dig, d), x] = 1.0
     return u
+
+
+def full_group_defect(rho) -> float:
+    """max |U_p rho U_p† - rho| over all N! site permutations p, each U_p dense.
+
+    The library's symmetry_defect checks only the N - 1 adjacent swaps,
+    which generate the group; this enumerates the whole group instead.
+    """
+    m = rho.matrix
+    unitaries = (naive_permutation_unitary(image, rho.d)
+                 for image in itertools.permutations(range(1, rho.sites + 1)))
+    return max(float(np.abs(u @ m @ u.conj().T - m).max()) for u in unitaries)
 
 
 def hartree_rhs_kron(rho_matrix: np.ndarray, a: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
@@ -500,7 +514,7 @@ def bbgky_rows_dense(config) -> list[tuple]:
             if n > n_sites - 1:
                 continue
             for t in config.times:
-                r1, r2 = (bbgky_residual(rho0, sys, n, t, s, prop) for s in (h, h / 2.0))
+                r1, r2 = (bbgky_residual(rho0, n, t, s, prop) for s in (h, h / 2.0))
                 rows.append((n_sites, n, float(t), h, r1.residual_trace_norm,
                              r2.residual_trace_norm,
                              r1.residual_trace_norm / r2.residual_trace_norm,

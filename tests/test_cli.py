@@ -111,7 +111,7 @@ def test_reruns_are_byte_identical(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        assert main(["propagate", "--config", str(cfg), "--out", str(out), "--parallel", "2"]) == 0
+        assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 0
         # metadata lines vary (wall time, out path in the hash); rows must not
         lines = [
             ln for ln in out.read_text(encoding="utf-8").splitlines()
@@ -148,8 +148,11 @@ def test_invalid_field_combination(tmp_path, capsys):
     assert "ascending" in capsys.readouterr().err
 
 
-def test_parallel_must_be_positive(capsys):
-    assert main(["chaos", "--parallel", "0"]) == 1
+def test_parallel_flag_is_gone(capsys):
+    # no subcommand takes --parallel: argparse exits with its usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "--parallel", "2"])
+    assert exc.value.code == 2
     assert "--parallel" in capsys.readouterr().err
 
 

@@ -309,6 +309,16 @@ def test_block_budget_counts_held_entries():
         check_budget(2, 20, 13, 4096)  # a 2^13-row marginal
 
 
+def test_propagators_keep_their_system():
+    # the hierarchy checks form their right side from the propagator's own system
+    for d, kind in ((2, BlockPropagator), (3, ExactPropagator)):
+        sys = make_system(d=d)
+        prop = propagator(sys, 3, 2, 4096)
+        assert isinstance(prop, kind) and prop.sys is sys
+    sys = make_system()
+    assert BlockPropagator(sys, 4, 2).sys is sys
+
+
 def test_block_propagator_argument_checks():
     with pytest.raises(DimensionMismatch):
         BlockPropagator(make_system(d=3), 4, 2)
@@ -910,7 +920,7 @@ def test_hierarchy_operators_are_built_once_per_order(monkeypatch):
 def test_bbgky_residual_static_system():
     sys = MeanFieldSystem(2, np.zeros((2, 2)), np.zeros((4, 4)))
     rho0 = random_density(2, 77)
-    res = bbgky_residual(rho0, sys, 1, 0.5, 1e-3, ExactPropagator(sys, 3))
+    res = bbgky_residual(rho0, 1, 0.5, 1e-3, ExactPropagator(sys, 3))
     assert res.residual_trace_norm <= 1e-12
     assert res.epsilon_norm <= 1e-12
 
@@ -919,15 +929,15 @@ def test_bbgky_residual_second_order_in_h():
     sys = make_system(seed_a=78, seed_v=79)
     rho0 = random_density(2, 80)
     prop = ExactPropagator(sys, 4)
-    r1 = bbgky_residual(rho0, sys, 1, 0.4, 1e-2, propagator=prop)
-    r2 = bbgky_residual(rho0, sys, 1, 0.4, 5e-3, propagator=prop)
+    r1 = bbgky_residual(rho0, 1, 0.4, 1e-2, propagator=prop)
+    r2 = bbgky_residual(rho0, 1, 0.4, 5e-3, propagator=prop)
     assert 3.0 <= r1.residual_trace_norm / r2.residual_trace_norm <= 5.0
 
 
 def test_bbgky_residual_small_at_fine_h():
     sys = make_system(seed_a=81, seed_v=82)
     rho0 = random_density(2, 83)
-    res = bbgky_residual(rho0, sys, 1, 0.5, 1e-3, ExactPropagator(sys, 4))
+    res = bbgky_residual(rho0, 1, 0.5, 1e-3, ExactPropagator(sys, 4))
     assert res.residual_trace_norm <= 1e-4
     assert res.epsilon_norm <= res.epsilon_bound + 1e-9
 
@@ -936,8 +946,8 @@ def test_bbgky_residual_shared_propagator_consistent():
     # both propagators take the same one-site rho0 and give the same residual
     sys = make_system(seed_a=84, seed_v=85)
     rho0 = random_density(2, 86)
-    a = bbgky_residual(rho0, sys, 2, 0.3, 1e-3, propagator=ExactPropagator(sys, 3))
-    b = bbgky_residual(rho0, sys, 2, 0.3, 1e-3, propagator=BlockPropagator(sys, 3, 3))
+    a = bbgky_residual(rho0, 2, 0.3, 1e-3, propagator=ExactPropagator(sys, 3))
+    b = bbgky_residual(rho0, 2, 0.3, 1e-3, propagator=BlockPropagator(sys, 3, 3))
     assert abs(a.residual_trace_norm - b.residual_trace_norm) <= 1e-12
     assert abs(a.epsilon_norm - b.epsilon_norm) <= 1e-12
 
@@ -956,19 +966,19 @@ def test_bbgky_residuals_share_one_grid(n_sites, n):
         assert isinstance(prop, BlockPropagator if d == 2 else ExactPropagator)
         grid, calls = prop.evolve_grid, []
         prop.evolve_grid = lambda *args: calls.append(args) or grid(*args)
-        got = bbgky_residuals(rho0, sys, [n], times, steps, prop)
+        got = bbgky_residuals(rho0, [n], times, steps, prop)
         assert len(calls) == 1
         for t, residuals in zip(times, got, strict=True):
             for h, res in zip(steps, residuals, strict=True):
-                want = bbgky_residual(rho0, sys, n, t, h, prop)
+                want = bbgky_residual(rho0, n, t, h, prop)
                 assert abs(res.residual_trace_norm - want.residual_trace_norm) <= 1e-15
                 assert (res.n, res.t, res.epsilon_norm, res.epsilon_bound) == (
                     want.n, want.t, want.epsilon_norm, want.epsilon_bound
                 )
         with pytest.raises(ValueError):
-            bbgky_residuals(rho0, sys, [n], times, (1e-2, 0.0), prop)
+            bbgky_residuals(rho0, [n], times, (1e-2, 0.0), prop)
         with pytest.raises(ValueError):
-            bbgky_residuals(rho0, sys, [n, n_sites], times, steps, prop)
+            bbgky_residuals(rho0, [n, n_sites], times, steps, prop)
 
 
 def test_bbgky_residual_argument_checks():
@@ -976,11 +986,11 @@ def test_bbgky_residual_argument_checks():
     rho0 = random_density(2, 87)
     prop = ExactPropagator(sys, 3)
     with pytest.raises(ValueError):
-        bbgky_residual(rho0, sys, 3, 0.1, 1e-3, prop)
+        bbgky_residual(rho0, 3, 0.1, 1e-3, prop)
     with pytest.raises(ValueError):
-        bbgky_residual(rho0, sys, 1, 0.1, 0.0, prop)
+        bbgky_residual(rho0, 1, 0.1, 0.0, prop)
     with pytest.raises(DimensionMismatch):  # the propagator forms rho0^(ox N) itself
-        bbgky_residual(product_state(rho0, 3), sys, 1, 0.1, 1e-3, prop)
+        bbgky_residual(product_state(rho0, 3), 1, 0.1, 1e-3, prop)
 
 
 def test_bbgky_residual_matches_full_state_oracle():
@@ -992,7 +1002,7 @@ def test_bbgky_residual_matches_full_state_oracle():
         prop = ExactPropagator(sys, n_sites)
         for n in (1, 2):
             t, h = 0.4, 1e-2
-            got = bbgky_residual(rho0, sys, n, t, h, propagator=prop)
+            got = bbgky_residual(rho0, n, t, h, propagator=prop)
             want = oracles.bbgky_residual_full_state(prop, rho_n0, sys.a, sys.v, n, t, h)
             assert abs(got.residual_trace_norm - want) <= 1e-12
             eps = oracles.epsilon_full_state(prop.evolve(rho_n0, t).matrix, sys.v, 2, n_sites, n)

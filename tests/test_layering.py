@@ -91,3 +91,19 @@ def test_harness_imports_no_private_name(name):
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert not private, f"{name} imports private names: {private}"
+
+
+def test_package_starts_no_threads():
+    # every experiment runs serially; no module reaches for a thread pool
+    concurrent = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.split(".")[0] in ("concurrent", "threading")
+    ]
+    assert not concurrent, f"thread imports at {concurrent}"

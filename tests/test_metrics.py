@@ -544,7 +544,7 @@ def test_metrics_read_only_the_state_protocol():
         assert chaos_report(duck, ref, k) == chaos_report(mix, ref, k)
     assert empirical_variance(duck, rho_bar, a) == empirical_variance(mix, rho_bar, a)
     skewed = SimpleNamespace(sites=mix.sites, d=mix.d, marginal=mix.marginal,
-                             symmetry_defect=lambda full_group=False: 1.0)
+                             symmetry_defect=lambda: 1.0)
     with pytest.raises(NotSymmetric):
         empirical_variance(skewed, rho_bar, a)
 

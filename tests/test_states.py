@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from chaoticity import states, tensor
+from chaoticity.dynamics import ExactPropagator, MeanFieldSystem
 from chaoticity.errors import (
     BadSiteIndex,
     DimensionMismatch,
     NotHermitian,
     NotPSD,
-    PermutationBudgetExceeded,
     TraceNotOne,
     WeightsInvalid,
 )
@@ -109,16 +109,40 @@ def test_group_average_is_symmetric():
     for image in itertools.permutations((1, 2, 3)):
         acc += tensor.kron(*[bs[s - 1] for s in image])
     acc /= 6
-    ok, worst = is_symmetric(validate(acc, TensorShape(2, 3)), full_group=True)
-    assert ok, worst
+    worst = oracles.full_group_defect(validate(acc, TensorShape(2, 3)))
+    assert worst <= 1e-10, worst
 
 
-def test_full_group_check_budget():
-    rho = product_state(random_density(2, 5), 5)
-    ok, _ = is_symmetric(rho, full_group=True)
-    assert ok
-    with pytest.raises(PermutationBudgetExceeded):
-        is_symmetric(product_state(random_density(2, 5), 6), full_group=True)
+def _symmetry_cases():
+    """(name, state): product, mixture and evolved states at N <= 5, symmetric or not."""
+    rho, sigma = random_density(2, 110), random_density(2, 111)
+    sys = MeanFieldSystem(2, random_hermitian(2, 112), random_hermitian(4, 113))
+    for n in range(2, 6):
+        product = product_state(rho, n)
+        mixture = oracles.dense_mixture(ProductMixture([0.4, 0.6], [rho, sigma], n))
+        skewed = validate(tensor.kron(product_state(rho, n - 1).matrix, sigma.matrix),
+                          TensorShape(2, n))
+        yield f"product-{n}", product
+        yield f"mixture-{n}", mixture
+        yield f"skewed-{n}", skewed
+        prop = ExactPropagator(sys, n)
+        for name, state in (("product", product), ("mixture", mixture), ("skewed", skewed)):
+            yield f"evolved-{name}-{n}", prop.evolve(state, 0.7)
+    # invariant under the swap (1 2) but not under (2 3)
+    yield "swap-12-only", validate(tensor.kron(rho.matrix, rho.matrix, sigma.matrix),
+                                   TensorShape(2, 3))
+
+
+def test_adjacent_swaps_decide_full_group_symmetry():
+    verdicts = {}
+    for name, state in _symmetry_cases():
+        ok, worst = is_symmetric(state, tol=1e-10)
+        full = oracles.full_group_defect(state)
+        assert ok == (full <= 1e-10), (name, worst, full)
+        verdicts[name] = ok
+    assert verdicts["product-5"] and verdicts["evolved-mixture-5"]
+    assert not verdicts["skewed-5"] and not verdicts["evolved-skewed-5"]
+    assert not verdicts["swap-12-only"]
 
 
 def test_one_site_always_symmetric():
@@ -139,8 +163,8 @@ def test_mixture_of_iid_components_is_symmetric():
     rho = random_density(2, 31)
     sigma = random_density(2, 32)
     mix = oracles.dense_mixture(ProductMixture([0.5, 0.5], [rho, sigma], 3))
-    ok, worst = is_symmetric(mix, full_group=True)
-    assert ok, worst
+    worst = oracles.full_group_defect(mix)
+    assert worst <= 1e-10, worst
 
 
 def test_mixture_with_explicit_local_states():
@@ -184,7 +208,8 @@ def test_product_mixture_holds_its_parts():
     mix = ProductMixture(np.array([0.25, 0.75]), [rho, sigma], 6)
     assert (mix.sites, mix.d) == (6, 2)
     assert mix.weights == (0.25, 0.75) and mix.components == (rho, sigma)
-    assert is_symmetric(mix, full_group=True) == (True, 0.0)
+    assert is_symmetric(mix) == (True, 0.0)
+    assert oracles.full_group_defect(oracles.dense_mixture(mix)) <= 1e-12
     assert mix.marginal(2).shape == TensorShape(2, 2)
     with pytest.raises(BadSiteIndex):
         mix.marginal(7)
@@ -314,8 +339,8 @@ def test_partial_trace_of_symmetric_is_symmetric():
     sigma = random_density(2, 61)
     mix = oracles.dense_mixture(ProductMixture([0.3, 0.7], [rho, sigma], 4))
     reduced = tensor.partial_trace(mix.matrix, mix.shape, (4,))
-    ok, worst = is_symmetric(validate(reduced, TensorShape(2, 3)), full_group=True)
-    assert ok, worst
+    worst = oracles.full_group_defect(validate(reduced, TensorShape(2, 3)))
+    assert worst <= 1e-10, worst
 
 
 def test_symmetric_state_has_exchangeable_expectations():
