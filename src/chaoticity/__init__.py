@@ -62,6 +62,7 @@ from .states import (
 from .metrics import (
     ChaosReport,
     chaos_distance,
+    chaos_distances,
     chaos_report,
     combinatorial_factor,
     corollary_bound,

@@ -17,6 +17,15 @@ tr(rho_N D(E_{p_1 q_1}, ..)) = (N)_k <q|rho^(k)|p>. A product of matrix
 units shifts a by a fixed amount, so each D is a single band of each
 block, and depends only on the multiset of its units.
 
+evolve_grid reads the save grid in chunks of C = max(1, max_total_dim //
+(N + 1)^2) times (on the default budget 33 at N = 10, and one from N = 45
+on). Per block, a chunk's phases, its two products and the
+band gather are stacked arrays, and one product with the coefficients gives
+every marginal of the chunk; each is then validated alone, in grid order.
+check_budget counts one chunk's work, about 4 C (N + 1)^2 entries plus its
+bands and coefficient products, on top of what the propagator holds; only
+the validated marginals accumulate across chunks.
+
 BlockPropagator shares dynamics.ExactPropagator's contract: both keep
 their system as sys, and both evolve_grid calls take the one-site rho0 and
 return validated marginals of rho0^(ox N)(t). propagator picks between
@@ -25,6 +34,7 @@ the two by d, and check_budget is the memory rule for what each holds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -51,21 +61,64 @@ def _band_rows(size: int, offset: int) -> np.ndarray:
     return np.arange(max(0, -offset), size - max(0, offset))
 
 
+def _band_entries(n_sites: int, max_order: int) -> int:
+    """Entries of the bands |offset| <= max_order of every block, the ones a marginal reads."""
+    offsets = np.arange(-max_order, max_order + 1)[:, None]
+    return int(np.clip(_block_sizes(n_sites) - abs(offsets), 0, None).sum())
+
+
+@functools.cache
+def _scatter(order: int) -> np.ndarray:
+    """Row of the order's coefficients that entry q 2^order + p of rho^(order) reads.
+
+    The entry reads the multiset of units E_{p_j q_j}, and the rows follow
+    combinations_with_replacement(_UNITS, order). The table depends on the
+    order alone, so every propagator shares one read-only copy.
+    """
+    keys = itertools.combinations_with_replacement(_UNITS, order)
+    position = {key: i for i, key in enumerate(keys)}
+    digits = list(itertools.product((0, 1), repeat=order))
+    table = np.array([position[tuple(sorted(zip(col, row)))] for row in digits for col in digits])
+    table.flags.writeable = False
+    return table
+
+
 def block_entries(n_sites: int, max_order: int) -> int:
     """Complex entries a BlockPropagator(sys, n_sites, max_order) holds at most.
 
-    Two sets of square blocks (eigenvectors and the rotated initial state)
-    and three work blocks of the largest size, the band coefficients of every
-    distinct-site sum up to max_order and the padded bands they are built
-    from, and one marginal of order max_order.
+    Two sets of square blocks (eigenvectors and the rotated initial state),
+    and the band coefficients of every distinct-site sum up to max_order and
+    the padded bands they are built from. evolve_grid's work on one chunk of
+    times comes on top (_chunk_entries).
     """
     sizes = _block_sizes(n_sites)
     square = int((sizes * sizes).sum())
-    band = sum(int(np.clip(sizes - abs(off), 0, None).sum())
-               for off in range(-max_order, max_order + 1))
     tuples = math.comb(max_order + 4, 4)
-    return (2 * square + 3 * (n_sites + 1) ** 2
-            + tuples * (band + sizes.size * (n_sites + 1)) + 4**max_order)
+    return 2 * square + tuples * (_band_entries(n_sites, max_order) + sizes.size * (n_sites + 1))
+
+
+def _chunk_length(n_sites: int, max_total_dim: int) -> int:
+    """Save-grid times one evolve_grid chunk stacks: C = max(1, max_total_dim // (N + 1)^2).
+
+    A chunk's stacked work on one block then spans at most max_total_dim
+    entries per array, or one block of the largest size when that alone is more.
+    """
+    return max(1, max_total_dim // (n_sites + 1) ** 2)
+
+
+def _chunk_entries(n_sites: int, max_order: int, max_total_dim: int) -> int:
+    """Complex work entries evolve_grid holds for one chunk of C = _chunk_length times.
+
+    Per time: four blocks of the largest size, for the two phased factors
+    and the buffers numpy's broadcasting multiply takes while forming the
+    second (their product and the evolved block come after); the phases and
+    their conjugates; the bands; the coefficient products (one per multiset
+    of matrix units) and their gather into 4^max_order entries.
+    """
+    chunk = _chunk_length(n_sites, max_total_dim)
+    per_time = (4 * (n_sites + 1) ** 2 + 2 * (n_sites + 1) + _band_entries(n_sites, max_order)
+                + math.comb(max_order + 3, 3) + 4**max_order)
+    return chunk * per_time
 
 
 def check_budget(d: int, n_sites: int, max_order: int, max_total_dim: int) -> None:
@@ -82,7 +135,8 @@ def check_budget(d: int, n_sites: int, max_order: int, max_total_dim: int) -> No
             f"a marginal of order {max_order} has 2^{max_order} rows, over the budget "
             f"{max_total_dim}"
         )
-    elif (held := block_entries(n_sites, max_order)) > max_total_dim**2:
+    elif (held := block_entries(n_sites, max_order)
+          + _chunk_entries(n_sites, max_order, max_total_dim)) > max_total_dim**2:
         raise MemoryBudgetExceeded(
             f"the spin blocks of N = {n_sites} up to order {max_order} hold {held} entries, "
             f"over the budget of {max_total_dim}^2 = {max_total_dim**2}"
@@ -155,22 +209,18 @@ class BlockPropagator:
         blocks, rows, offsets = (np.concatenate(x) for x in (blocks, rows, offsets))
         self._band_slices = np.cumsum([0] + [ix.size for ix in self._band_index])
 
-        # order k: rho^(k)[q, p] = (coefficients[k] @ bands)[scatter[k][q 2^k + p]],
+        # order k: rho^(k)[q, p] = (bands @ coefficients[k])[_scatter(k)[q 2^k + p]],
         # with 1/(N)_k folded into the coefficients
-        self._coefficients, self._scatter = {}, {}
+        self._coefficients = {}
         for k in range(1, max_order + 1):
             keys = list(itertools.combinations_with_replacement(_UNITS, k))
-            position = {key: i for i, key in enumerate(keys)}
             falling = math.perm(n_sites, k)
             coeff = np.empty((len(keys), rows.size))
             for i, key in enumerate(keys):
                 off, v = sums[key]
                 coeff[i] = np.where(offsets == off, v[blocks, rows], 0.0) / falling
-            self._coefficients[k] = coeff
-            digits = np.array(list(itertools.product((0, 1), repeat=k)))
-            self._scatter[k] = np.array([
-                position[tuple(sorted(zip(col, row)))] for row in digits for col in digits
-            ])
+            # complex, as the product with the bands needs them, so no chunk casts a copy
+            self._coefficients[k] = coeff.T.astype(np.complex128)
 
     def _distinct_site_sums(self, identity: np.ndarray, max_order: int) -> dict:
         """(offset, band) of D over every multiset of matrix units up to max_order."""
@@ -193,12 +243,19 @@ class BlockPropagator:
         return sums
 
     def _block_matrices(self, terms):
-        """Dense blocks of sum c D over terms (c, offset, band), one at a time."""
+        """Dense blocks of sum c D over terms (c, offset, band), one at a time.
+
+        The terms of each offset are summed first, in term order, so each
+        block takes one scatter per offset: at most 5 for H_N.
+        """
+        bands = {}
+        for c, off, band in terms:
+            bands[off] = bands.get(off, 0.0) + c * band
         for i, size in enumerate(self._sizes):
             m = np.zeros((size, size), dtype=np.complex128)
-            for c, off, band in terms:
+            for off, band in bands.items():
                 rows = _band_rows(size, off)
-                m[rows + off, rows] += c * band[i, rows]
+                m[rows + off, rows] = band[i, rows]
             yield m
 
     def _block_states(self, rho: DensityOperator) -> list[np.ndarray]:
@@ -230,27 +287,34 @@ class BlockPropagator:
     def evolve_grid(self, rho0: DensityOperator, times, order: int) -> list[DensityOperator]:
         """Validated first-`order`-sites marginals of (rho0^(ox N))(t) for a one-site rho0.
 
-        Per time, each block's state is phased in the eigenbasis, rotated back
-        and read on its bands; one product with the order's coefficients gives
-        the 4^order entries.
+        The grid is read in chunks of _chunk_length(N, max_total_dim) times.
+        For each block, the chunk's phases, both products and the band
+        gather are stacked arrays; one product with the order's coefficients
+        then gives the 4^order entries of every marginal in the chunk, and
+        each marginal is validated on its own, in grid order. Only the
+        validated marginals outlive a chunk.
         """
         if rho0.sites != 1 or rho0.d != 2:
             raise DimensionMismatch(f"expected a one-site d = 2 state, got {rho0.shape}")
         if not 1 <= order <= self.max_order:
             raise BadSiteIndex(f"marginal order {order} outside 1..{self.max_order}")
         states = self._block_states(rho0)
-        coeff, scatter = self._coefficients[order], self._scatter[order]
+        coeff, scatter = self._coefficients[order], _scatter(order)
         shape = TensorShape(2, order, self.max_total_dim)
-        bands = np.empty(self._band_slices[-1], dtype=np.complex128)
-        out = []
+        times = np.asarray(times, dtype=float)
+        chunk = _chunk_length(self.n_sites, self.max_total_dim)
         slices = self._band_slices
-        for t in times:
+        out = []
+        for start in range(0, times.size, chunk):
+            t = times[start:start + chunk, None]
+            bands = np.empty((t.size, slices[-1]), dtype=np.complex128)
             for i, (u, energies, s) in enumerate(zip(self._u, self._energies, states)):
-                p = np.exp(-1j * t * energies)
+                p = np.exp(-1j * t * energies)[:, None, :]
                 rho_t = (u * p) @ (s * p.conj()) @ u.conj().T
-                bands[slices[i]:slices[i + 1]] = rho_t.ravel()[self._band_index[i]]
-            m = (coeff @ bands)[scatter].reshape(2**order, 2**order)
-            out.append(validate(m, shape))
+                bands[:, slices[i]:slices[i + 1]] = (
+                    rho_t.reshape(t.size, -1)[:, self._band_index[i]])
+            marginals = (bands @ coeff)[:, scatter].reshape(t.size, 2**order, 2**order)
+            out += [validate(m, shape) for m in marginals]
         return out
 
 

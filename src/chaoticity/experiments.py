@@ -36,7 +36,7 @@ from .dynamics import (
 )
 from .errors import BoundViolation, ChaoticityError, ConfigInvalid
 from .metrics import (
-    chaos_distance,
+    chaos_distances,
     chaos_report,
     corollary_bound,
     empirical_variance,
@@ -173,6 +173,7 @@ def _run_propagation(config: ExperimentConfig):
             tuple(trajectory.state_at(t) for t in config.times),
         )
     grid, states = trajectory.times, trajectory.states
+    row_index = [trajectory.index(t) for t in config.times]
 
     def worker(n_sites: int):
         # E_n needs order n; epsilon and the envelope need order n + 1 as well
@@ -182,18 +183,17 @@ def _run_propagation(config: ExperimentConfig):
         top = prop.evolve_grid(rho0, grid, max(need))
         # only an envelope integrates E over the whole grid: order n + 1 for each n
         envelope_orders = [n for n in config.k_list if config.gronwall and n + 1 <= n_sites]
-        e_grid = {n + 1: np.array([chaos_distance(rho_n, rho, n + 1)
-                                   for rho_n, rho in zip(top, states)])
-                  for n in envelope_orders}
+        e_grid = {n + 1: chaos_distances(top, states, n + 1) for n in envelope_orders}
         envelopes = {n: gronwall_envelope(grid, e_grid[n + 1], n, n_sites, v_norm)
                      for n in envelope_orders}
+        # every other order is read at the row times only: one grid call over their indices
+        row_states = ([top[i] for i in row_index], [states[i] for i in row_index])
+        e_rows = {n: e_grid[n][row_index] if n in e_grid else chaos_distances(*row_states, n)
+                  for n in config.k_list}
 
         rows = []
         for n in config.k_list:
-            for t in config.times:
-                i = trajectory.index(t)
-                e_val = float(e_grid[n][i] if n in e_grid
-                              else chaos_distance(top[i], states[i], n))
+            for i, t, e_val in zip(row_index, config.times, e_rows[n].tolist()):
                 if n <= n_sites - 1:
                     eps = epsilon_term(top[i].marginal(n + 1), sys, n_sites)
                     eps_norm, eps_bound = eps.norm, eps.bound

@@ -3,6 +3,10 @@ operator norms, Hermiticity checks.
 
 Matrices are square numpy complex128 arrays. Functions never mutate their
 inputs. Eigen/singular-value work is delegated to LAPACK via numpy.
+
+trace_norm also takes a (T, D, D) stack: one Hermiticity test per member,
+then one eigvalsh call over the Hermitian members and one SVD call over the
+rest. A single matrix is the stack of one, so both give the same floats.
 """
 
 from __future__ import annotations
@@ -26,27 +30,41 @@ class HermitianEigen(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array; reject non-finite entries."""
+def _square(m, ndims: tuple[int, ...]) -> np.ndarray:
+    """m as a complex128 array of square matrices of one of the ranks ndims; no NaN or Inf."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
+        what = "a square matrix" if ndims == (2,) else "a square matrix or a stack of them"
+        raise DimensionMismatch(f"expected {what}, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has NaN or Inf entries")
     return a
 
 
+def as_matrix(m) -> np.ndarray:
+    """Coerce to a square complex128 array; reject non-finite entries."""
+    return _square(m, (2,))
+
+
+def _defects(a: np.ndarray) -> np.ndarray:
+    """max |M - M†| of the matrix, or of each matrix of a stack."""
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """is_hermitian of the matrix, or of each matrix of a stack."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    return _defects(a) <= HERMITICITY_TOL * scale
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """max |M - M†|, the entrywise deviation from being Hermitian."""
-    m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
+    return float(_defects(np.asarray(m)))
 
 
 def is_hermitian(m: np.ndarray) -> bool:
     """Hermiticity test at HERMITICITY_TOL relative to max(1, max|M|)."""
-    m = np.asarray(m)
-    scale = max(1.0, float(np.abs(m).max()))
-    return hermiticity_defect(m) <= HERMITICITY_TOL * scale
+    return bool(_hermitian(np.asarray(m)))
 
 
 def require_hermitian(m, what: str = "matrix") -> np.ndarray:
@@ -75,18 +93,32 @@ def herm_eigen(m) -> HermitianEigen:
 
 
 def _moduli(a: np.ndarray) -> np.ndarray:
-    """Singular values of a: |eigenvalues| for Hermitian input, the SVD otherwise."""
+    """Singular values of each a[t]: |eigenvalues| for Hermitian members, the SVD otherwise."""
+    hermitian = _hermitian(a)
     try:
-        if is_hermitian(a):
+        # a stack of one kind, as every single matrix is, takes its one call whole
+        if hermitian.all():
             return np.abs(np.linalg.eigvalsh(a))
-        return np.linalg.svd(a, compute_uv=False)
+        if not hermitian.any():
+            return np.linalg.svd(a, compute_uv=False)
+        out = np.empty(a.shape[:2])
+        out[hermitian] = np.abs(np.linalg.eigvalsh(a[hermitian]))
+        out[~hermitian] = np.linalg.svd(a[~hermitian], compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"singular values failed: {exc}") from exc
+    return out
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values; for Hermitian input the sum of |eigenvalues|."""
-    return float(_moduli(as_matrix(m)).sum())
+def trace_norm(m) -> float | np.ndarray:
+    """Sum of singular values; for Hermitian input the sum of |eigenvalues|.
+
+    m is one square matrix, whose norm comes back as a float, or a (T, D, D)
+    stack, whose T norms come back as an array.
+    """
+    a = _square(m, (2, 3))
+    if a.ndim == 2:
+        return float(_moduli(a[None]).sum())
+    return _moduli(a).sum(axis=-1)
 
 
 def operator_norm(m) -> float:
@@ -94,4 +126,4 @@ def operator_norm(m) -> float:
     a = as_matrix(m)
     if a.shape[0] == 0:
         return 0.0
-    return float(_moduli(a).max())
+    return float(_moduli(a[None]).max())

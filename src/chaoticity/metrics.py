@@ -4,7 +4,9 @@ How close is rho_N to the tensor power of a one-site state rho? Four views
 of the same question, each exact (no sampling):
 
 * chaos_distance    tr |rho_N^(k) - rho^(ox k)|, trace-norm distance of the
-                    k-site marginal to the product.
+                    k-site marginal to the product; chaos_distances is its
+                    grid form over (rho_N, rho) pairs, one stacked tensor
+                    power and one stacked trace norm for the whole grid.
 * empirical_variance e_N(A) = tr(|X_N(A) - tr(A rho) 1|^2 rho_N), the
                     variance of the site-averaged observable X_N(A).
 * factorization_error C_{k,N}(A_1..A_k) = |tr((A_1 ox ... ox A_k) rho_N^(k))
@@ -90,16 +92,30 @@ def _check_reference(rho_N: State, rho: DensityOperator) -> None:
         raise DimensionMismatch(f"local dimensions differ: {rho.d} vs {rho_N.d}")
 
 
-def _distance(marg: DensityOperator, rho: DensityOperator) -> float:
-    """tr |marg - rho^(ox k)| for a k-site marginal."""
-    ref = tensor_power(rho.matrix, marg.sites, marg.shape.max_total_dim)
-    return linalg.trace_norm(marg.matrix - ref)
+def chaos_distances(states, references, k: int) -> np.ndarray:
+    """tr |rho_N^(k) - rho^(ox k)| for every pair (rho_N, rho) of states and references.
+
+    The grid form of E_k, as along a save grid of evolved states and their
+    one-site references: one stacked tensor power of the references and one
+    stacked trace norm of the differences. Each state's marginal(k) is the
+    one it keeps.
+    """
+    states, references = list(states), list(references)
+    if len(states) != len(references):
+        raise DimensionMismatch(f"{len(states)} states for {len(references)} references")
+    if not states:
+        return np.empty(0)
+    for rho_N, rho in zip(states, references):
+        _check_reference(rho_N, rho)
+    margs = [rho_N.marginal(k) for rho_N in states]
+    budget = min(marg.shape.max_total_dim for marg in margs)
+    refs = tensor_power(np.stack([rho.matrix for rho in references]), k, budget)
+    return linalg.trace_norm(np.stack([marg.matrix for marg in margs]) - refs)
 
 
 def chaos_distance(rho_N: State, rho: DensityOperator, k: int) -> float:
-    """tr |rho_N^(k) - rho^(ox k)|."""
-    _check_reference(rho_N, rho)
-    return _distance(rho_N.marginal(k), rho)
+    """tr |rho_N^(k) - rho^(ox k)|, the one-pair case of chaos_distances."""
+    return float(chaos_distances([rho_N], [rho], k)[0])
 
 
 def _require_symmetric(rho_N: State) -> None:
@@ -291,7 +307,7 @@ def chaos_report(
     stack = _observable_stack(observables, d)
     marg = rho_N.marginal(k)
     _require_symmetric(rho_N)
-    dist = _distance(marg, rho)
+    dist = chaos_distance(rho_N, rho, k)
 
     raw = _variances(rho_N, rho, stack)
     shown = np.where((raw < 0.0) & (raw >= -E_CLAMP), 0.0, raw)

@@ -222,11 +222,11 @@ class ProductMixture:
         return _kept_marginal(self, k, self._mix)
 
     def _mix(self, k: int) -> DensityOperator:
+        """One stacked tensor power of the components, then their weighted sum."""
         shape = TensorShape(self.d, k, self.max_total_dim)
-        acc = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-        for w, s in zip(self.weights, self.components):
-            acc += w * tensor_power(s.matrix, k, self.max_total_dim)
-        return validate(acc, shape)
+        powers = tensor_power(np.stack([s.matrix for s in self.components]), k,
+                              self.max_total_dim)
+        return validate((np.array(self.weights)[:, None, None] * powers).sum(axis=0), shape)
 
     def symmetry_defect(self) -> float:
         return 0.0

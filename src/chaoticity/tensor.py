@@ -1,6 +1,10 @@
 """Tensor-product structure of N copies of a d-dimensional site: Kronecker
 products, permutation conjugation, partial traces, and site embedding.
 
+kron multiplies its factors by broadcasting, not by numpy's kron; a factor may
+carry one leading stack axis, so tensor_power of a (T, d, d) stack of
+one-site matrices is one call.
+
 Site indices are 1-based in the public API; internal digit arrays are
 0-based. A TensorShape fixes (d, N) and enforces the total-dimension budget
 d**N <= max_total_dim, the guard that keeps everything dense and desk-sized.
@@ -21,7 +25,6 @@ building U_p.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -72,19 +75,34 @@ def _check_site(site: int, n: int):
 def kron(*factors: np.ndarray, max_dim: int = DEFAULT_MAX_TOTAL_DIM) -> np.ndarray:
     """Kronecker product of one or more factors, left to right.
 
-    The product dimension is checked against the budget before anything is
+    Each factor is a matrix or a (T, r, c) stack of them; stacked factors
+    multiply member by member, so the product of a stack is a stack. Each
+    step multiplies by broadcasting, a[..., i, None, j, None] *
+    b[..., None, k, None, l] at (i, k, j, l), then reshapes to rows i r_b + k
+    and columns j c_b + l: the products numpy's kron forms, in its layout. The
+    product's row dimension is checked against the budget before anything is
     formed.
     """
     if not factors:
         raise ValueError("kron needs at least one factor")
-    dim = math.prod(map(len, factors))
+    factors = [np.asarray(f) for f in factors]
+    if any(f.ndim not in (2, 3) for f in factors):
+        raise DimensionMismatch(
+            f"kron takes matrices or stacks of them, got shapes {[f.shape for f in factors]}"
+        )
+    dim = math.prod(f.shape[-2] for f in factors)
     if dim > max_dim:
         raise MemoryBudgetExceeded(f"kron result dimension {dim} exceeds budget {max_dim}")
-    return functools.reduce(np.kron, factors[1:], np.asarray(factors[0]))
+    out = factors[0]
+    for b in factors[1:]:
+        product = out[..., :, None, :, None] * b[..., None, :, None, :]
+        out = product.reshape(*product.shape[:-4], out.shape[-2] * b.shape[-2],
+                              out.shape[-1] * b.shape[-1])
+    return out
 
 
 def tensor_power(m: np.ndarray, n: int, max_dim: int = DEFAULT_MAX_TOTAL_DIM) -> np.ndarray:
-    """m ox m ox ... (n factors)."""
+    """m ox m ox ... (n factors); a (T, d, d) stack gives the stack of its members' powers."""
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
     return kron(*[m] * n, max_dim=max_dim)

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 from chaoticity import dynamics, linalg, tensor
-from chaoticity.blocks import BlockPropagator, block_entries, check_budget, propagator
+from chaoticity.blocks import (
+    BlockPropagator,
+    _block_sizes,
+    _chunk_entries,
+    _chunk_length,
+    block_entries,
+    check_budget,
+    propagator,
+)
 from chaoticity.dynamics import (
     DEFAULT_STEP_CAP,
     GRID_TOL,
@@ -297,6 +305,41 @@ def test_block_state_at_large_n():
     for k in (1, 2, 3):
         want = tensor.tensor_power(rho0.matrix, k)
         assert np.max(np.abs(m3.marginal(k).matrix - want)) <= 1e-12
+
+
+def test_block_grid_is_read_in_chunks_as_per_time_calls():
+    # 101 save points at N = 20 span 12 chunks of 9 times
+    sys = make_system(seed_a=49, seed_v=50)
+    rho0 = random_density(2, 51)
+    prop = BlockPropagator(sys, 20, 3)
+    assert _chunk_length(20, prop.max_total_dim) == 9
+    times = np.linspace(0.0, 2.0, 101)
+    got = prop.evolve_grid(rho0, times, 3)
+    assert len(got) == 101
+    for g, t in zip(got, times):
+        (want,) = prop.evolve_grid(rho0, [t], 3)
+        assert np.max(np.abs(g.matrix - want.matrix)) <= 1e-15
+    assert prop.evolve_grid(rho0, [], 3) == []
+
+
+@pytest.mark.parametrize("n_sites, chunk", [(20, 9), (64, 1)])
+def test_block_grid_work_stays_within_its_budget_rule(n_sites, chunk):
+    # only the returned marginals outlive a chunk: what evolve_grid takes on
+    # top of them is the rotated initial state and one chunk's work
+    prop = BlockPropagator(make_system(seed_a=52, seed_v=53), n_sites, 3)
+    assert _chunk_length(n_sites, prop.max_total_dim) == chunk
+    sizes = _block_sizes(n_sites)
+    allotted = 16 * (int((sizes * sizes).sum())
+                     + _chunk_entries(n_sites, 3, prop.max_total_dim))
+    rho0, times = random_density(2, 54), np.linspace(0.0, 1.0, 101)
+    tracemalloc.start()
+    try:
+        got = prop.evolve_grid(rho0, times, 3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 101
+    assert peak - held <= allotted
 
 
 def test_block_budget_counts_held_entries():

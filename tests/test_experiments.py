@@ -30,6 +30,7 @@ from chaoticity.experiments import (
 )
 from chaoticity.metrics import (
     chaos_distance,
+    chaos_distances,
     corollary_bound,
     empirical_variance,
     factorization_error,
@@ -301,11 +302,12 @@ def test_propagation_reads_the_whole_grid_only_for_envelope_orders(monkeypatch):
     )
     orders = []
 
-    def counting(rho_n, rho, k):
-        orders.append(k)
-        return chaos_distance(rho_n, rho, k)
+    def counting(states, references, k):
+        states = list(states)
+        orders.extend(len(states) * [k])
+        return chaos_distances(states, references, k)
 
-    monkeypatch.setattr(experiments, "chaos_distance", counting)
+    monkeypatch.setattr(experiments, "chaos_distances", counting)
     table = run_experiment(cfg)
     assert "error" not in table.metadata
     # per N: orders 2 and 3 at 11 save points, order 1 at the 2 row times

@@ -107,3 +107,18 @@ def test_package_starts_no_threads():
         if name.split(".")[0] in ("concurrent", "threading")
     ]
     assert not concurrent, f"thread imports at {concurrent}"
+
+
+def test_package_never_calls_numpy_kron():
+    # tensor.kron forms every Kronecker product by broadcasting, one path for
+    # matrices and stacks alike
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "kron"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            and any(alias.name == "kron" for alias in node.names))
+    ]
+    assert not calls, f"np.kron at {calls}"

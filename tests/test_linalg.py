@@ -73,6 +73,31 @@ def test_trace_norm_zero():
     assert linalg.trace_norm(np.zeros((3, 3), dtype=complex)) == 0.0
 
 
+def test_stacked_trace_norm_equals_each_member_exactly():
+    # Hermitian members take eigvalsh, the rest the SVD, each exactly as alone
+    stack = np.stack([rand_herm(4, 10), rand_complex(4, 11), rand_herm(4, 12),
+                      np.zeros((4, 4)), rand_complex(4, 13)])
+    got = linalg.trace_norm(stack)
+    assert got.shape == (5,)
+    assert got.tolist() == [linalg.trace_norm(m) for m in stack]
+    assert got[0] == float(np.abs(np.linalg.eigvalsh(stack[0])).sum())
+    assert abs(got[1] - oracles.trace_norm_svd(stack[1])) <= 1e-12
+    (one,) = linalg.trace_norm(stack[1:2])
+    assert one == linalg.trace_norm(stack[1])
+    assert linalg.trace_norm(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def test_stacked_trace_norm_checks_its_input():
+    stack = np.stack([rand_herm(2, 14), rand_herm(2, 15)])
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        linalg.trace_norm(stack)
+    with pytest.raises(DimensionMismatch):
+        linalg.trace_norm(np.zeros((2, 2, 3)))
+    with pytest.raises(DimensionMismatch):
+        linalg.trace_norm(np.zeros((2, 2, 2, 2)))
+
+
 def test_trace_norm_matches_eigen_oracle():
     for seed in range(6):
         m = rand_herm(4, seed)

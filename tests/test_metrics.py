@@ -106,6 +106,29 @@ def test_chaos_distance_range_and_monotonicity():
         prev = dist
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_chaos_distances_equal_each_pair_exactly(d):
+    # the grid form over (state, reference) pairs: dense states and mixtures,
+    # references on and off their one-site marginals
+    states, refs = [], []
+    for seed in range(4):
+        mix, dense, bar = iid_mixture(d, 4, 700 + 10 * d + seed)
+        states += [mix, dense]
+        refs += [bar, random_density(d, 800 + 10 * d + seed)]
+    for k in (1, 2, 3):
+        got = metrics.chaos_distances(states, refs, k)
+        assert got.tolist() == [chaos_distance(s, r, k) for s, r in zip(states, refs)]
+        for g, s, r in zip(got, states, refs):
+            want = oracles.trace_norm_svd(s.marginal(k).matrix
+                                          - oracles.naive_kron_chain([r.matrix] * k))
+            assert abs(g - want) <= 1e-12
+    assert metrics.chaos_distances([], [], 2).shape == (0,)
+    with pytest.raises(DimensionMismatch):
+        metrics.chaos_distances(states, refs[1:], 1)
+    with pytest.raises(DimensionMismatch):
+        metrics.chaos_distances(states[:1], [product_state(refs[0], 2)], 1)
+
+
 def test_chaos_distance_rejects_multi_site_reference():
     rho = random_density(2, 13)
     big = product_state(rho, 4)

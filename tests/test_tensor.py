@@ -127,6 +127,45 @@ def test_tensor_power():
     )
 
 
+def test_kron_equals_numpy_kron_bit_for_bit():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    b = rng.standard_normal((4, 1))  # real, unequal to a
+    c = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    assert np.array_equal(tensor.kron(a, b), np.kron(a, b))
+    assert np.array_equal(tensor.kron(a, b, c), np.kron(np.kron(a, b), c))
+    assert np.array_equal(tensor.kron(a), a)
+
+
+def test_kron_of_stacks_is_the_stack_of_krons():
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    other = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
+    fixed = rand_complex(3, 8)
+    got = tensor.kron(stack, other, fixed)
+    power = tensor.tensor_power(stack, 3)
+    assert got.shape == (5, 18, 12) and power.shape == (5, 8, 8)
+    for t in range(5):
+        assert np.array_equal(got[t], np.kron(np.kron(stack[t], other[t]), fixed))
+        assert np.array_equal(power[t], np.kron(np.kron(stack[t], stack[t]), stack[t]))
+        assert np.array_equal(power[t], tensor.tensor_power(stack[t], 3))
+
+
+def test_kron_budget_fires_before_anything_is_formed():
+    # broadcast views hold one entry; forming their product would need 10^20
+    huge = np.broadcast_to(np.complex128(1.0), (10**5, 10**5))
+    with pytest.raises(MemoryBudgetExceeded):
+        tensor.kron(huge, huge)
+    stack = np.broadcast_to(np.complex128(1.0), (10**6, 64, 64))
+    with pytest.raises(MemoryBudgetExceeded):
+        tensor.tensor_power(stack, 3)
+
+
+def test_kron_rejects_vectors():
+    with pytest.raises(DimensionMismatch):
+        tensor.kron(np.ones(2), np.eye(2))
+
+
 # ---------------------------------------------------------------- permutation conjugation
 # conjugate_by_permutation(M, p) = U_{p^{-1}} M U_p by re-indexing; U_p itself
 # is built only by the digit-loop oracle.
