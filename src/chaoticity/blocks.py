@@ -26,10 +26,15 @@ check_budget counts one chunk's work, about 4 C (N + 1)^2 entries plus its
 bands and coefficient products, on top of what the propagator holds; only
 the validated marginals accumulate across chunks.
 
-BlockPropagator shares dynamics.ExactPropagator's contract: both keep
-their system as sys, and both evolve_grid calls take the one-site rho0 and
-return validated marginals of rho0^(ox N)(t). propagator picks between
-the two by d, and check_budget is the memory rule for what each holds.
+Each order's bands and coefficients, and the sums they read, are built on
+its first evolve_grid call and kept. check_budget at the largest order K
+held covers them all (comb(K + 4, 4) counts every built order's rows; the
+real sums, counted as complex, leave room for the integer band indices).
+
+BlockPropagator shares dynamics.ExactPropagator's contract: both take
+(sys, n_sites, max_total_dim), keep sys, and answer evolve_grid at every
+order 1..N from the one-site rho0. propagator picks between the two by d,
+and check_budget is the memory rule for what each holds.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ def _scatter(order: int) -> np.ndarray:
 
 
 def block_entries(n_sites: int, max_order: int) -> int:
-    """Complex entries a BlockPropagator(sys, n_sites, max_order) holds at most.
+    """Complex entries a BlockPropagator of n_sites holds at most with orders up to max_order built.
 
     Two sets of square blocks (eigenvectors and the rotated initial state),
     and the band coefficients of every distinct-site sum up to max_order and
@@ -122,7 +127,7 @@ def _chunk_entries(n_sites: int, max_order: int, max_total_dim: int) -> int:
 
 
 def check_budget(d: int, n_sites: int, max_order: int, max_total_dim: int) -> None:
-    """Raise MemoryBudgetExceeded unless propagator(sys, n_sites, max_order, ...) fits the budget.
+    """Raise MemoryBudgetExceeded unless an n_sites propagator with orders <= max_order built fits.
 
     The dense path (d >= 3) holds D x D matrices with D = d^N <= max_total_dim;
     the block path (d = 2) may hold as many entries, max_total_dim^2, and its
@@ -152,23 +157,20 @@ def _xlogy(x: np.ndarray, y: float) -> np.ndarray:
 class BlockPropagator:
     """Exact marginals of rho0^(ox N) under H_N at d = 2, from the spin blocks.
 
-    Everything is built at construction: each block's eigendecomposition and
-    the band coefficients of every marginal order up to max_order. evolve_grid
-    takes the one-site rho0, rotates each block's state by its phases and
-    reads the bands the marginal needs; nothing of size 2^N is formed. sys is
-    kept, as ExactPropagator keeps it, for the hierarchy checks.
+    Construction diagonalizes each block of H_N; each marginal order is
+    built on first use. evolve_grid takes the one-site rho0, rotates each
+    block's state by its phases and reads the bands the marginal needs;
+    nothing of size 2^N is formed. sys is kept, as ExactPropagator keeps
+    it, for the hierarchy checks.
     """
 
-    def __init__(self, sys: MeanFieldSystem, n_sites: int, max_order: int,
+    def __init__(self, sys: MeanFieldSystem, n_sites: int,
                  max_total_dim: int = DEFAULT_MAX_TOTAL_DIM):
         if sys.d != 2:
             raise DimensionMismatch(f"the block propagator needs d = 2, got d = {sys.d}")
-        if not 1 <= max_order <= n_sites:
-            raise BadSiteIndex(f"marginal order {max_order} outside 1..{n_sites}")
-        check_budget(2, n_sites, max_order, max_total_dim)
+        check_budget(2, n_sites, 2, max_total_dim)
         self.sys = sys
         self.n_sites = n_sites
-        self.max_order = max_order
         self.max_total_dim = max_total_dim
         self._sizes = sizes = _block_sizes(n_sites)
         spin_r = np.arange(sizes.size)[:, None]
@@ -182,7 +184,9 @@ class BlockPropagator:
             (0, 1): (1, np.sqrt(np.clip((quanta + 1) * (top - quanta), 0, None))),
             (1, 0): (-1, np.sqrt(np.clip(quanta * (top - quanta + 1), 0, None))),
         }
-        sums = self._distinct_site_sums(np.where(inside, 1.0, 0.0), max_order)
+        # the distinct-site sums and each order's bands, kept once built (_sum, _order)
+        self._sums = {(): (0, np.where(inside, 1.0, 0.0))}
+        self._orders = {}
 
         # W = sum W[(p1 p2), (q1 q2)] E_p1q1 ox E_p2q2, and sum_{i<j} W_ij = D(W) / 2
         terms = [(sys.a[p, q], ((p, q),)) for p, q in _UNITS]
@@ -190,57 +194,51 @@ class BlockPropagator:
                    tuple(sorted(((p1, q1), (p2, q2)))))
                   for p1, q1 in _UNITS for p2, q2 in _UNITS]
         self._u, self._energies = [], []
-        for h in self._block_matrices([(c, *sums[key]) for c, key in terms]):
+        for h in self._block_matrices([(c, *self._sum(key)) for c, key in terms]):
             energies, u = linalg.herm_eigen(h)
             self._energies.append(energies)
             self._u.append(u)
 
-        # marginal entries are read from the bands |offset| <= max_order of each block
-        self._band_index, blocks, rows, offsets = [], [], [], []
-        for i, size in enumerate(sizes):
-            index = []
-            for off in range(-max_order, max_order + 1):
-                band = _band_rows(size, off)
-                index.append(band * size + band + off)
-                blocks.append(np.full(band.size, i))
-                rows.append(band)
-                offsets.append(np.full(band.size, off))
-            self._band_index.append(np.concatenate(index))
-        blocks, rows, offsets = (np.concatenate(x) for x in (blocks, rows, offsets))
-        self._band_slices = np.cumsum([0] + [ix.size for ix in self._band_index])
+    def _sum(self, key: tuple) -> tuple[int, np.ndarray]:
+        """(offset, band) of D over the multiset key of matrix units, built on first use."""
+        if key not in self._sums:
+            rest, (p, q) = key[:-1], key[-1]
+            off, v = self._sum(rest)
+            shift, unit = self._units[(p, q)]
+            # (D(rest) J)[a + shift + off, a] = v[a + shift] J[a + shift, a]
+            band = np.zeros_like(v)
+            lo, hi = max(0, -shift), v.shape[1] - max(0, shift)
+            band[:, lo:hi] = v[:, lo + shift:hi + shift] * unit[:, lo:hi]
+            for l, (pl, ql) in enumerate(rest):
+                if ql == p:
+                    band -= self._sum(tuple(sorted(rest[:l] + ((pl, q),) + rest[l + 1:])))[1]
+            self._sums[key] = (off + shift, band)
+        return self._sums[key]
 
-        # order k: rho^(k)[q, p] = (bands @ coefficients[k])[_scatter(k)[q 2^k + p]],
-        # with 1/(N)_k folded into the coefficients
-        self._coefficients = {}
-        for k in range(1, max_order + 1):
-            keys = list(itertools.combinations_with_replacement(_UNITS, k))
-            falling = math.perm(n_sites, k)
-            coeff = np.empty((len(keys), rows.size))
+    def _order(self, order: int) -> tuple[list, np.ndarray, np.ndarray]:
+        """Band index per block, band slices and coefficients of order k, built on first use.
+
+        rho^(k)[q, p] = (bands @ coefficients)[_scatter(k)[q 2^k + p]] over the
+        bands |offset| <= k of each block, with 1/(N)_k in the coefficients.
+        """
+        if order not in self._orders:
+            # (block, offset, a) of every band entry, in block, offset, a order
+            sizes, shift = self._sizes, np.arange(-order, order + 1)[:, None]
+            quanta = np.arange(self.n_sites + 1)
+            blocks, offsets, rows = np.nonzero((quanta >= np.maximum(0, -shift)) & (
+                quanta < sizes[:, None, None] - np.maximum(0, shift)))
+            offsets -= order
+            slices = np.searchsorted(blocks, np.arange(sizes.size + 1))
+            index = np.split(rows * sizes[blocks] + rows + offsets, slices[1:-1])
+            keys = list(itertools.combinations_with_replacement(_UNITS, order))
+            falling = math.perm(self.n_sites, order)
+            # complex, as the product with the bands needs them, filled a row at a time
+            coeff = np.empty((len(keys), rows.size), dtype=np.complex128)
             for i, key in enumerate(keys):
-                off, v = sums[key]
+                off, v = self._sum(key)
                 coeff[i] = np.where(offsets == off, v[blocks, rows], 0.0) / falling
-            # complex, as the product with the bands needs them, so no chunk casts a copy
-            self._coefficients[k] = coeff.T.astype(np.complex128)
-
-    def _distinct_site_sums(self, identity: np.ndarray, max_order: int) -> dict:
-        """(offset, band) of D over every multiset of matrix units up to max_order."""
-        sums = {(): (0, identity)}
-        width = identity.shape[1]
-        for k in range(1, max_order + 1):
-            for key in itertools.combinations_with_replacement(_UNITS, k):
-                rest, (p, q) = key[:-1], key[-1]
-                off, v = sums[rest]
-                shift, unit = self._units[(p, q)]
-                # (D(rest) J)[a + shift + off, a] = v[a + shift] J[a + shift, a]
-                band = np.zeros_like(v)
-                lo, hi = max(0, -shift), width - max(0, shift)
-                band[:, lo:hi] = v[:, lo + shift:hi + shift] * unit[:, lo:hi]
-                for l, (pl, ql) in enumerate(rest):
-                    if ql == p:
-                        merged = tuple(sorted(rest[:l] + ((pl, q),) + rest[l + 1:]))
-                        band -= sums[merged][1]
-                sums[key] = (off + shift, band)
-        return sums
+            self._orders[order] = (index, slices, coeff.T)
+        return self._orders[order]
 
     def _block_matrices(self, terms):
         """Dense blocks of sum c D over terms (c, offset, band), one at a time.
@@ -296,14 +294,16 @@ class BlockPropagator:
         """
         if rho0.sites != 1 or rho0.d != 2:
             raise DimensionMismatch(f"expected a one-site d = 2 state, got {rho0.shape}")
-        if not 1 <= order <= self.max_order:
-            raise BadSiteIndex(f"marginal order {order} outside 1..{self.max_order}")
+        if not 1 <= order <= self.n_sites:
+            raise BadSiteIndex(f"marginal order {order} outside 1..{self.n_sites}")
+        # the largest order held once this call is done, before anything is built
+        check_budget(2, self.n_sites, max(order, 2, *self._orders), self.max_total_dim)
+        band_index, slices, coeff = self._order(order)
         states = self._block_states(rho0)
-        coeff, scatter = self._coefficients[order], _scatter(order)
+        scatter = _scatter(order)
         shape = TensorShape(2, order, self.max_total_dim)
         times = np.asarray(times, dtype=float)
         chunk = _chunk_length(self.n_sites, self.max_total_dim)
-        slices = self._band_slices
         out = []
         for start in range(0, times.size, chunk):
             t = times[start:start + chunk, None]
@@ -312,18 +312,16 @@ class BlockPropagator:
                 p = np.exp(-1j * t * energies)[:, None, :]
                 rho_t = (u * p) @ (s * p.conj()) @ u.conj().T
                 bands[:, slices[i]:slices[i + 1]] = (
-                    rho_t.reshape(t.size, -1)[:, self._band_index[i]])
+                    rho_t.reshape(t.size, -1)[:, band_index[i]])
             marginals = (bands @ coeff)[:, scatter].reshape(t.size, 2**order, 2**order)
             out += [validate(m, shape) for m in marginals]
         return out
 
 
-def propagator(sys: MeanFieldSystem, n_sites: int, max_order: int, max_total_dim: int):
+def propagator(sys: MeanFieldSystem, n_sites: int, max_total_dim: int):
     """The propagator of rho0^(ox N) under H_N; its evolve_grid takes the one-site rho0.
 
     At d = 2 the spin-block propagator; at d >= 3 the dense one, which
-    diagonalizes H_N on the d^N space.
+    diagonalizes H_N on the d^N space. Both take these arguments.
     """
-    if sys.d == 2:
-        return BlockPropagator(sys, n_sites, max_order, max_total_dim)
-    return ExactPropagator(sys, n_sites, max_total_dim)
+    return (BlockPropagator if sys.d == 2 else ExactPropagator)(sys, n_sites, max_total_dim)

@@ -178,7 +178,7 @@ def _run_propagation(config: ExperimentConfig):
     def worker(n_sites: int):
         # E_n needs order n; epsilon and the envelope need order n + 1 as well
         need = {m for n in config.k_list for m in (n, n + 1) if m <= n_sites}
-        prop = propagator(sys, n_sites, max(need), config.max_total_dim)
+        prop = propagator(sys, n_sites, config.max_total_dim)
         # one grid pass at the highest order; it answers every lower marginal
         top = prop.evolve_grid(rho0, grid, max(need))
         # only an envelope integrates E over the whole grid: order n + 1 for each n
@@ -220,7 +220,7 @@ def _run_bbgky_verify(config: ExperimentConfig):
         orders = [n for n in config.k_list if n <= n_sites - 1]
         if not orders:
             return []
-        prop = propagator(sys, n_sites, max(orders) + 1, config.max_total_dim)
+        prop = propagator(sys, n_sites, config.max_total_dim)
         rows = []
         for r1, r2 in bbgky_residuals(rho0, orders, config.times,
                                       (config.fd_h, config.fd_h / 2.0), prop):

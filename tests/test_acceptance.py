@@ -149,7 +149,7 @@ def test_criterion_04_epsilon_bound_on_evolved_states():
             )
             rho0 = random_density(2, int(rng.integers(1 << 30)))
             t = float(rng.uniform(0.2, 1.0))
-            (evolved,) = BlockPropagator(sys, n_sites, 4).evolve_grid(rho0, (t,), 4)
+            (evolved,) = BlockPropagator(sys, n_sites).evolve_grid(rho0, (t,), 4)
             for n in (1, 2, 3):
                 term = epsilon_term(evolved.marginal(n + 1), sys, n_sites)  # raises BoundViolation
                 assert term.norm <= term.bound + 1e-9

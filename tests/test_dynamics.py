@@ -260,17 +260,21 @@ def test_propagator_shape_check():
 # ---------------------------------------------------------------- spin blocks
 
 
-@pytest.mark.parametrize("n_sites", range(2, 11))
-def test_block_grid_matches_dense_grid(n_sites):
+@pytest.mark.parametrize("n_sites, orders", [
+    # a fresh object asked for order 1 first: its pair term still reads the order-2 sums
+    *(pytest.param(n, range(1, min(4, n) + 1), id=str(n)) for n in range(1, 11)),
+    # one object answers the orders in any sequence, each built on first use
+    pytest.param(5, (3, 1, 2, 5), id="5-orders-3-1-2-5"),
+])
+def test_block_grid_matches_dense_grid(n_sites, orders):
     times = (0.0, 0.2, 0.75, 1.6)
     for seed in (40, 41, 42):
         sys = make_system(seed_a=seed, seed_v=seed + 100)
         rho0 = random_density(2, seed + 200)
-        top = min(4, n_sites)
-        block = BlockPropagator(sys, n_sites, top)
+        block = BlockPropagator(sys, n_sites)
         # one dense grid at the top order; its lower orders are traced from it
-        dense = ExactPropagator(sys, n_sites).evolve_grid(rho0, times, top)
-        for order in range(1, top + 1):
+        dense = ExactPropagator(sys, n_sites).evolve_grid(rho0, times, max(orders))
+        for order in orders:
             got = block.evolve_grid(rho0, times, order)
             assert len(got) == len(times)
             for g, w in zip(got, dense):
@@ -287,7 +291,7 @@ def test_block_grid_matches_dense_grid(n_sites):
 def test_block_grid_on_edge_states(rho0):
     sys = make_system(seed_a=43, seed_v=44)
     rho0 = validate(rho0, TensorShape(2, 1))
-    got = BlockPropagator(sys, 5, 3).evolve_grid(rho0, (0.0, 0.6), 3)
+    got = BlockPropagator(sys, 5).evolve_grid(rho0, (0.0, 0.6), 3)
     want = ExactPropagator(sys, 5).evolve_grid(rho0, (0.0, 0.6), 3)
     for g, w in zip(got, want):
         assert np.max(np.abs(g.matrix - w.matrix)) <= 1e-12
@@ -298,7 +302,7 @@ def test_block_state_at_large_n():
     n_sites = 200
     sys = make_system(seed_a=45, seed_v=46)
     rho0 = random_density(2, 47)
-    prop = BlockPropagator(sys, n_sites, 3)
+    prop = BlockPropagator(sys, n_sites)
     traces = [np.trace(s).real for s in prop._block_states(rho0)]
     assert abs(sum(traces) - 1.0) <= 1e-12
     (m3,) = prop.evolve_grid(rho0, (0.0,), 3)
@@ -311,7 +315,7 @@ def test_block_grid_is_read_in_chunks_as_per_time_calls():
     # 101 save points at N = 20 span 12 chunks of 9 times
     sys = make_system(seed_a=49, seed_v=50)
     rho0 = random_density(2, 51)
-    prop = BlockPropagator(sys, 20, 3)
+    prop = BlockPropagator(sys, 20)
     assert _chunk_length(20, prop.max_total_dim) == 9
     times = np.linspace(0.0, 2.0, 101)
     got = prop.evolve_grid(rho0, times, 3)
@@ -326,7 +330,7 @@ def test_block_grid_is_read_in_chunks_as_per_time_calls():
 def test_block_grid_work_stays_within_its_budget_rule(n_sites, chunk):
     # only the returned marginals outlive a chunk: what evolve_grid takes on
     # top of them is the rotated initial state and one chunk's work
-    prop = BlockPropagator(make_system(seed_a=52, seed_v=53), n_sites, 3)
+    prop = BlockPropagator(make_system(seed_a=52, seed_v=53), n_sites)
     assert _chunk_length(n_sites, prop.max_total_dim) == chunk
     sizes = _block_sizes(n_sites)
     allotted = 16 * (int((sizes * sizes).sum())
@@ -345,38 +349,43 @@ def test_block_grid_work_stays_within_its_budget_rule(n_sites, chunk):
 def test_block_budget_counts_held_entries():
     assert block_entries(64, 3) <= 4096**2
     assert block_entries(400, 2) > 4096**2
-    BlockPropagator(make_system(), 64, 3)
+    # construction holds the sums of order 2, for the pair term
     with pytest.raises(MemoryBudgetExceeded):
-        BlockPropagator(make_system(), 64, 3, max_total_dim=256)
-    with pytest.raises(MemoryBudgetExceeded):
-        check_budget(2, 20, 13, 4096)  # a 2^13-row marginal
+        BlockPropagator(make_system(), 64, max_total_dim=256)
+    prop, rho0 = BlockPropagator(make_system(), 64), random_density(2, 55)
+    assert prop._orders == {}
+    prop.evolve_grid(rho0, [0.1], 3)
+    # only the order asked for is built
+    assert list(prop._orders) == [3]
+    # order 13 has 2^13 rows; order 12 has 2^12, but its sums and bands pass the budget
+    assert 2**12 <= prop.max_total_dim and block_entries(64, 12) > prop.max_total_dim**2
+    for order in (13, 12):
+        with pytest.raises(MemoryBudgetExceeded):
+            prop.evolve_grid(rho0, [0.1], order)
+    # each call checks the largest order held before building any of its own
+    assert list(prop._orders) == [3]
 
 
-def test_propagators_keep_their_system():
+@pytest.mark.parametrize("d, kind", [(2, BlockPropagator), (3, ExactPropagator)])
+def test_propagators_share_one_contract(d, kind):
+    assert inspect.signature(kind) == inspect.signature(ExactPropagator)
+    sys = make_system(d=d)
+    prop = propagator(sys, 3, 4096)
     # the hierarchy checks form their right side from the propagator's own system
-    for d, kind in ((2, BlockPropagator), (3, ExactPropagator)):
-        sys = make_system(d=d)
-        prop = propagator(sys, 3, 2, 4096)
-        assert isinstance(prop, kind) and prop.sys is sys
-    sys = make_system()
-    assert BlockPropagator(sys, 4, 2).sys is sys
+    assert type(prop) is kind and prop.sys is sys and prop.n_sites == 3
+    rho0 = random_density(d, 48)
+    for order in (0, 4):
+        with pytest.raises(BadSiteIndex):
+            prop.evolve_grid(rho0, [0.1], order)
+    # evolve_grid takes the one-site rho0 of the system's d
+    for wrong in (product_state(rho0, 2), random_density(5 - d, 48)):
+        with pytest.raises(DimensionMismatch):
+            prop.evolve_grid(wrong, [0.1], 1)
 
 
 def test_block_propagator_argument_checks():
     with pytest.raises(DimensionMismatch):
-        BlockPropagator(make_system(d=3), 4, 2)
-    for order in (0, 5):
-        with pytest.raises(BadSiteIndex):
-            BlockPropagator(make_system(), 4, order)
-    prop = BlockPropagator(make_system(), 4, 2)
-    assert prop.n_sites == 4
-    for order in (0, 3):
-        with pytest.raises(BadSiteIndex):
-            prop.evolve_grid(random_density(2, 48), [0.1], order)
-    with pytest.raises(DimensionMismatch):
-        prop.evolve_grid(product_state(random_density(2, 48), 2), [0.1], 1)
-    with pytest.raises(DimensionMismatch):
-        prop.evolve_grid(random_density(3, 48), [0.1], 1)
+        BlockPropagator(make_system(d=3), 4)
 
 
 # ---------------------------------------------------------------- one-site flow
@@ -990,7 +999,7 @@ def test_bbgky_residual_shared_propagator_consistent():
     sys = make_system(seed_a=84, seed_v=85)
     rho0 = random_density(2, 86)
     a = bbgky_residual(rho0, 2, 0.3, 1e-3, propagator=ExactPropagator(sys, 3))
-    b = bbgky_residual(rho0, 2, 0.3, 1e-3, propagator=BlockPropagator(sys, 3, 3))
+    b = bbgky_residual(rho0, 2, 0.3, 1e-3, propagator=BlockPropagator(sys, 3))
     assert abs(a.residual_trace_norm - b.residual_trace_norm) <= 1e-12
     assert abs(a.epsilon_norm - b.epsilon_norm) <= 1e-12
 
@@ -1005,7 +1014,7 @@ def test_bbgky_residuals_share_one_grid(n_sites, n):
     for d in (2, 3):
         sys = make_system(d=d, seed_a=88, seed_v=89)
         rho0 = random_density(d, 90)
-        prop = propagator(sys, n_sites, n + 1, 4096)
+        prop = propagator(sys, n_sites, 4096)
         assert isinstance(prop, BlockPropagator if d == 2 else ExactPropagator)
         grid, calls = prop.evolve_grid, []
         prop.evolve_grid = lambda *args: calls.append(args) or grid(*args)

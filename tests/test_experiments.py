@@ -275,7 +275,7 @@ def propagation_rows_full_grid(config) -> list[tuple]:
     rows = []
     for n_sites in config.N_list:
         need = {m for n in config.k_list for m in (n, n + 1) if m <= n_sites}
-        top = propagator(sys, n_sites, max(need), config.max_total_dim).evolve_grid(
+        top = propagator(sys, n_sites, config.max_total_dim).evolve_grid(
             rho0, traj.times, max(need))
         e = {m: np.array([chaos_distance(r, s, m) for r, s in zip(top, traj.states)])
              for m in need}
