@@ -15,7 +15,8 @@ X_1^{i_1} ... X_s^{i_s}, follow from D(X_1..X_s) = D(X_1..X_{s-1}) J(X_s)
 sum_{i<j} W_ij = (1/2) sum W[pr, qs] D(E_pq, E_rs), and every marginal,
 tr(rho_N D(E_{p_1 q_1}, ..)) = (N)_k <q|rho^(k)|p>. A product of matrix
 units shifts a by a fixed amount, so each D is a single band of each
-block, and depends only on the multiset of its units.
+block, and depends only on the multiset of its units. One memo, seeded
+with D() = 1 and the four D(E_pq) = J(E_pq), holds them all.
 
 evolve_grid reads the save grid in chunks of C = max(1, max_total_dim //
 (N + 1)^2) times (on the default budget 33 at N = 10, and one from N = 45
@@ -46,8 +47,8 @@ import math
 import numpy as np
 
 from . import linalg
-from .dynamics import ExactPropagator, MeanFieldSystem
-from .errors import BadSiteIndex, DimensionMismatch, MemoryBudgetExceeded
+from .dynamics import ExactPropagator, MeanFieldSystem, _check_grid_call
+from .errors import DimensionMismatch, MemoryBudgetExceeded
 from .states import DensityOperator, validate
 from .tensor import DEFAULT_MAX_TOTAL_DIM, TensorShape
 
@@ -158,10 +159,11 @@ class BlockPropagator:
     """Exact marginals of rho0^(ox N) under H_N at d = 2, from the spin blocks.
 
     Construction diagonalizes each block of H_N; each marginal order is
-    built on first use. evolve_grid takes the one-site rho0, rotates each
-    block's state by its phases and reads the bands the marginal needs;
-    nothing of size 2^N is formed. sys is kept, as ExactPropagator keeps
-    it, for the hierarchy checks.
+    built on first use from the distinct-site sums (_sum, its memo seeded
+    with J(E_pq)). evolve_grid takes the one-site rho0, rotates each block's
+    state by its phases and reads the bands the marginal needs; nothing of
+    size 2^N is formed. sys is kept, as ExactPropagator keeps it, for the
+    hierarchy checks.
     """
 
     def __init__(self, sys: MeanFieldSystem, n_sites: int,
@@ -177,15 +179,15 @@ class BlockPropagator:
         top = sizes[:, None] - 1
         quanta = np.arange(n_sites + 1)
         inside = quanta <= top
-        # J(E_pq) per block as (offset, v) with J[a + offset, a] = v[:, a], zero outside
-        self._units = {
-            (0, 0): (0, np.where(inside, quanta + spin_r, 0.0)),
-            (1, 1): (0, np.where(inside, top - quanta + spin_r, 0.0)),
-            (0, 1): (1, np.sqrt(np.clip((quanta + 1) * (top - quanta), 0, None))),
-            (1, 0): (-1, np.sqrt(np.clip(quanta * (top - quanta + 1), 0, None))),
+        # distinct-site sums per block as (offset, v), D[a + offset, a] = v[:, a] and zero outside,
+        # seeded with D() = 1 and D(E_pq) = J(E_pq) (_sum); each order's bands once built (_order)
+        self._sums = {
+            (): (0, np.where(inside, 1.0, 0.0)),
+            ((0, 0),): (0, np.where(inside, quanta + spin_r, 0.0)),
+            ((1, 1),): (0, np.where(inside, top - quanta + spin_r, 0.0)),
+            ((0, 1),): (1, np.sqrt(np.clip((quanta + 1) * (top - quanta), 0, None))),
+            ((1, 0),): (-1, np.sqrt(np.clip(quanta * (top - quanta + 1), 0, None))),
         }
-        # the distinct-site sums and each order's bands, kept once built (_sum, _order)
-        self._sums = {(): (0, np.where(inside, 1.0, 0.0))}
         self._orders = {}
 
         # W = sum W[(p1 p2), (q1 q2)] E_p1q1 ox E_p2q2, and sum_{i<j} W_ij = D(W) / 2
@@ -204,7 +206,7 @@ class BlockPropagator:
         if key not in self._sums:
             rest, (p, q) = key[:-1], key[-1]
             off, v = self._sum(rest)
-            shift, unit = self._units[(p, q)]
+            shift, unit = self._sums[((p, q),)]
             # (D(rest) J)[a + shift + off, a] = v[a + shift] J[a + shift, a]
             band = np.zeros_like(v)
             lo, hi = max(0, -shift), v.shape[1] - max(0, shift)
@@ -269,7 +271,7 @@ class BlockPropagator:
         """
         lam = np.clip(linalg.herm_eigen(rho.matrix).eigenvalues, 0.0, None)
         m = rho.matrix
-        generator = [(m[p, q], *self._units[(p, q)]) for p, q in _UNITS]
+        generator = [(m[p, q], *self._sums[((p, q),)]) for p, q in _UNITS]
         out = []
         for r, (g, u) in enumerate(zip(self._block_matrices(generator), self._u)):
             # the r tr rho0 = r shift of the collective diagonal leaves the eigenvectors alone
@@ -292,10 +294,7 @@ class BlockPropagator:
         each marginal is validated on its own, in grid order. Only the
         validated marginals outlive a chunk.
         """
-        if rho0.sites != 1 or rho0.d != 2:
-            raise DimensionMismatch(f"expected a one-site d = 2 state, got {rho0.shape}")
-        if not 1 <= order <= self.n_sites:
-            raise BadSiteIndex(f"marginal order {order} outside 1..{self.n_sites}")
+        _check_grid_call(self, rho0, order)
         # the largest order held once this call is done, before anything is built
         check_budget(2, self.n_sites, max(order, 2, *self._orders), self.max_total_dim)
         band_index, slices, coeff = self._order(order)

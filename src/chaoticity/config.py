@@ -159,6 +159,16 @@ def parse_config(text: str, default_kind: str | None = None) -> ExperimentConfig
     return config
 
 
+def _check_list(name: str, values: tuple, low: float) -> None:
+    """ConfigInvalid unless values is nonempty, each value >= low, and strictly ascending."""
+    if not values:
+        raise ConfigInvalid(f"{name} must be nonempty")
+    if any(v < low for v in values):
+        raise ConfigInvalid(f"{name} values must be >= {low}, got {values}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigInvalid(f"{name} must be strictly ascending, got {values}")
+
+
 def validate_config(config: ExperimentConfig) -> None:
     """Cross-field consistency; raises ConfigInvalid on the first problem."""
     c = config
@@ -166,22 +176,12 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigInvalid(f"unknown kind {c.kind!r}; choose one of {', '.join(KINDS)}")
     if c.d < 2:
         raise ConfigInvalid(f"d must be >= 2, got {c.d}")
-    if not c.N_list:
-        raise ConfigInvalid("N_list must be nonempty")
-    if any(n < 2 for n in c.N_list):
-        raise ConfigInvalid(f"N values must be >= 2, got {c.N_list}")
-    if any(b <= a for a, b in zip(c.N_list, c.N_list[1:])):
-        raise ConfigInvalid(f"N_list must be strictly ascending, got {c.N_list}")
+    _check_list("N_list", c.N_list, 2)
     if c.max_total_dim < c.d**2:
         raise ConfigInvalid(
             f"max_total_dim = {c.max_total_dim} cannot hold even two sites at d = {c.d}"
         )
-    if not c.k_list:
-        raise ConfigInvalid("k_list must be nonempty")
-    if any(k < 1 for k in c.k_list):
-        raise ConfigInvalid(f"k values must be >= 1, got {c.k_list}")
-    if any(b <= a for a, b in zip(c.k_list, c.k_list[1:])):
-        raise ConfigInvalid(f"k_list must be strictly ascending, got {c.k_list}")
+    _check_list("k_list", c.k_list, 1)
     if max(c.k_list) > min(c.N_list):
         raise ConfigInvalid(
             f"max k = {max(c.k_list)} exceeds the smallest N = {min(c.N_list)}"
@@ -202,12 +202,7 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigInvalid(
             "the hierarchy check needs the next marginal up: no (N, n) pair has n <= N - 1"
         )
-    if not c.times:
-        raise ConfigInvalid("times must be nonempty")
-    if any(t < 0 for t in c.times):
-        raise ConfigInvalid(f"times must be nonnegative, got {c.times}")
-    if any(b <= a for a, b in zip(c.times, c.times[1:])):
-        raise ConfigInvalid(f"times must be strictly ascending, got {c.times}")
+    _check_list("times", c.times, 0)
     if c.step <= 0:
         raise ConfigInvalid(f"step must be positive, got {c.step}")
     if c.kind in ("propagation", "hartree_convergence"):

@@ -2,10 +2,11 @@
 
 Every kernel uses the symmetrised pair operator W = V + S V S (S the
 two-site swap, so W_12 = V_12 + V_21), built once by MeanFieldSystem. The
-N-body generator is H_N = sum_j A_j + (1/N) sum_{i < j} W_ij. Two exact
-propagators evolve rho0^(ox N) with it and keep the system as sys;
-evolve_grid(rho0, times, order) takes the one-site rho0 and returns
-validated marginals.
+N-body generator is H_N = sum_j A_j + (1/N) sum_{i < j} W_ij; one builder,
+_add_mean_field, scatters both sums for H_N and the hierarchy operators.
+Two exact propagators evolve rho0^(ox N) with it and keep the system as
+sys; evolve_grid(rho0, times, order) takes the one-site rho0 and returns
+validated marginals, its arguments checked by _check_grid_call.
 
 - blocks.BlockPropagator (d = 2) splits H_N and rho0^(ox N) into spin
   blocks of size <= N + 1 (Schur-Weyl duality) and never forms 2^N.
@@ -131,10 +132,9 @@ class MeanFieldSystem:
             shape_n = shape.reduced(n)
             ones, pairs = np.zeros((2, shape_n.total_dim, shape_n.total_dim), dtype=np.complex128)
             cross = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+            _add_mean_field(ones, pairs, self, shape_n, 1.0)
             for j in range(1, n + 1):
-                _add_on_sites(ones, self.a, (j,), shape_n)
                 _add_on_sites(cross, self.w, (j, n + 1), shape)
-            _add_pairs(pairs, self.w, shape_n, 1.0)
             self._hierarchy_cache[n] = ones, pairs, cross
         return self._hierarchy_cache[n]
 
@@ -144,14 +144,17 @@ def step_cap(v_norm: float) -> float:
     return min(DEFAULT_STEP_CAP, 1.0 / (40.0 * max(v_norm, 1.0)))
 
 
-def _add_pairs(out: np.ndarray, w: np.ndarray, shape: TensorShape, scale: float) -> None:
-    """out += scale * sum over pairs i < j of W_ij, in place.
+def _add_mean_field(ones: np.ndarray, pairs: np.ndarray, sys: MeanFieldSystem,
+                    shape: TensorShape, pair_scale: float) -> None:
+    """ones += sum_j A_j, then pairs += pair_scale * sum over pairs i < j of W_ij, in place.
 
-    W_ij = V_ij + V_ji, so this is the sum of V over ordered pairs i != j.
+    W_ij = V_ij + V_ji, so the pair sum is the sum of V over ordered pairs i != j.
     """
+    for j in range(1, shape.sites + 1):
+        _add_on_sites(ones, sys.a, (j,), shape)
     for i in range(1, shape.sites + 1):
         for j in range(i + 1, shape.sites + 1):
-            _add_on_sites(out, w, (i, j), shape, scale)
+            _add_on_sites(pairs, sys.w, (i, j), shape, pair_scale)
 
 
 def build_hamiltonian(
@@ -163,10 +166,16 @@ def build_hamiltonian(
     """
     shape = TensorShape(sys.d, n_sites, max_total_dim)
     h = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
-    for j in range(1, n_sites + 1):
-        _add_on_sites(h, sys.a, (j,), shape)
-    _add_pairs(h, sys.w, shape, 1.0 / n_sites)
+    _add_mean_field(h, h, sys, shape, 1.0 / n_sites)
     return h
+
+
+def _check_grid_call(prop, rho0: DensityOperator, order: int) -> None:
+    """Either propagator's evolve_grid contract: rho0 one-site of prop's d, 1 <= order <= N."""
+    if rho0.sites != 1 or rho0.d != prop.sys.d:
+        raise DimensionMismatch(f"expected a one-site d = {prop.sys.d} state, got {rho0.shape}")
+    if not 1 <= order <= prop.n_sites:
+        raise BadSiteIndex(f"marginal order {order} outside 1..{prop.n_sites}")
 
 
 class ExactPropagator:
@@ -213,10 +222,7 @@ class ExactPropagator:
         product plus a d^k D^2 contraction and the full evolved state is
         never formed: memory stays O(D^2) whatever the grid length.
         """
-        if rho0.sites != 1 or rho0.d != self.shape.d:
-            raise DimensionMismatch(f"expected a one-site d = {self.shape.d} state, got {rho0.shape}")
-        if not 1 <= order <= self.shape.sites:
-            raise BadSiteIndex(f"marginal order {order} outside 1..{self.shape.sites}")
+        _check_grid_call(self, rho0, order)
         rho = product_state(rho0, self.shape.sites, self.shape.max_total_dim)
         dk = self.shape.d**order
         u = self.eigenvectors

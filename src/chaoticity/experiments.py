@@ -26,7 +26,6 @@ from .config import ExperimentConfig, config_hash, validate_config
 from .blocks import propagator
 from .dynamics import (
     TRAJECTORY_TOL,
-    HartreeTrajectory,
     MeanFieldSystem,
     bbgky_residuals,
     epsilon_term,
@@ -47,9 +46,7 @@ from .states import (
     ProductMixture,
     random_density,
     random_hermitian,
-    validate,
 )
-from .tensor import TensorShape
 from .version import __version__
 
 # seed-splitter namespaces; frozen constants, part of the reproducibility contract
@@ -106,7 +103,8 @@ def _draw_observable(rng: np.random.Generator, d: int, norm_cap: float) -> np.nd
 def _draw_mixture(config: ExperimentConfig, n_sites: int, *key: int):
     """(rho_bar, mixture): seeded components and simplex weights on n_sites.
 
-    The draws depend on key only, so every N of one key sees the same mixture.
+    rho_bar is the mixture's own one-site marginal. The draws depend on key
+    only, so every N of one key sees the same mixture.
     """
     locals_ = [
         random_density(config.d, subseed(config.seed, NS_MIXTURE, *key, i))
@@ -115,9 +113,8 @@ def _draw_mixture(config: ExperimentConfig, n_sites: int, *key: int):
     rng = np.random.default_rng(subseed(config.seed, NS_WEIGHTS, *key))
     w = rng.random(config.components) + 1e-9
     w /= w.sum()
-    bar = sum(wi * s.matrix for wi, s in zip(w, locals_))
-    rho_bar = validate(bar, TensorShape(config.d, 1))
-    return rho_bar, ProductMixture(w, locals_, n_sites, config.max_total_dim)
+    mixture = ProductMixture(w, locals_, n_sites, config.max_total_dim)
+    return mixture.marginal(1), mixture
 
 
 def _draw_system(config: ExperimentConfig) -> MeanFieldSystem:
@@ -166,14 +163,12 @@ def _run_propagation(config: ExperimentConfig):
     )
     v_norm = sys.interaction_norm()
 
-    # the envelope integrates errors over the whole trajectory grid; rows need only their times
-    if not config.gronwall:
-        trajectory = HartreeTrajectory(
-            np.asarray(config.times, dtype=float),
-            tuple(trajectory.state_at(t) for t in config.times),
-        )
     grid, states = trajectory.times, trajectory.states
     row_index = [trajectory.index(t) for t in config.times]
+    # the envelope integrates errors over the whole trajectory grid; rows need only their times
+    if not config.gronwall:
+        grid, states = np.asarray(config.times, dtype=float), [states[i] for i in row_index]
+        row_index = list(range(len(row_index)))
 
     def worker(n_sites: int):
         # E_n needs order n; epsilon and the envelope need order n + 1 as well

@@ -125,6 +125,9 @@ def test_validation_rejects_bad_shapes():
     with pytest.raises(ConfigInvalid):
         parse_config("kind = chaos_sweep\nN_list = 2, 2, 4\n")  # repeated
     with pytest.raises(ConfigInvalid):
+        # the parser rejects an empty list first (ParseError), so build the config directly
+        validate_config(ExperimentConfig(kind="chaos_sweep", N_list=()))
+    with pytest.raises(ConfigInvalid):
         parse_config("kind = chaos_sweep\nN_list = 1, 2\n")  # N < 2
     with pytest.raises(ConfigInvalid):
         parse_config("kind = chaos_sweep\nk_list = 0, 1\n")
@@ -133,9 +136,13 @@ def test_validation_rejects_bad_shapes():
     with pytest.raises(ConfigInvalid):
         parse_config("kind = chaos_sweep\nk_list = 1, 1, 2\n")  # repeated
     with pytest.raises(ConfigInvalid):
+        validate_config(ExperimentConfig(kind="chaos_sweep", k_list=()))
+    with pytest.raises(ConfigInvalid):
         parse_config("kind = chaos_sweep\nN_list = 2, 4\nk_list = 3\n")  # k > min N
     with pytest.raises(ConfigInvalid):
         parse_config("kind = chaos_sweep\ntimes = 0.5, 0.25\n")  # descending times
+    with pytest.raises(ConfigInvalid):
+        validate_config(ExperimentConfig(kind="chaos_sweep", times=()))
     with pytest.raises(ConfigInvalid):
         parse_config("kind = chaos_sweep\ntimes = -0.5, 0.25\n")
     with pytest.raises(ConfigInvalid):

@@ -294,11 +294,12 @@ def propagation_rows_full_grid(config) -> list[tuple]:
     return rows
 
 
-def test_propagation_reads_the_whole_grid_only_for_envelope_orders(monkeypatch):
+@pytest.mark.parametrize("gronwall", [False, True])
+def test_propagation_reads_the_whole_grid_only_for_envelope_orders(monkeypatch, gronwall):
     # E_{n+1} feeds the envelope at every save point; E_n is read only at the row times
     cfg = ExperimentConfig(
         kind="propagation", N_list=(6, 8, 10), k_list=(1, 2), times=(0.25, 0.5),
-        save_every=50, gronwall=True,
+        save_every=50, gronwall=gronwall,
     )
     orders = []
 
@@ -310,9 +311,13 @@ def test_propagation_reads_the_whole_grid_only_for_envelope_orders(monkeypatch):
     monkeypatch.setattr(experiments, "chaos_distances", counting)
     table = run_experiment(cfg)
     assert "error" not in table.metadata
-    # per N: orders 2 and 3 at 11 save points, order 1 at the 2 row times
-    assert sorted(orders) == sorted(3 * (11 * [2, 3] + 2 * [1]))
-    assert json.dumps(table.rows) == json.dumps(propagation_rows_full_grid(cfg))
+    if gronwall:
+        # per N: orders 2 and 3 at 11 save points, order 1 at the 2 row times
+        assert sorted(orders) == sorted(3 * (11 * [2, 3] + 2 * [1]))
+        assert json.dumps(table.rows) == json.dumps(propagation_rows_full_grid(cfg))
+    else:
+        # no envelope: per N, each order of k_list at the 2 row times and no order n + 1
+        assert sorted(orders) == sorted(3 * (2 * [1] + 2 * [2]))
 
 
 def test_propagation_reaches_64_sites():
