@@ -11,10 +11,10 @@ normalizes to a canonical byte string (the basis of the config hash):
 
 One nesting level exists: ``tol.<name>`` lines collect into the tolerance
 override table. Unknown top-level keys, duplicates, and type mismatches are
-line-diagnosed ParseErrors; cross-field consistency problems (an N_list,
-k_list or times not strictly ascending, an oversized step, k beyond the
-smallest N, a propagation time more than dynamics.GRID_TOL off the save
-grid) are ConfigInvalid.
+line-diagnosed ParseErrors; a nan or inf step, time, fd_h or norm cap, and
+cross-field consistency problems (an N_list, k_list or times not strictly
+ascending, an oversized step, k beyond the smallest N, a propagation time
+more than dynamics.GRID_TOL off the save grid) are ConfigInvalid.
 
 Two tolerance names are read: ``drift`` (trajectory validation, by
 propagation and hartree_convergence) and ``residual`` (the
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .blocks import check_budget
@@ -160,11 +161,11 @@ def parse_config(text: str, default_kind: str | None = None) -> ExperimentConfig
 
 
 def _check_list(name: str, values: tuple, low: float) -> None:
-    """ConfigInvalid unless values is nonempty, each value >= low, and strictly ascending."""
+    """ConfigInvalid unless values is nonempty, each finite and >= low, and strictly ascending."""
     if not values:
         raise ConfigInvalid(f"{name} must be nonempty")
-    if any(v < low for v in values):
-        raise ConfigInvalid(f"{name} values must be >= {low}, got {values}")
+    if not all(low <= v < math.inf for v in values):
+        raise ConfigInvalid(f"{name} values must be finite and >= {low}, got {values}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigInvalid(f"{name} must be strictly ascending, got {values}")
 
@@ -203,8 +204,12 @@ def validate_config(config: ExperimentConfig) -> None:
             "the hierarchy check needs the next marginal up: no (N, n) pair has n <= N - 1"
         )
     _check_list("times", c.times, 0)
-    if c.step <= 0:
-        raise ConfigInvalid(f"step must be positive, got {c.step}")
+    for name in ("step", "fd_h"):
+        if not 0 < getattr(c, name) < math.inf:
+            raise ConfigInvalid(f"{name} must be positive and finite, got {getattr(c, name)}")
+    for name in ("a_norm_cap", "v_norm_cap"):
+        if not 0 <= getattr(c, name) < math.inf:
+            raise ConfigInvalid(f"{name} must be nonnegative and finite, got {getattr(c, name)}")
     if c.kind in ("propagation", "hartree_convergence"):
         # the cap keeps RK4 stable, so only the kinds that integrate are held to it
         cap = step_cap(c.v_norm_cap)
@@ -223,14 +228,10 @@ def validate_config(config: ExperimentConfig) -> None:
                 )
     if not 0 <= c.seed < 2**64:
         raise ConfigInvalid(f"seed must fit in 64 bits, got {c.seed}")
-    if c.a_norm_cap < 0 or c.v_norm_cap < 0:
-        raise ConfigInvalid("norm caps must be nonnegative")
     if c.trials < 1:
         raise ConfigInvalid(f"trials must be >= 1, got {c.trials}")
     if c.components < 1:
         raise ConfigInvalid(f"components must be >= 1, got {c.components}")
-    if c.fd_h <= 0:
-        raise ConfigInvalid(f"fd_h must be positive, got {c.fd_h}")
     if c.save_every < 1:
         raise ConfigInvalid(f"save_every must be >= 1, got {c.save_every}")
     if c.out_format not in FORMATS:

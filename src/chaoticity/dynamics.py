@@ -17,10 +17,13 @@ The limiting flow d rho / dt = -i [A + tr_2(W (1 ox rho)), rho], equal to
 -i([A, rho] + tr_2[W, rho ox rho]), is [g, rho] with g = [G | vec(-iA)]
 [vec(rho), 1], one product with the d^2 x (d^2 + 1) matrix MeanFieldSystem
 derives from W on first use. For Hermitian rho, [g, rho] = p + p† with
-p = g rho (_hartree_flow). The one RK4 kernel, _rk4_kernel, steps a stack
-of trajectories, each with its own step, by the Butcher tableau over one
-array of stages, under a step cap an order of magnitude below the
-1/(4 ||V||) stability scale of the flow's Lipschitz constant.
+p = g rho (_hartree_flow: for one trajectory a gemv and a d x d product, for
+a stack one matmul for every g and one product with the block-diagonal
+matrix of the g for every p). The one RK4 kernel, _rk4_kernel, steps a
+stack of trajectories, each with its own step, by real products of Butcher
+tableau rows with the float view of one array of stages, under a step cap
+an order of magnitude below the 1/(4 ||V||) stability scale of the flow's
+Lipschitz constant.
 integrate_hartree steps one run on a save grid, hartree_endpoints several.
 
 The N-body marginal hierarchy is the limiting one plus a defect eps_n with
@@ -272,23 +275,56 @@ def _check_state(rho: DensityOperator, sys: MeanFieldSystem, one_site: bool = Tr
 
 
 def _hartree_flow(sys: MeanFieldSystem, stack: int):
-    """flow(y, rho, out): d rho / dt = [g, rho] into out for a stack of states, buffers held.
+    """flow(v, rho_t, out): d rho / dt = [g, rho] into out, (L, d, d), for L states, buffers held.
 
-    Rows of y are [vec(rho), 1] and rho is y's (stack, d, d) view: g is one product of y
-    with the transposed _hartree_generator and, for Hermitian rho, [g, rho] = p + p† with
-    p = g rho, one batched d x d product, O(d^4) per state, exactly Hermitian.
+    v and rho_t are _flow_views of the states' rows [vec(rho), 1], padded with zeros to
+    d^2 + d when L > 1. g = [G | vec(-iA)] v (_hartree_generator) and, for Hermitian rho,
+    [g, rho] = p + p† with p = g rho, O(d^4) per state and exactly Hermitian. Each call is
+    one BLAS product or one ufunc. The product is taken as q = p^T = rho^T g^T, so that
+    out = q^T + conj(q) conjugates a contiguous q.
+
+    - One state: g is one gemv and q one d x d product.
+    - L states: g is one matmul, which numpy runs as a gemv per state (a gemm packs the
+      whole generator on every call). Each g is copied into a diagonal block of one
+      Ld x L(d + 1) matrix. The padded rows are the states' [rho; 1, 0, ...] blocks,
+      stacked L(d + 1) x d, and rho_t, their transpose, times the block matrix's
+      transpose is every q side by side.
     """
-    gen_t, d = sys._hartree_generator.T, sys.d
-    g_mat, p, p_h = np.empty((3, stack, d, d), dtype=np.complex128)
-    g, p_t = g_mat.reshape(stack, d * d), p.transpose(0, 2, 1)
-    # out by position costs less dispatch; p† has its own buffer: in place on strided out is slow
-    def flow(y: np.ndarray, rho: np.ndarray, out: np.ndarray) -> None:
-        y.dot(gen_t, g)
-        np.matmul(g_mat, rho, p)
-        np.conjugate(p_t, p_h)
-        np.add(p_h, p, out)
+    gen, d = sys._hartree_generator, sys.d
+    g = np.empty((stack, d, d), dtype=np.complex128)
+    q, q_c = np.empty((2, d, stack * d), dtype=np.complex128)
+    # state i's q is q[:, i d:(i + 1) d]; out by position costs less dispatch
+    q_t = q.reshape(d, stack, d).transpose(1, 2, 0)
+    q_ci = q_c.reshape(d, stack, d).transpose(1, 0, 2)
+    if stack == 1:
+        g_vec, g_t = g.ravel(), g[0].T
+
+        def flow(v: np.ndarray, rho_t: np.ndarray, out: np.ndarray) -> None:
+            gen.dot(v, g_vec)
+            rho_t.dot(g_t, q)
+            np.conjugate(q, q_c)
+            np.add(q_t, q_ci, out)
+
+        return flow
+    gen_t, g_rows = gen.T, g.reshape(stack, 1, -1)
+    blocks = np.zeros((stack, d, stack, d + 1), dtype=np.complex128)
+    diag, blocks_t = np.einsum("iaib->iab", blocks)[:, :, :d], blocks.reshape(stack * d, -1).T
+
+    def flow(v: np.ndarray, rho_t: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(v, gen_t, g_rows)
+        np.copyto(diag, g)
+        rho_t.dot(blocks_t, q)
+        np.conjugate(q, q_c)
+        np.add(q_t, q_ci, out)
 
     return flow
+
+
+def _flow_views(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v, rho_t) for _hartree_flow from L state rows: the part the generator multiplies, rho^T."""
+    if rows.shape[0] == 1:
+        return rows[0, :d * d + 1], rows[0, :d * d].reshape(d, d).T
+    return rows[:, None, :d * d + 1], rows.reshape(-1, d).T
 
 
 def hartree_rhs(rho: DensityOperator, sys: MeanFieldSystem) -> np.ndarray:
@@ -298,54 +334,65 @@ def hartree_rhs(rho: DensityOperator, sys: MeanFieldSystem) -> np.ndarray:
     relying on rho being Hermitian as every validated state is: exactly Hermitian and traceless.
     """
     _check_state(rho, sys)
-    y = np.append(rho.matrix.ravel(), 1.0)[None]
+    v, rho_t = _flow_views(np.append(rho.matrix.ravel(), 1.0)[None], sys.d)
     out = np.empty((1, sys.d, sys.d), dtype=np.complex128)
-    _hartree_flow(sys, 1)(y, y[:, :-1].reshape(out.shape), out)
+    _hartree_flow(sys, 1)(v, rho_t, out)
     return out[0]
 
 
 def _rk4_tableau(dt: float) -> np.ndarray:
     """Classical RK4 on (x, k1, k2, k3, k4): rows 0-2 give k2-k4's inputs, row 3 the update."""
     h, s, t = dt / 2.0, dt / 6.0, dt / 3.0
-    return np.array([[1, h, 0, 0, 0], [1, 0, h, 0, 0], [1, 0, 0, dt, 0], [1, s, t, t, s]], complex)
+    return np.array([[1, h, 0, 0, 0], [1, 0, h, 0, 0], [1, 0, 0, dt, 0], [1, s, t, t, s]], float)
 
 
 def _rk4_rows(steps) -> tuple[np.ndarray, ...]:
-    """Four (L, 5L) blocks: each step's _rk4_tableau rows on the stages seen as (5L, d^2 + 1)."""
-    rows = np.zeros((4, len(steps), len(steps), 5), dtype=np.complex128)
+    """Four real (L, 5L) blocks: each step's _rk4_tableau rows on the stages seen stage-major."""
+    rows = np.zeros((4, len(steps), 5, len(steps)))
     for i, dt in enumerate(steps):
-        rows[:, i, i] = _rk4_tableau(dt)
+        rows[:, i, :, i] = _rk4_tableau(dt)
     return tuple(rows.reshape(4, len(steps), -1))
 
 
 def _rk4_kernel(stages: np.ndarray, sys: MeanFieldSystem):
     """advance(rows, count): count RK4 steps of the L runs in C-ordered stages, in place.
 
-    Stages are (L, 5, d^2 + 1), each run's x = [vec(rho), 1] and slopes. Each stage input
-    of k2..k4, and the update, is one (L x 5L) x (5L x (d^2 + 1)) product of a block of
-    rows (_rk4_rows) with the stages, keeping the last column at 1; each slope is one flow
-    evaluation into its rows. Inputs mix Hermitian rows by real weights, as p + p† needs.
-    Views and buffers are set up once here: a call may be a single step.
+    Stages are (L, 5, d^2 + 1), each run's x = [vec(rho), 1] and slopes. The loop sees
+    them stage-major, (5, L, c): for one run a view, c = d^2 + 1; for L runs a copy padded
+    with zeros to c = d^2 + d, as _hartree_flow takes them, with x copied in and out around
+    each call. Each stage input of k2..k4, and the update, is one real (L x 5L) x (5L x 2c)
+    product of a block of rows (_rk4_rows) with the stages' float view, keeping x's tail at
+    [1, 0, ...]; each slope is one flow evaluation into its rows. Inputs mix Hermitian rows
+    by real weights, as p + p† needs. Views and buffers are set up once here: a call may
+    be a single step.
     """
     stack, _, cols = stages.shape
-    flat = stages.reshape(5 * stack, cols)
-    flow = _hartree_flow(sys, stack)
-    x, y = stages[:, 0], np.empty((stack, cols), dtype=np.complex128)
-    x_rho, y_rho = (a[:, :-1].reshape(stack, sys.d, sys.d) for a in (x, y))
-    k1, k2, k3, k4 = (stages[:, s, :-1].reshape(stack, sys.d, sys.d) for s in range(1, 5))
+    d, flow = sys.d, _hartree_flow(sys, stack)
+    if stack == 1:
+        work = stages.reshape(5, 1, cols)
+    else:
+        work = np.zeros((5, stack, d * d + d), dtype=np.complex128)
+    x, y = work[0], np.empty_like(work[0])
+    flat, y_f = work.reshape(5 * stack, -1).view(np.float64), y.view(np.float64)
+    (x_in, x_rho), (y_in, y_rho) = _flow_views(x, d), _flow_views(y, d)
+    k1, k2, k3, k4 = (work[s, :, :d * d].reshape(stack, d, d) for s in range(1, 5))
 
     def advance(rows: tuple[np.ndarray, ...], count: int) -> None:
         to_k2, to_k3, to_k4, update = rows
+        if stack > 1:
+            np.copyto(x[:, :cols], stages[:, 0])
         for _ in range(count):
-            flow(x, x_rho, k1)
-            to_k2.dot(flat, y)
-            flow(y, y_rho, k2)
-            to_k3.dot(flat, y)
-            flow(y, y_rho, k3)
-            to_k4.dot(flat, y)
-            flow(y, y_rho, k4)
-            update.dot(flat, y)
+            flow(x_in, x_rho, k1)
+            to_k2.dot(flat, y_f)
+            flow(y_in, y_rho, k2)
+            to_k3.dot(flat, y_f)
+            flow(y_in, y_rho, k3)
+            to_k4.dot(flat, y_f)
+            flow(y_in, y_rho, k4)
+            update.dot(flat, y_f)
             np.copyto(x, y)
+        if stack > 1:
+            np.copyto(stages[:, 0], x[:, :cols])
 
     return advance
 
@@ -357,11 +404,11 @@ def _rk4_start(rho0: DensityOperator, sys: MeanFieldSystem, t0: float, t1: float
     t1 (last None) or less than a step short of it, then one step of last.
     """
     _check_state(rho0, sys)
-    if t1 < t0:
-        raise ValueError(f"t1 = {t1} precedes t0 = {t0}")
+    if not -math.inf < t0 <= t1 < math.inf:
+        raise ValueError(f"need finite t0 <= t1, got t0 = {t0}, t1 = {t1}")
     cap, plans = step_cap(sys.interaction_norm()), []
     for step in steps:
-        if step <= 0:
+        if not step > 0:
             raise ValueError(f"step must be positive, got {step}")
         if step > cap * (1.0 + 1e-12):
             raise StepTooLarge(

@@ -153,6 +153,20 @@ def test_validation_rejects_bad_shapes():
         parse_config("kind = chaos_sweep\nformat = yaml\n")
 
 
+@pytest.mark.parametrize("kind, line", [
+    ("hartree_convergence", "step = nan"),
+    ("hartree_convergence", "times = nan"),
+    ("hartree_convergence", "times = inf"),
+    ("bbgky_verify", "fd_h = nan"),
+    ("hartree_convergence", "a_norm_cap = nan"),
+    ("hartree_convergence", "v_norm_cap = nan"),
+])
+def test_validation_rejects_non_finite_values(kind, line):
+    # nan fails no ordered comparison, so each field is checked for finiteness by name
+    with pytest.raises(ConfigInvalid, match=line.split(" = ")[0]):
+        parse_config(f"kind = {kind}\n{line}\n")
+
+
 def test_validation_memory_budget():
     # the mixture kinds hold marginals, so the largest one, d^max(k), is bounded
     for kind in ("chaos_sweep", "bound_audit"):

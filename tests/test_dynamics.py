@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -469,6 +470,23 @@ def test_hartree_generator_is_built_on_first_use_at_w_size():
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def test_lockstep_holds_no_generator_per_run():
+    # the generator built first: three levels at d = 16 add their stages and
+    # the stacked flow's Ld x L(d + 1) block matrix, no per-run, padded or
+    # block-diagonal copy of the generator
+    sys = make_system(d=16, seed_a=88, seed_v=98)
+    rho0 = random_density(16, 246)
+    assert sys._hartree_generator.shape == (16**2, 16**2 + 1)
+    tracemalloc.start()
+    try:
+        ends = hartree_endpoints(rho0, sys, 0.004, LOCKSTEP_STEPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ends) == 3
+    assert peak <= 0.5 * sys.w.nbytes
+
+
 def test_integrate_matches_rk4_on_kron_oracle():
     # 203.5 steps: the last is shortened to land on t1; every 7th state is stored
     step = 1e-3
@@ -547,6 +565,11 @@ def test_hartree_flow_keeps_states_hermitian():
         for state in traj.states:
             assert linalg.hermiticity_defect(state.matrix) <= bound
         assert linalg.hermiticity_defect(hartree_rhs(random_density(d, 107 + d), sys)) == 0.0
+        # three levels in lockstep take the stacked flow's block-diagonal p + p†
+        ends = hartree_endpoints(rho0, sys, 2000 * 1e-3, LOCKSTEP_STEPS, TRAJECTORY_TOL)
+        assert len(ends) == 3
+        for end in ends:
+            assert linalg.hermiticity_defect(end.matrix) <= bound
 
 
 def test_hartree_rhs_assumes_a_hermitian_state():
@@ -669,6 +692,21 @@ def test_integrate_argument_checks():
         integrate_hartree(rho0, sys, 0.0, 1.0, 1e-3, save_every=0)
 
 
+def test_rk4_start_rejects_non_finite_times_and_steps():
+    # nan passes every comparison, so each is refused by name, not by int(nan)
+    sys = make_system()
+    rho0 = random_density(2, 54)
+    for t0, t1 in ((0.0, math.nan), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite t0 <= t1"):
+            _rk4_start(rho0, sys, t0, t1, [1e-3])
+    with pytest.raises(ValueError, match="step must be positive"):
+        _rk4_start(rho0, sys, 0.0, 1.0, [math.nan])
+    with pytest.raises(ValueError, match="step must be positive"):
+        hartree_endpoints(rho0, sys, 0.1, (4e-3, math.nan, 1e-3), TRAJECTORY_TOL)
+    with pytest.raises(ValueError, match="finite t0 <= t1"):
+        integrate_hartree(rho0, sys, 0.0, math.nan, 1e-3)
+
+
 def test_integrate_rejects_wrong_local_dimension():
     sys = make_system()
     with pytest.raises(DimensionMismatch):
@@ -737,7 +775,7 @@ def test_rk4_plan_matches_the_stepping_loop():
 LOCKSTEP_STEPS = (4e-3, 2e-3, 1e-3)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
 @pytest.mark.parametrize("t1", [0.2, 0.2035, 0.202, 0.0])
 def test_lockstep_endpoints_match_sequential_runs(d, t1):
     # t1 = 0.2 is on every level's grid; at 0.2035 each level takes its own
