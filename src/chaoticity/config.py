@@ -10,11 +10,12 @@ normalizes to a canonical byte string (the basis of the config hash):
     tol.drift = 1e-06
 
 One nesting level exists: ``tol.<name>`` lines collect into the tolerance
-override table. Unknown top-level keys, duplicates, and type mismatches are
-line-diagnosed ParseErrors; a nan or inf step, time, fd_h or norm cap, and
-cross-field consistency problems (an N_list, k_list or times not strictly
-ascending, an oversized step, k beyond the smallest N, a propagation time
-more than dynamics.GRID_TOL off the save grid) are ConfigInvalid.
+override table. Unknown top-level keys, duplicates, type mismatches and a
+tolerance that is not positive and finite are line-diagnosed ParseErrors; a
+nan or inf step, time, fd_h or norm cap, and cross-field consistency
+problems (an N_list, k_list or times not strictly ascending, an oversized
+step, k beyond the smallest N, a propagation time more than
+dynamics.GRID_TOL off the save grid) are ConfigInvalid.
 
 Two tolerance names are read: ``drift`` (trajectory validation, by
 propagation and hartree_convergence) and ``residual`` (the
@@ -26,8 +27,10 @@ silently.
 bbgky_verify, what blocks.propagator holds at max(N) (blocks.check_budget:
 d^max(N) at d >= 3, and at d = 2 the entries of the spin blocks, at most
 max_total_dim^2; N = 64 fits the default); the largest ProductMixture
-marginal, d^max(k), for chaos_sweep and bound_audit whatever N; nothing for
-the one-site hartree_convergence.
+marginal, d^max(k), for chaos_sweep and bound_audit whatever N. The kinds
+that draw a MeanFieldSystem (propagation, bbgky_verify, hartree_convergence)
+also hold its v, w and Hartree generator, d^4 entries each, and 3 d^4 must
+not pass the same max_total_dim^2 entries: d <= 48 at the default.
 """
 
 from __future__ import annotations
@@ -138,8 +141,8 @@ def parse_config(text: str, default_kind: str | None = None) -> ExperimentConfig
                 parsed = float(value)
             except ValueError as exc:
                 raise ParseError(f"bad float for {key}: {value!r}", line=lineno, field=key) from exc
-            if not parsed > 0:
-                raise ParseError(f"tolerance {name} must be positive", line=lineno, field=key)
+            if not 0 < parsed < math.inf:
+                raise ParseError(f"tolerance {name} must be positive and finite", line=lineno, field=key)
             tol[name] = parsed
             continue
         if key not in _FIELDS:
@@ -187,6 +190,10 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigInvalid(
             f"max k = {max(c.k_list)} exceeds the smallest N = {min(c.N_list)}"
         )
+    if c.kind in N_BODY_KINDS + ("hartree_convergence",) and 3 * c.d**4 > c.max_total_dim**2:
+        # a MeanFieldSystem holds v, w and the Hartree generator, d^4 entries each
+        raise ConfigInvalid(f"the system's 3 d^4 = {3 * c.d**4} entries at d = {c.d} exceed "
+                            f"max_total_dim^2 = {c.max_total_dim**2}")
     if c.kind in N_BODY_KINDS:
         # the largest N's propagator, up to the order n + 1 of the largest n
         try:
@@ -240,8 +247,8 @@ def validate_config(config: ExperimentConfig) -> None:
     for name, value in c.tol:
         if name not in read:
             raise ConfigInvalid(f"tol.{name} is not read by {c.kind}; it reads {sorted(read)}")
-        if not value > 0:
-            raise ConfigInvalid(f"tol.{name} must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ConfigInvalid(f"tol.{name} must be positive and finite, got {value}")
 
 
 def _format_value(value) -> str:

@@ -17,13 +17,13 @@ The limiting flow d rho / dt = -i [A + tr_2(W (1 ox rho)), rho], equal to
 -i([A, rho] + tr_2[W, rho ox rho]), is [g, rho] with g = [G | vec(-iA)]
 [vec(rho), 1], one product with the d^2 x (d^2 + 1) matrix MeanFieldSystem
 derives from W on first use. For Hermitian rho, [g, rho] = p + p† with
-p = g rho (_hartree_flow: for one trajectory a gemv and a d x d product, for
-a stack one matmul for every g and one product with the block-diagonal
-matrix of the g for every p). The one RK4 kernel, _rk4_kernel, steps a
-stack of trajectories, each with its own step, by real products of Butcher
-tableau rows with the float view of one array of stages, under a step cap
-an order of magnitude below the 1/(4 ||V||) stability scale of the flow's
-Lipschitz constant.
+p = g rho. The one RK4 kernel, _rk4_kernel, steps a stack of trajectories,
+each with its own step, in one layout for every stack height: stage-major
+rows [vec(rho), 1] padded with zeros to d^2 + d, combined by real products of
+Butcher tableau rows with their float view, under a step cap an order of
+magnitude below the 1/(4 ||V||) stability scale of the flow's Lipschitz
+constant. _hartree_flow reads the rows through views it owns; its one fork,
+kept for speed, is the product (one trajectory: a gemv; a stack: a matmul).
 integrate_hartree steps one run on a save grid, hartree_endpoints several.
 
 The N-body marginal hierarchy is the limiting one plus a defect eps_n with
@@ -173,10 +173,17 @@ def build_hamiltonian(
     return h
 
 
+def _check_state(rho: DensityOperator, sys: MeanFieldSystem, one_site: bool = True) -> None:
+    """DimensionMismatch unless rho has the system's d and, when one_site, one site."""
+    if one_site and rho.sites != 1:
+        raise DimensionMismatch(f"expected a one-site state, got {rho.sites} sites")
+    if rho.d != sys.d:
+        raise DimensionMismatch(f"state d = {rho.d}, system d = {sys.d}")
+
+
 def _check_grid_call(prop, rho0: DensityOperator, order: int) -> None:
     """Either propagator's evolve_grid contract: rho0 one-site of prop's d, 1 <= order <= N."""
-    if rho0.sites != 1 or rho0.d != prop.sys.d:
-        raise DimensionMismatch(f"expected a one-site d = {prop.sys.d} state, got {rho0.shape}")
+    _check_state(rho0, prop.sys)
     if not 1 <= order <= prop.n_sites:
         raise BadSiteIndex(f"marginal order {order} outside 1..{prop.n_sites}")
 
@@ -266,51 +273,49 @@ class HartreeTrajectory:
         return self.states[self.index(t)]
 
 
-def _check_state(rho: DensityOperator, sys: MeanFieldSystem, one_site: bool = True) -> None:
-    """DimensionMismatch unless rho has the system's d and, for the one-site flow, one site."""
-    if one_site and rho.sites != 1:
-        raise DimensionMismatch("the nonlinear flow lives on one site")
-    if rho.d != sys.d:
-        raise DimensionMismatch(f"state d = {rho.d}, system d = {sys.d}")
+def _hartree_flow(sys: MeanFieldSystem, rows: np.ndarray):
+    """flow(out): d rho / dt = [g, rho] into out, (L, d, d), for the L states in rows.
 
-
-def _hartree_flow(sys: MeanFieldSystem, stack: int):
-    """flow(v, rho_t, out): d rho / dt = [g, rho] into out, (L, d, d), for L states, buffers held.
-
-    v and rho_t are _flow_views of the states' rows [vec(rho), 1], padded with zeros to
-    d^2 + d when L > 1. g = [G | vec(-iA)] v (_hartree_generator) and, for Hermitian rho,
+    rows is C-ordered (L, d^2 + d): the states' [vec(rho), 1] padded with zeros. flow holds
+    views of it and its own buffers, so each call reads the rows as they are then.
+    g = [G | vec(-iA)] [vec(rho), 1] (_hartree_generator) and, for Hermitian rho,
     [g, rho] = p + p† with p = g rho, O(d^4) per state and exactly Hermitian. Each call is
     one BLAS product or one ufunc. The product is taken as q = p^T = rho^T g^T, so that
-    out = q^T + conj(q) conjugates a contiguous q.
+    out = q^T + conj(q) conjugates a contiguous q. The one fork is the product, by L:
 
-    - One state: g is one gemv and q one d x d product.
+    - One state: g is one gemv and q one d x d product. The L-state form, a matmul
+      (0.93 us at d = 2) for the gemv (0.36 us) plus a diagonal copy (0.40 us), made
+      integrate_hartree 20-35% slower at d = 2, and a single run and the lockstep's
+      finest level both take this one.
     - L states: g is one matmul, which numpy runs as a gemv per state (a gemm packs the
       whole generator on every call). Each g is copied into a diagonal block of one
-      Ld x L(d + 1) matrix. The padded rows are the states' [rho; 1, 0, ...] blocks,
-      stacked L(d + 1) x d, and rho_t, their transpose, times the block matrix's
-      transpose is every q side by side.
+      Ld x L(d + 1) matrix. The padded rows, seen as L(d + 1) x d, stack the states'
+      [rho; 1, 0, ...] blocks; their transpose times the block matrix's transpose is
+      every q side by side.
     """
-    gen, d = sys._hartree_generator, sys.d
+    gen, d, stack = sys._hartree_generator, sys.d, rows.shape[0]
     g = np.empty((stack, d, d), dtype=np.complex128)
     q, q_c = np.empty((2, d, stack * d), dtype=np.complex128)
     # state i's q is q[:, i d:(i + 1) d]; out by position costs less dispatch
     q_t = q.reshape(d, stack, d).transpose(1, 2, 0)
     q_ci = q_c.reshape(d, stack, d).transpose(1, 0, 2)
     if stack == 1:
+        v, rho_t = rows[0, :d * d + 1], rows[0, :d * d].reshape(d, d).T
         g_vec, g_t = g.ravel(), g[0].T
 
-        def flow(v: np.ndarray, rho_t: np.ndarray, out: np.ndarray) -> None:
+        def flow(out: np.ndarray) -> None:
             gen.dot(v, g_vec)
             rho_t.dot(g_t, q)
             np.conjugate(q, q_c)
             np.add(q_t, q_ci, out)
 
         return flow
+    v, rho_t = rows[:, None, :d * d + 1], rows.reshape(-1, d).T
     gen_t, g_rows = gen.T, g.reshape(stack, 1, -1)
     blocks = np.zeros((stack, d, stack, d + 1), dtype=np.complex128)
     diag, blocks_t = np.einsum("iaib->iab", blocks)[:, :, :d], blocks.reshape(stack * d, -1).T
 
-    def flow(v: np.ndarray, rho_t: np.ndarray, out: np.ndarray) -> None:
+    def flow(out: np.ndarray) -> None:
         np.matmul(v, gen_t, g_rows)
         np.copyto(diag, g)
         rho_t.dot(blocks_t, q)
@@ -320,13 +325,6 @@ def _hartree_flow(sys: MeanFieldSystem, stack: int):
     return flow
 
 
-def _flow_views(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(v, rho_t) for _hartree_flow from L state rows: the part the generator multiplies, rho^T."""
-    if rows.shape[0] == 1:
-        return rows[0, :d * d + 1], rows[0, :d * d].reshape(d, d).T
-    return rows[:, None, :d * d + 1], rows.reshape(-1, d).T
-
-
 def hartree_rhs(rho: DensityOperator, sys: MeanFieldSystem) -> np.ndarray:
     """d rho / dt = -i[A + tr_2(W (1 ox rho)), rho], W = V + S V S.
 
@@ -334,9 +332,10 @@ def hartree_rhs(rho: DensityOperator, sys: MeanFieldSystem) -> np.ndarray:
     relying on rho being Hermitian as every validated state is: exactly Hermitian and traceless.
     """
     _check_state(rho, sys)
-    v, rho_t = _flow_views(np.append(rho.matrix.ravel(), 1.0)[None], sys.d)
+    row = np.zeros((1, sys.d**2 + sys.d), dtype=np.complex128)
+    row[0, :sys.d**2 + 1] = np.append(rho.matrix.ravel(), 1.0)
     out = np.empty((1, sys.d, sys.d), dtype=np.complex128)
-    _hartree_flow(sys, 1)(v, rho_t, out)
+    _hartree_flow(sys, row)(out)
     return out[0]
 
 
@@ -357,42 +356,38 @@ def _rk4_rows(steps) -> tuple[np.ndarray, ...]:
 def _rk4_kernel(stages: np.ndarray, sys: MeanFieldSystem):
     """advance(rows, count): count RK4 steps of the L runs in C-ordered stages, in place.
 
-    Stages are (L, 5, d^2 + 1), each run's x = [vec(rho), 1] and slopes. The loop sees
-    them stage-major, (5, L, c): for one run a view, c = d^2 + 1; for L runs a copy padded
-    with zeros to c = d^2 + d, as _hartree_flow takes them, with x copied in and out around
-    each call. Each stage input of k2..k4, and the update, is one real (L x 5L) x (5L x 2c)
-    product of a block of rows (_rk4_rows) with the stages' float view, keeping x's tail at
-    [1, 0, ...]; each slope is one flow evaluation into its rows. Inputs mix Hermitian rows
-    by real weights, as p + p† needs. Views and buffers are set up once here: a call may
-    be a single step.
+    Stages are (L, 5, d^2 + 1), each run's x = [vec(rho), 1] and slopes. The loop steps
+    one stage-major work array, (5, L, d^2 + d), padded with zeros as _hartree_flow takes
+    its rows, whatever L: x is copied in once, here, and back to stages after each call.
+    Each stage input of k2..k4, and the update, is one real (L x 5L) x (5L x 2(d^2 + d))
+    product of a block of rows (_rk4_rows) with the work array's float view, keeping x's
+    tail at [1, 0, ...]; each slope is one flow evaluation into its rows. Inputs mix
+    Hermitian rows by real weights, as p + p† needs. Views and buffers are set up once
+    here: a call may be a single step.
     """
     stack, _, cols = stages.shape
-    d, flow = sys.d, _hartree_flow(sys, stack)
-    if stack == 1:
-        work = stages.reshape(5, 1, cols)
-    else:
-        work = np.zeros((5, stack, d * d + d), dtype=np.complex128)
+    d = sys.d
+    # zeros, not empty: zero tableau weights still multiply every row, and 0 * NaN is NaN
+    work = np.zeros((5, stack, d * d + d), dtype=np.complex128)
     x, y = work[0], np.empty_like(work[0])
+    x[:, :cols] = stages[:, 0]
     flat, y_f = work.reshape(5 * stack, -1).view(np.float64), y.view(np.float64)
-    (x_in, x_rho), (y_in, y_rho) = _flow_views(x, d), _flow_views(y, d)
+    flow_x, flow_y = _hartree_flow(sys, x), _hartree_flow(sys, y)
     k1, k2, k3, k4 = (work[s, :, :d * d].reshape(stack, d, d) for s in range(1, 5))
 
     def advance(rows: tuple[np.ndarray, ...], count: int) -> None:
         to_k2, to_k3, to_k4, update = rows
-        if stack > 1:
-            np.copyto(x[:, :cols], stages[:, 0])
         for _ in range(count):
-            flow(x_in, x_rho, k1)
+            flow_x(k1)
             to_k2.dot(flat, y_f)
-            flow(y_in, y_rho, k2)
+            flow_y(k2)
             to_k3.dot(flat, y_f)
-            flow(y_in, y_rho, k3)
+            flow_y(k3)
             to_k4.dot(flat, y_f)
-            flow(y_in, y_rho, k4)
+            flow_y(k4)
             update.dot(flat, y_f)
             np.copyto(x, y)
-        if stack > 1:
-            np.copyto(stages[:, 0], x[:, :cols])
+        np.copyto(stages[:, 0], x[:, :cols])
 
     return advance
 
@@ -418,7 +413,6 @@ def _rk4_start(rho0: DensityOperator, sys: MeanFieldSystem, t0: float, t1: float
         while t0 + k * step < t1 - 1e-15 and t1 - (t0 + k * step) >= step:
             k += 1
         plans.append((k, None if t0 + k * step >= t1 - 1e-15 else t1 - (t0 + k * step)))
-    # zeros, not empty: zero tableau weights still multiply every row, and 0 * NaN is NaN
     stages = np.zeros((len(plans), 5, rho0.d**2 + 1), dtype=np.complex128)
     stages[:, 0] = np.append(rho0.matrix.ravel(), 1.0)
     return plans, stages

@@ -2,9 +2,9 @@
 
 bench/tracer.py wraps ExactPropagator's methods by name and reads .shape,
 and each reference table in bench/reference/ carries the config_hash of its
-workload document. A change to either side fails here, not first at
-``bench/run.py --self-check``. The bench files are loaded read-only: no
-bytecode is written next to them.
+workload document and the rows it must produce. A change to either side
+fails here, not first at ``bench/run.py --self-check``. The bench files are
+loaded read-only: no bytecode is written next to them.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 
 from chaoticity.config import config_hash, parse_config
 from chaoticity.dynamics import ExactPropagator, MeanFieldSystem
+from chaoticity.experiments import run_experiment
 from chaoticity.states import random_density, random_hermitian
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -89,3 +90,14 @@ def test_workload_documents_hash_to_their_reference(workload, size):
         assert config.kind == table["kind"]
         assert config_hash(config) == table["config_hash"]
 
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_rows_match_their_reference(workload, size):
+    # the benchmark's own row and flag checks, so a change that moves rows fails here
+    documents = workloads.config_documents(workload, size, workloads.DEFAULT_SEED)
+    for text, ref in zip(documents, workloads.load_reference(workload, size)):
+        table = run_experiment(parse_config(text))
+        assert "error" not in table.metadata
+        problems, _ = workloads.compare_to_reference(table, ref)
+        assert problems + workloads.check_flags(table) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -71,6 +72,16 @@ def test_tolerance_names_a_kind_does_not_read_are_rejected():
         parse_config("kind = bbgky_verify\ntol.drift = 1e-6\n")
     with pytest.raises(ConfigInvalid):
         validate_config(ExperimentConfig(kind="hartree_convergence", tol=(("residual", 1e-4),)))
+
+
+@pytest.mark.parametrize("kind, name", [("propagation", "drift"), ("bbgky_verify", "residual")])
+def test_infinite_tolerances_are_rejected(kind, name):
+    # an infinite drift or residual tolerance would switch off the guard it sets
+    with pytest.raises(ParseError) as e:
+        parse_config(f"kind = {kind}\ntol.{name} = inf\n")
+    assert e.value.line == 2
+    with pytest.raises(ConfigInvalid, match="finite"):
+        validate_config(ExperimentConfig(kind=kind, tol=((name, math.inf),)))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -181,6 +192,20 @@ def test_validation_memory_budget():
     # the one-site flow has no N bound
     c = parse_config("kind = hartree_convergence\nd = 3\nN_list = 2, 1000\n")
     assert max(c.N_list) == 1000
+
+
+def test_validation_system_arrays():
+    # a MeanFieldSystem holds v, w and the Hartree generator, d^4 entries each:
+    # 3 d^4 <= max_total_dim^2 admits d <= 48 at the default
+    with pytest.raises(ConfigInvalid, match="max_total_dim"):
+        validate_config(ExperimentConfig(kind="hartree_convergence", d=64))
+    validate_config(ExperimentConfig(kind="hartree_convergence", d=16))
+    for kind in ("propagation", "bbgky_verify", "hartree_convergence"):
+        validate_config(ExperimentConfig(kind=kind, d=48, N_list=(2,), k_list=(1,)))
+        with pytest.raises(ConfigInvalid, match="max_total_dim"):
+            validate_config(ExperimentConfig(kind=kind, d=49, N_list=(2,), k_list=(1,)))
+    # the mixture kinds draw no system
+    validate_config(ExperimentConfig(kind="chaos_sweep", d=64, N_list=(2,), k_list=(1, 2)))
 
 
 def test_validation_block_budget():
