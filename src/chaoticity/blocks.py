@@ -132,17 +132,15 @@ def check_budget(d: int, n_sites: int, max_order: int, max_total_dim: int) -> No
 
     The dense path (d >= 3) holds D x D matrices with D = d^N <= max_total_dim;
     the block path (d = 2) may hold as many entries, max_total_dim^2, and its
-    marginals obey the dense rule 2^order <= max_total_dim.
+    marginals obey the dense rule 2^order <= max_total_dim. Both dense rules
+    are TensorShape's, the one place d^n <= max_total_dim is checked.
     """
     if d != 2:
         TensorShape(d, n_sites, max_total_dim)
-    elif 2**max_order > max_total_dim:
-        raise MemoryBudgetExceeded(
-            f"a marginal of order {max_order} has 2^{max_order} rows, over the budget "
-            f"{max_total_dim}"
-        )
-    elif (held := block_entries(n_sites, max_order)
-          + _chunk_entries(n_sites, max_order, max_total_dim)) > max_total_dim**2:
+        return
+    TensorShape(2, max_order, max_total_dim)
+    if (held := block_entries(n_sites, max_order)
+            + _chunk_entries(n_sites, max_order, max_total_dim)) > max_total_dim**2:
         raise MemoryBudgetExceeded(
             f"the spin blocks of N = {n_sites} up to order {max_order} hold {held} entries, "
             f"over the budget of {max_total_dim}^2 = {max_total_dim**2}"
@@ -191,12 +189,11 @@ class BlockPropagator:
         self._orders = {}
 
         # W = sum W[(p1 p2), (q1 q2)] E_p1q1 ox E_p2q2, and sum_{i<j} W_ij = D(W) / 2
-        terms = [(sys.a[p, q], ((p, q),)) for p, q in _UNITS]
-        terms += [(0.5 / n_sites * sys.w[2 * p1 + p2, 2 * q1 + q2],
-                   tuple(sorted(((p1, q1), (p2, q2)))))
-                  for p1, q1 in _UNITS for p2, q2 in _UNITS]
+        pairs = [(0.5 / n_sites * sys.w[2 * p1 + p2, 2 * q1 + q2],
+                  *self._sum(tuple(sorted(((p1, q1), (p2, q2))))))
+                 for p1, q1 in _UNITS for p2, q2 in _UNITS]
         self._u, self._energies = [], []
-        for h in self._block_matrices([(c, *self._sum(key)) for c, key in terms]):
+        for h in self._block_matrices(self._collective(sys.a) + pairs):
             energies, u = linalg.herm_eigen(h)
             self._energies.append(energies)
             self._u.append(u)
@@ -242,6 +239,10 @@ class BlockPropagator:
             self._orders[order] = (index, slices, coeff.T)
         return self._orders[order]
 
+    def _collective(self, x: np.ndarray) -> list:
+        """J(X) = sum X_pq J(E_pq) as _block_matrices terms (c, offset, band), in _UNITS order."""
+        return [(x[p, q], *self._sums[((p, q),)]) for p, q in _UNITS]
+
     def _block_matrices(self, terms):
         """Dense blocks of sum c D over terms (c, offset, band), one at a time.
 
@@ -270,10 +271,8 @@ class BlockPropagator:
         though m_r alone leaves the float range near N = 1030.
         """
         lam = np.clip(linalg.herm_eigen(rho.matrix).eigenvalues, 0.0, None)
-        m = rho.matrix
-        generator = [(m[p, q], *self._sums[((p, q),)]) for p, q in _UNITS]
-        out = []
-        for r, (g, u) in enumerate(zip(self._block_matrices(generator), self._u)):
+        out, generator = [], self._block_matrices(self._collective(rho.matrix))
+        for r, (g, u) in enumerate(zip(generator, self._u)):
             # the r tr rho0 = r shift of the collective diagonal leaves the eigenvectors alone
             q = linalg.herm_eigen(g).eigenvectors
             ones = np.arange(r, r + q.shape[0])

@@ -23,11 +23,12 @@ finite-difference pass threshold, by bbgky_verify). A name the kind does
 not read is ConfigInvalid, so a typo such as ``tol.drfit`` cannot pass
 silently.
 
-``max_total_dim`` bounds what each kind holds: for propagation and
-bbgky_verify, what blocks.propagator holds at max(N) (blocks.check_budget:
-d^max(N) at d >= 3, and at d = 2 the entries of the spin blocks, at most
-max_total_dim^2; N = 64 fits the default); the largest ProductMixture
-marginal, d^max(k), for chaos_sweep and bound_audit whatever N. The kinds
+``max_total_dim`` bounds what each kind holds, each d^n by tensor.TensorShape:
+two sites, d^2, for every kind; for propagation and bbgky_verify, what
+blocks.propagator holds at max(N) (blocks.check_budget: d^max(N) at d >= 3,
+and at d = 2 the entries of the spin blocks, at most max_total_dim^2; N = 64
+fits the default); the largest ProductMixture marginal, d^max(k), for
+chaos_sweep and bound_audit whatever N. The kinds
 that draw a MeanFieldSystem (propagation, bbgky_verify, hartree_convergence)
 also hold its v, w and Hartree generator, d^4 entries each, and 3 d^4 must
 not pass the same max_total_dim^2 entries: d <= 48 at the default.
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from .blocks import check_budget
 from .dynamics import GRID_TOL, step_cap
 from .errors import ConfigInvalid, MemoryBudgetExceeded, ParseError
+from .tensor import TensorShape
 
 KINDS = ("chaos_sweep", "propagation", "bbgky_verify", "hartree_convergence", "bound_audit")
 # the tol.<name> overrides each kind reads; any other name is rejected
@@ -181,10 +183,6 @@ def validate_config(config: ExperimentConfig) -> None:
     if c.d < 2:
         raise ConfigInvalid(f"d must be >= 2, got {c.d}")
     _check_list("N_list", c.N_list, 2)
-    if c.max_total_dim < c.d**2:
-        raise ConfigInvalid(
-            f"max_total_dim = {c.max_total_dim} cannot hold even two sites at d = {c.d}"
-        )
     _check_list("k_list", c.k_list, 1)
     if max(c.k_list) > min(c.N_list):
         raise ConfigInvalid(
@@ -194,18 +192,17 @@ def validate_config(config: ExperimentConfig) -> None:
         # a MeanFieldSystem holds v, w and the Hartree generator, d^4 entries each
         raise ConfigInvalid(f"the system's 3 d^4 = {3 * c.d**4} entries at d = {c.d} exceed "
                             f"max_total_dim^2 = {c.max_total_dim**2}")
-    if c.kind in N_BODY_KINDS:
-        # the largest N's propagator, up to the order n + 1 of the largest n
-        try:
+    try:
+        # every kind holds two sites; the N-body kinds the largest N's propagator up to
+        # the order n + 1 of the largest n, the mixture kinds their largest marginal
+        TensorShape(c.d, 2, c.max_total_dim)
+        if c.kind in N_BODY_KINDS:
             check_budget(c.d, max(c.N_list), min(max(c.k_list) + 1, max(c.N_list)),
                          c.max_total_dim)
-        except MemoryBudgetExceeded as exc:
-            raise ConfigInvalid(str(exc)) from exc
-    elif c.kind != "hartree_convergence" and c.d**max(c.k_list) > c.max_total_dim:
-        # the mixture kinds hold their largest marginal
-        raise ConfigInvalid(
-            f"d^max(k) = {c.d}^{max(c.k_list)} exceeds the memory budget {c.max_total_dim}"
-        )
+        elif c.kind != "hartree_convergence":
+            TensorShape(c.d, max(c.k_list), c.max_total_dim)
+    except MemoryBudgetExceeded as exc:
+        raise ConfigInvalid(f"max_total_dim = {c.max_total_dim} is too small: {exc}") from exc
     if c.kind == "bbgky_verify" and min(c.k_list) > max(c.N_list) - 1:
         raise ConfigInvalid(
             "the hierarchy check needs the next marginal up: no (N, n) pair has n <= N - 1"

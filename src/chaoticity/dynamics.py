@@ -17,9 +17,10 @@ The limiting flow d rho / dt = -i [A + tr_2(W (1 ox rho)), rho], equal to
 -i([A, rho] + tr_2[W, rho ox rho]), is [g, rho] with g = [G | vec(-iA)]
 [vec(rho), 1], one product with the d^2 x (d^2 + 1) matrix MeanFieldSystem
 derives from W on first use. For Hermitian rho, [g, rho] = p + p† with
-p = g rho. The one RK4 kernel, _rk4_kernel, steps a stack of trajectories,
-each with its own step, in one layout for every stack height: stage-major
-rows [vec(rho), 1] padded with zeros to d^2 + d, combined by real products of
+p = g rho. The flow reads each state as one padded row [vec(rho), 1, 0, ...]
+of length d^2 + d (_hartree_rows). The one RK4 kernel, _rk4_kernel, steps a
+stack of them, each with its own step, in one stage-major layout for every
+stack height, each row with its slopes, combined by real products of
 Butcher tableau rows with their float view, under a step cap an order of
 magnitude below the 1/(4 ||V||) stability scale of the flow's Lipschitz
 constant. _hartree_flow reads the rows through views it owns; its one fork,
@@ -55,7 +56,7 @@ from .errors import (
     StepTooLarge,
     TraceNotOne,
 )
-from .states import DensityOperator, product_state, validate
+from .states import DensityOperator, _check_one_site, product_state, validate
 from .tensor import (
     DEFAULT_MAX_TOTAL_DIM,
     TensorShape,
@@ -173,17 +174,9 @@ def build_hamiltonian(
     return h
 
 
-def _check_state(rho: DensityOperator, sys: MeanFieldSystem, one_site: bool = True) -> None:
-    """DimensionMismatch unless rho has the system's d and, when one_site, one site."""
-    if one_site and rho.sites != 1:
-        raise DimensionMismatch(f"expected a one-site state, got {rho.sites} sites")
-    if rho.d != sys.d:
-        raise DimensionMismatch(f"state d = {rho.d}, system d = {sys.d}")
-
-
 def _check_grid_call(prop, rho0: DensityOperator, order: int) -> None:
     """Either propagator's evolve_grid contract: rho0 one-site of prop's d, 1 <= order <= N."""
-    _check_state(rho0, prop.sys)
+    _check_one_site(rho0, prop.sys.d)
     if not 1 <= order <= prop.n_sites:
         raise BadSiteIndex(f"marginal order {order} outside 1..{prop.n_sites}")
 
@@ -273,10 +266,18 @@ class HartreeTrajectory:
         return self.states[self.index(t)]
 
 
+def _hartree_rows(rho: DensityOperator, sys: MeanFieldSystem, count: int = 1) -> np.ndarray:
+    """count C-ordered padded rows [vec(rho), 1, 0, ...] of length d^2 + d, rho one-site of d."""
+    _check_one_site(rho, sys.d)
+    rows = np.zeros((count, sys.d**2 + sys.d), dtype=np.complex128)
+    rows[:, :sys.d**2 + 1] = np.append(rho.matrix.ravel(), 1.0)
+    return rows
+
+
 def _hartree_flow(sys: MeanFieldSystem, rows: np.ndarray):
     """flow(out): d rho / dt = [g, rho] into out, (L, d, d), for the L states in rows.
 
-    rows is C-ordered (L, d^2 + d): the states' [vec(rho), 1] padded with zeros. flow holds
+    rows is C-ordered (L, d^2 + d), the states' padded rows (_hartree_rows). flow holds
     views of it and its own buffers, so each call reads the rows as they are then.
     g = [G | vec(-iA)] [vec(rho), 1] (_hartree_generator) and, for Hermitian rho,
     [g, rho] = p + p† with p = g rho, O(d^4) per state and exactly Hermitian. Each call is
@@ -331,11 +332,8 @@ def hartree_rhs(rho: DensityOperator, sys: MeanFieldSystem) -> np.ndarray:
     This equals -i([A, rho] + tr_2[W, rho ox rho]). _hartree_flow evaluates it,
     relying on rho being Hermitian as every validated state is: exactly Hermitian and traceless.
     """
-    _check_state(rho, sys)
-    row = np.zeros((1, sys.d**2 + sys.d), dtype=np.complex128)
-    row[0, :sys.d**2 + 1] = np.append(rho.matrix.ravel(), 1.0)
     out = np.empty((1, sys.d, sys.d), dtype=np.complex128)
-    _hartree_flow(sys, row)(out)
+    _hartree_flow(sys, _hartree_rows(rho, sys))(out)
     return out[0]
 
 
@@ -353,24 +351,23 @@ def _rk4_rows(steps) -> tuple[np.ndarray, ...]:
     return tuple(rows.reshape(4, len(steps), -1))
 
 
-def _rk4_kernel(stages: np.ndarray, sys: MeanFieldSystem):
-    """advance(rows, count): count RK4 steps of the L runs in C-ordered stages, in place.
+def _rk4_kernel(x_rows: np.ndarray, sys: MeanFieldSystem):
+    """advance(rows, count): count RK4 steps of the L runs in C-ordered x_rows, in place.
 
-    Stages are (L, 5, d^2 + 1), each run's x = [vec(rho), 1] and slopes. The loop steps
-    one stage-major work array, (5, L, d^2 + d), padded with zeros as _hartree_flow takes
-    its rows, whatever L: x is copied in once, here, and back to stages after each call.
+    x_rows is (L, d^2 + d), each run's padded row x = [vec(rho), 1, 0, ...] (_hartree_rows).
+    The loop steps one stage-major work array, (5, L, d^2 + d): x, then the slopes in the
+    same padded rows, whatever L. x_rows is copied in once, here, and back after each call.
     Each stage input of k2..k4, and the update, is one real (L x 5L) x (5L x 2(d^2 + d))
     product of a block of rows (_rk4_rows) with the work array's float view, keeping x's
     tail at [1, 0, ...]; each slope is one flow evaluation into its rows. Inputs mix
     Hermitian rows by real weights, as p + p† needs. Views and buffers are set up once
     here: a call may be a single step.
     """
-    stack, _, cols = stages.shape
-    d = sys.d
+    stack, d = x_rows.shape[0], sys.d
     # zeros, not empty: zero tableau weights still multiply every row, and 0 * NaN is NaN
-    work = np.zeros((5, stack, d * d + d), dtype=np.complex128)
+    work = np.zeros((5, *x_rows.shape), dtype=np.complex128)
     x, y = work[0], np.empty_like(work[0])
-    x[:, :cols] = stages[:, 0]
+    x[:] = x_rows
     flat, y_f = work.reshape(5 * stack, -1).view(np.float64), y.view(np.float64)
     flow_x, flow_y = _hartree_flow(sys, x), _hartree_flow(sys, y)
     k1, k2, k3, k4 = (work[s, :, :d * d].reshape(stack, d, d) for s in range(1, 5))
@@ -387,18 +384,18 @@ def _rk4_kernel(stages: np.ndarray, sys: MeanFieldSystem):
             flow_y(k4)
             update.dot(flat, y_f)
             np.copyto(x, y)
-        np.copyto(stages[:, 0], x[:, :cols])
+        np.copyto(x_rows, x)
 
     return advance
 
 
 def _rk4_start(rho0: DensityOperator, sys: MeanFieldSystem, t0: float, t1: float, steps):
-    """Checked plans (k, last), one per step, and stages: x = [vec(rho0), 1], slopes 0.
+    """Checked plans (k, last), one per step, and one padded row of rho0 per step (_hartree_rows).
 
     A run takes k full steps from t0, to the first t0 + k step within 1e-15 of
     t1 (last None) or less than a step short of it, then one step of last.
     """
-    _check_state(rho0, sys)
+    x_rows = _hartree_rows(rho0, sys, len(steps))
     if not -math.inf < t0 <= t1 < math.inf:
         raise ValueError(f"need finite t0 <= t1, got t0 = {t0}, t1 = {t1}")
     cap, plans = step_cap(sys.interaction_norm()), []
@@ -413,16 +410,17 @@ def _rk4_start(rho0: DensityOperator, sys: MeanFieldSystem, t0: float, t1: float
         while t0 + k * step < t1 - 1e-15 and t1 - (t0 + k * step) >= step:
             k += 1
         plans.append((k, None if t0 + k * step >= t1 - 1e-15 else t1 - (t0 + k * step)))
-    stages = np.zeros((len(plans), 5, rho0.d**2 + 1), dtype=np.complex128)
-    stages[:, 0] = np.append(rho0.matrix.ravel(), 1.0)
-    return plans, stages
+    return plans, x_rows
 
 
 def _checked(x: np.ndarray, shape: TensorShape, t: float, drift_tol: float) -> DensityOperator:
-    """A copy of the stage row x = [vec(rho), 1] validated at drift_tol, naming t on drift."""
+    """A copy of rho in the padded row x validated at drift_tol, naming t on drift.
+
+    A run that overflowed drifted too: validate's ValueError for NaN or Inf entries.
+    """
     try:
-        return validate(x[:-1].reshape(shape.d, shape.d).copy(), shape, tol=drift_tol)
-    except (NotHermitian, NotPSD, TraceNotOne) as exc:
+        return validate(x[:shape.d**2].reshape(shape.d, shape.d).copy(), shape, tol=drift_tol)
+    except (NotHermitian, NotPSD, TraceNotOne, ValueError) as exc:
         raise DensityDriftExceeded(f"state at t = {t:.6g} drifted: {exc}") from exc
 
 
@@ -436,19 +434,19 @@ def integrate_hartree(rho0: DensityOperator, sys: MeanFieldSystem, t0: float, t1
     """
     if save_every < 1:
         raise ValueError(f"save_every must be >= 1, got {save_every}")
-    [(full, last)], stages = _rk4_start(rho0, sys, t0, t1, [step])
-    advance, rows = _rk4_kernel(stages, sys), _rk4_rows([step])
+    [(full, last)], x_rows = _rk4_start(rho0, sys, t0, t1, [step])
+    advance, rows = _rk4_kernel(x_rows, sys), _rk4_rows([step])
     times, states = [t0], [rho0]
     for k in range(0, full, save_every):
         count = min(save_every, full - k)
         advance(rows, count)
         if count == save_every or last is None:
             times.append(t1 if k + count == full and last is None else t0 + (k + count) * step)
-            states.append(_checked(stages[0, 0], rho0.shape, times[-1], drift_tol))
+            states.append(_checked(x_rows[0], rho0.shape, times[-1], drift_tol))
     if last is not None:
         advance(_rk4_rows([last]), 1)
         times.append(t1)
-        states.append(_checked(stages[0, 0], rho0.shape, t1, drift_tol))
+        states.append(_checked(x_rows[0], rho0.shape, t1, drift_tol))
     return HartreeTrajectory(np.array(times, dtype=float), tuple(states))
 
 
@@ -458,22 +456,22 @@ def hartree_endpoints(rho0: DensityOperator, sys: MeanFieldSystem, t1: float, st
 
     Each run takes integrate_hartree's steps, checks and drift guard. Sorted by
     descending full-step count, the runs still stepping are the leading slice
-    of the stages, so the loop runs only as often as the longest run. The
+    of the rows, so the loop runs only as often as the longest run. The
     shortened last steps are one step of the stack, of length 0 for a run
     that lands on t1: the update row [1, 0, 0, 0, 0] leaves its x unchanged.
     """
-    plans, stages = _rk4_start(rho0, sys, 0.0, t1, steps)
+    plans, x_rows = _rk4_start(rho0, sys, 0.0, t1, steps)
     order = sorted(range(len(plans)), key=lambda i: -plans[i][0])
     done = 0
     for m in range(len(order), 0, -1):
         full = plans[order[m - 1]][0]
         if full > done:
-            _rk4_kernel(stages[:m], sys)(_rk4_rows([steps[i] for i in order[:m]]), full - done)
+            _rk4_kernel(x_rows[:m], sys)(_rk4_rows([steps[i] for i in order[:m]]), full - done)
             done = full
     lasts = [plans[i][1] or 0.0 for i in order]
     if any(lasts):
-        _rk4_kernel(stages, sys)(_rk4_rows(lasts), 1)
-    ends = dict(zip(order, stages[:, 0]))
+        _rk4_kernel(x_rows, sys)(_rk4_rows(lasts), 1)
+    ends = dict(zip(order, x_rows))
     # a run that takes no step returns rho0 itself, as integrate_hartree does
     return [rho0 if plan == (0, None) else _checked(ends[i], rho0.shape, t1, drift_tol)
             for i, plan in enumerate(plans)]
@@ -527,7 +525,8 @@ def epsilon_term(m_np1: DensityOperator, sys: MeanFieldSystem, n_sites: int) -> 
     n = m_np1.sites - 1
     if not 1 <= n <= n_sites - 1:
         raise ValueError(f"order n = {n} needs 1 <= n <= N-1 = {n_sites - 1}")
-    _check_state(m_np1, sys, one_site=False)
+    if m_np1.d != sys.d:
+        raise DimensionMismatch(f"state d = {m_np1.d}, system d = {sys.d}")
     return _hierarchy_terms(sys, m_np1.matrix, m_np1.shape, n_sites)[1]
 
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadSiteIndex, BoundViolation, DimensionMismatch, NotSymmetric
-from .states import DensityOperator, State, is_symmetric
+from .states import DensityOperator, State, _check_one_site, is_symmetric
 from .tensor import tensor_power
 
 # e values in [-E_CLAMP, 0) are reported as 0 (flagged); below -E_ERROR is a bug.
@@ -85,13 +85,6 @@ def _observable_stack(observables, d: int) -> np.ndarray:
     return np.stack(stack)
 
 
-def _check_reference(rho_N: State, rho: DensityOperator) -> None:
-    if rho.sites != 1:
-        raise DimensionMismatch("reference state must live on one site")
-    if rho.d != rho_N.d:
-        raise DimensionMismatch(f"local dimensions differ: {rho.d} vs {rho_N.d}")
-
-
 def chaos_distances(states, references, k: int) -> np.ndarray:
     """tr |rho_N^(k) - rho^(ox k)| for every pair (rho_N, rho) of states and references.
 
@@ -106,7 +99,7 @@ def chaos_distances(states, references, k: int) -> np.ndarray:
     if not states:
         return np.empty(0)
     for rho_N, rho in zip(states, references):
-        _check_reference(rho_N, rho)
+        _check_one_site(rho, rho_N.d)
     margs = [rho_N.marginal(k) for rho_N in states]
     budget = min(marg.shape.max_total_dim for marg in margs)
     refs = tensor_power(np.stack([rho.matrix for rho in references]), k, budget)
@@ -152,7 +145,7 @@ def empirical_variance(rho_N: State, rho: DensityOperator, a: np.ndarray) -> flo
     is_symmetric raises NotSymmetric. The value is real up to roundoff; a
     real part below -1e-8 means a kernel bug.
     """
-    _check_reference(rho_N, rho)
+    _check_one_site(rho, rho_N.d)
     stack = _observable_stack([a], rho_N.d)
     _require_symmetric(rho_N)
     return float(_variances(rho_N, rho, stack)[0])
@@ -169,7 +162,7 @@ def factorization_error(rho_N: State, rho: DensityOperator, observables) -> floa
     k = len(observables)
     if k > rho_N.sites:
         raise BadSiteIndex(f"k = {k} exceeds N = {rho_N.sites}")
-    _check_reference(rho_N, rho)
+    _check_one_site(rho, rho_N.d)
     stack = _observable_stack(observables, rho_N.d)
     joint = _contract(rho_N.marginal(k).matrix, rho_N.d, [a[None] for a in stack])[0]
     return float(abs(joint - np.prod(_contract(rho.matrix, rho.d, [stack]))))
@@ -223,8 +216,7 @@ def corollary_bound(
         raise BadSiteIndex(f"k = {k} exceeds N = {n_sites}")
     if len(e_values) != k:
         raise DimensionMismatch(f"need {k} e-values, got {len(e_values)}")
-    if rho.sites != 1:
-        raise DimensionMismatch("reference state must live on one site")
+    _check_one_site(rho)
     stack = _observable_stack(observables, rho.d)
     norms = np.array([linalg.operator_norm(a) for a in stack])
     exps = np.abs(_contract(rho.matrix, rho.d, [stack]))
@@ -303,7 +295,7 @@ def chaos_report(
     if max_tuples < 1:
         raise ValueError(f"max_tuples must be >= 1, got {max_tuples}")
 
-    _check_reference(rho_N, rho)
+    _check_one_site(rho, rho_N.d)
     stack = _observable_stack(observables, d)
     marg = rho_N.marginal(k)
     _require_symmetric(rho_N)

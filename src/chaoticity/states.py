@@ -62,6 +62,14 @@ class State(Protocol):
         """Largest |U_p rho U_p† - rho| over the adjacent transpositions p."""
 
 
+def _check_one_site(rho: State, d: int | None = None) -> None:
+    """DimensionMismatch unless rho is a one-site state, of local dimension d when given."""
+    if rho.sites != 1:
+        raise DimensionMismatch(f"expected a one-site state, got {rho.sites} sites")
+    if d is not None and rho.d != d:
+        raise DimensionMismatch(f"one-site state d = {rho.d}, expected d = {d}")
+
+
 def _kept_marginal(state, k: int, form) -> DensityOperator:
     """form(k), computed on the first request for order k and kept on the state."""
     if not 1 <= k <= state.sites:
@@ -147,8 +155,7 @@ def product_state(rho: DensityOperator, n: int, max_total_dim: int | None = None
     products of factor eigenvalues), so only hermiticity and trace are
     re-checked; the O(D^3) eigenvalue scan is skipped.
     """
-    if rho.sites != 1:
-        raise DimensionMismatch("product_state expects a one-site density")
+    _check_one_site(rho)
     budget = max_total_dim if max_total_dim is not None else rho.shape.max_total_dim
     shape = TensorShape(rho.d, n, budget)
     m = tensor_power(rho.matrix, n, budget)
@@ -202,8 +209,8 @@ class ProductMixture:
         components = tuple(self.components)
         if len(components) != weights.size:
             raise DimensionMismatch(f"{weights.size} weights for {len(components)} components")
-        if any(s.sites != 1 or s.d != components[0].d for s in components):
-            raise DimensionMismatch("local states must be one-site densities of equal d")
+        for s in components:
+            _check_one_site(s, components[0].d)
         if self.n_sites < 1:
             raise ValueError(f"site count must be >= 1, got {self.n_sites}")
         object.__setattr__(self, "weights", tuple(weights.tolist()))

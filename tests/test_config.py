@@ -8,6 +8,7 @@ import math
 import pytest
 
 from chaoticity.config import (
+    KINDS,
     ExperimentConfig,
     config_hash,
     parse_config,
@@ -192,6 +193,15 @@ def test_validation_memory_budget():
     # the one-site flow has no N bound
     c = parse_config("kind = hartree_convergence\nd = 3\nN_list = 2, 1000\n")
     assert max(c.N_list) == 1000
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_validation_budget_holds_two_sites(kind):
+    # every kind holds two sites, d^2 <= max_total_dim
+    for d, budget in ((2, 3), (3, 8)):
+        with pytest.raises(ConfigInvalid, match="max_total_dim"):
+            validate_config(ExperimentConfig(kind=kind, d=d, N_list=(2,), k_list=(1,),
+                                             max_total_dim=budget))
 
 
 def test_validation_system_arrays():

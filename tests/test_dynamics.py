@@ -365,6 +365,10 @@ def test_block_budget_counts_held_entries():
             prop.evolve_grid(rho0, [0.1], order)
     # each call checks the largest order held before building any of its own
     assert list(prop._orders) == [3]
+    # a marginal of order k has 2^k rows: TensorShape's rule, checked before the entry count
+    check_budget(2, 64, 3, 4096)
+    with pytest.raises(MemoryBudgetExceeded, match=r"2\*\*13"):
+        check_budget(2, 64, 13, 4096)
 
 
 @pytest.mark.parametrize("d, kind", [(2, BlockPropagator), (3, ExactPropagator)])
@@ -711,6 +715,8 @@ def test_integrate_rejects_wrong_local_dimension():
     sys = make_system()
     with pytest.raises(DimensionMismatch):
         integrate_hartree(random_density(3, 54), sys, 0.0, 0.01, 1e-3)
+    with pytest.raises(DimensionMismatch):
+        integrate_hartree(product_state(random_density(2, 54), 2), sys, 0.0, 0.01, 1e-3)
 
 
 def test_integrate_preserves_density_structure():
@@ -741,6 +747,18 @@ def test_integrate_drift_guard_fires():
         integrate_hartree(rho0, sys, 0.0, 0.2, 1e-3, save_every=50, drift_tol=0.0)
 
 
+def test_overflowing_run_is_drift():
+    # the step cap reads ||V|| only, so ||A|| = 1e4 lets the state overflow
+    # between save points; a non-finite row is drift, named by its time
+    sys = MeanFieldSystem(2, 1e4 * random_hermitian(2, 1), random_hermitian(4, 2))
+    rho0 = random_density(2, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DensityDriftExceeded, match="t = 0.05 drifted: matrix has NaN or Inf"):
+            integrate_hartree(rho0, sys, 0.0, 1.0, 1e-3, save_every=50)
+        with pytest.raises(DensityDriftExceeded, match="t = 1 drifted: matrix has NaN or Inf"):
+            hartree_endpoints(rho0, sys, 1.0, [1e-3, 5e-4])
+
+
 def test_rk4_plan_matches_the_stepping_loop():
     # the closed-form step count against the loop it replaced: full steps
     # while one fits, ending on the first within 1e-15 of t1, else one
@@ -765,9 +783,9 @@ def test_rk4_plan_matches_the_stepping_loop():
                                t0 + k * step * (1 + 1e-15), t0 + k * step - 1e-16, k * 1e-3]))
         if t1 < t0:
             continue
-        ((full, last),), stages = _rk4_start(rho0, sys, t0, t1, [step])
+        ((full, last),), x_rows = _rk4_start(rho0, sys, t0, t1, [step])
         assert (full, last) == loop(t0, t1, step), (t0, t1, step)
-        assert stages.shape == (1, 5, 5)
+        assert x_rows.shape == (1, 6)
 
 
 # ---------------------------------------------------------------- lockstep levels
@@ -828,6 +846,8 @@ def test_lockstep_checks_match_integrate_hartree():
         hartree_endpoints(rho0, sys, 1.0, (0.02, 0.04, 0.01), TRAJECTORY_TOL)
     with pytest.raises(DimensionMismatch):
         hartree_endpoints(random_density(3, 54), sys, 0.01, LOCKSTEP_STEPS, TRAJECTORY_TOL)
+    with pytest.raises(DimensionMismatch):
+        hartree_endpoints(product_state(rho0, 2), sys, 0.01, LOCKSTEP_STEPS, TRAJECTORY_TOL)
     with pytest.raises(ValueError):
         hartree_endpoints(rho0, sys, -0.1, LOCKSTEP_STEPS, TRAJECTORY_TOL)
     with pytest.raises(ValueError):

@@ -109,6 +109,24 @@ def test_package_starts_no_threads():
     assert not concurrent, f"thread imports at {concurrent}"
 
 
+def test_only_states_checks_for_one_site():
+    # states._check_one_site is the one rule that a state lives on one site,
+    # so no other module compares a .sites attribute with 1
+    def one_site_test(node) -> bool:
+        sides = [node.left, *node.comparators]
+        return (any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                and any(isinstance(x, ast.Attribute) and x.attr == "sites" for x in sides)
+                and any(isinstance(x, ast.Constant) and x.value == 1 for x in sides))
+
+    checks = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.stem != "states"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Compare) and one_site_test(node)
+    ]
+    assert not checks, f"one-site checks outside states at {checks}"
+
+
 def test_package_never_calls_numpy_kron():
     # tensor.kron forms every Kronecker product by broadcasting, one path for
     # matrices and stacks alike

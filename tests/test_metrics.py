@@ -267,6 +267,13 @@ DIMENSION_CASES = {
     "chaos_report-observable": lambda mix, rho, rho3: chaos_report(
         mix, rho, 1, [np.eye(2), np.eye(3)]),
     "chaos_report-reference": lambda mix, rho, rho3: chaos_report(mix, rho3, 1),
+    "chaos_distance-reference": lambda mix, rho, rho3: chaos_distance(mix, rho3, 1),
+    "factorization_error-two-site-reference": lambda mix, rho, rho3: factorization_error(
+        mix, product_state(rho, 2), [np.eye(2)]),
+    "empirical_variance-two-site-reference": lambda mix, rho, rho3: empirical_variance(
+        mix, product_state(rho, 2), np.eye(2)),
+    "chaos_report-two-site-reference": lambda mix, rho, rho3: chaos_report(
+        mix, product_state(rho, 2), 1),
 }
 
 
